@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 
 import numpy as np
 
-from .errors import MissingGradient, ShapeMismatch
+from .errors import MissingGradient, SchemaError, ShapeMismatch
 from .rng import Rng
 from .sparse import SparseCOO
 
@@ -408,20 +407,41 @@ def save_weights(store: ParameterStore, directory) -> None:
 
 
 def load_weights(store: ParameterStore, directory) -> None:
+    """Overwrite every parameter from `save_weights` files, or none.
+
+    The manifest must list exactly the store's parameters, in order, with
+    matching shapes and contiguous offsets, and the blob must hold exactly
+    the bytes they need.
+    """
     with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"weight manifest is not JSON: {exc}") from exc
     with open(os.path.join(directory, "weights.bin"), "rb") as fh:
         blob = fh.read()
-    for entry in manifest:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        if name not in store:
-            raise ShapeMismatch(f"weight file has unknown parameter {name}")
-        p = store[name]
-        if tuple(p.data.shape) != shape:
-            raise ShapeMismatch(
-                f"parameter {name}: stored shape {shape} != model {p.data.shape}")
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["byte_offset"]
-        values = struct.unpack(f"<{count}d", blob[start:start + 8 * count])
-        p.data = np.array(values).reshape(shape)
+    try:
+        names = [entry["name"] for entry in manifest]
+        shapes = [tuple(int(n) for n in entry["shape"]) for entry in manifest]
+        offsets = [entry["byte_offset"] for entry in manifest]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed weight manifest: {exc!r}") from exc
+    if names != store.names():
+        missing = [n for n in store.names() if n not in names]
+        unknown = [n for n in names if n not in store.names()]
+        raise SchemaError(f"weight manifest does not list the model's parameters "
+                          f"in order: missing {missing}, unknown {unknown}")
+    starts = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    for name, shape, offset, start in zip(names, shapes, offsets, starts):
+        if store[name].data.shape != shape:
+            raise ShapeMismatch(f"parameter {name}: stored shape {shape} != "
+                                f"model {store[name].data.shape}")
+        if offset != 8 * start:
+            raise SchemaError(f"parameter {name}: byte offset {offset}, "
+                              f"expected {8 * start}")
+    if len(blob) != 8 * starts[-1]:
+        raise SchemaError(f"weights.bin holds {len(blob)} bytes, the manifest "
+                          f"needs {8 * starts[-1]}")
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    for name, shape, start, end in zip(names, shapes, starts, starts[1:]):
+        store[name].data = values[start:end].reshape(shape)

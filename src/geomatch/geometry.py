@@ -136,11 +136,23 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
 def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbours per point, ties broken by lower index."""
     s = points.shape[0]
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    d2 = np.zeros((s, s))
+    for axis in range(3):       # same sums as over an (S, S, 3) difference
+        diff = points[:, None, axis] - points[None, :, axis]
+        diff *= diff
+        d2 += diff
     np.fill_diagonal(d2, np.inf)
-    # stable sort keeps the lower index first among equal distances
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, near, axis=1)
+    near = np.take_along_axis(near, np.lexsort((near, dist), axis=1), axis=1)
+    # the partition picks an arbitrary subset of the points tied at the k-th
+    # distance; rows with such a tie are redone by a stable sort, which
+    # keeps the lower index first among equal distances
+    kth = dist.max(axis=1)
+    tied = (d2 == kth[:, None]).sum(axis=1) > (dist == kth[:, None]).sum(axis=1)
+    if tied.any():
+        near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return near
 
 
 def build_knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:
@@ -157,14 +169,10 @@ def build_knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:
 def normalize_adjacency(graph: GeometryGraph) -> GeometryGraph:
     """Attach A_hat = D^{-1/2} (A_sym + I) D^{-1/2}, degrees incl. self-loops."""
     s = graph.size
-    sym = set()
-    for a, b in graph.edges:
-        sym.add((int(a), int(b)))
-        sym.add((int(b), int(a)))
-    for i in range(s):
-        sym.add((i, i))
-    rows = np.fromiter((r for r, _ in sorted(sym)), dtype=np.int64, count=len(sym))
-    cols = np.fromiter((c for _, c in sorted(sym)), dtype=np.int64, count=len(sym))
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    loops = np.arange(s, dtype=np.int64)
+    keys = np.unique(np.concatenate([src * s + dst, dst * s + src, loops * (s + 1)]))
+    rows, cols = np.divmod(keys, s)
     deg = np.bincount(rows, minlength=s).astype(np.float64)
     vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
     adj = SparseCOO((s, s), rows, cols, vals)

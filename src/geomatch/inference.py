@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,19 @@ def sample_keypoint0(score_column: np.ndarray, ranks) -> list[int]:
 
 
 def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
-            ee: EndEffectorModel, c0: int,
-            keypoint0_rank: int = -1) -> GraspProposal:
-    """Greedy head-by-head contact prediction starting from vertex c0."""
+            ee: EndEffectorModel, c0: int, keypoint0_rank: int = -1,
+            embeddings=None) -> GraspProposal:
+    """Greedy head-by-head contact prediction starting from vertex c0.
+
+    `embeddings` is the (v_obj, v_grip) pair from `model.encode` on these
+    graphs; without it the graphs are encoded here.
+    """
     pts = object_graph.cloud.points
     if not 0 <= c0 < pts.shape[0]:
         raise IndexOutOfRange(f"c0={c0} outside object graph")
-    v_obj, v_grip = model.encode(object_graph, ee.rest_graph)
+    if embeddings is None:
+        embeddings = model.encode(object_graph, ee.rest_graph)
+    v_obj, v_grip = embeddings
     kp_vertices = ee.keypoint_vertices
     scores = model.score_map(v_obj, v_grip, kp_vertices).data
     contacts = [int(c0)]
@@ -83,17 +89,13 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
 def propose_grasps(model: GeoMatchModel, object_graph: GeometryGraph,
                    ee: EndEffectorModel, ranks=DEFAULT_RANKS,
                    object_id: str = "") -> list[GraspProposal]:
-    """One proposal per requested keypoint-0 rank."""
-    v_obj, v_grip = model.encode(object_graph, ee.rest_graph)
-    scores = model.score_map(v_obj, v_grip, ee.keypoint_vertices).data
+    """One proposal per requested keypoint-0 rank, from one encoder pass."""
+    embeddings = model.encode(object_graph, ee.rest_graph)
+    scores = model.score_map(*embeddings, ee.keypoint_vertices).data
     seeds = sample_keypoint0(scores[:, 0], ranks)
-    proposals = []
-    for rank, c0 in zip(ranks, seeds):
-        p = rollout(model, object_graph, ee, c0, keypoint0_rank=int(rank))
-        proposals.append(GraspProposal(
-            object_id=object_id, ee_id=p.ee_id, keypoint0_rank=p.keypoint0_rank,
-            contacts=p.contacts, contact_points=p.contact_points, score=p.score))
-    return proposals
+    return [replace(rollout(model, object_graph, ee, c0, int(rank), embeddings),
+                    object_id=object_id)
+            for rank, c0 in zip(ranks, seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -80,23 +80,29 @@ class TrainingSample:
 class GeoMatchModel:
     """Encoders + projections + autoregressive heads, all in one store."""
 
-    def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
+    def __init__(self, config: ModelConfig = ModelConfig(),
+                 seed: int | None = 0):
+        """Glorot-initialized weights from `seed`; seed=None allocates
+        zeros, for `load_weights` to overwrite."""
         self.config = config
         self.store = dn.ParameterStore()
-        rng = Rng(seed)
+        rng = Rng(seed) if seed is not None else None
+
+        def weight(shape):
+            return dn.zeros_param(shape) if rng is None else dn.glorot_init(shape, rng)
+
         enc_dims = [3, *config.gcn_hidden, config.gcn_out]
         for enc in ("obj", "grip"):
             for i in range(len(enc_dims) - 1):
                 self.store.add(f"{enc}_enc.w{i}",
-                               dn.glorot_init((enc_dims[i], enc_dims[i + 1]), rng))
+                               weight((enc_dims[i], enc_dims[i + 1])))
                 self.store.add(f"{enc}_enc.b{i}", dn.zeros_param(enc_dims[i + 1]))
             self.store.add(f"{enc}_proj.w",
-                           dn.glorot_init((config.gcn_out, config.proj_dim), rng))
+                           weight((config.gcn_out, config.proj_dim)))
         ar_dims = [config.ar_input_dim, *config.ar_hidden, 1]
         for n in range(1, config.n_keypoints):
             for i in range(len(ar_dims) - 1):
-                self.store.add(f"ar{n}.w{i}",
-                               dn.glorot_init((ar_dims[i], ar_dims[i + 1]), rng))
+                self.store.add(f"ar{n}.w{i}", weight((ar_dims[i], ar_dims[i + 1])))
                 self.store.add(f"ar{n}.b{i}", dn.zeros_param(ar_dims[i + 1]))
         self._n_enc_layers = len(enc_dims) - 1
         self._n_ar_layers = len(ar_dims) - 1
@@ -257,6 +263,6 @@ def load_model(directory) -> GeoMatchModel:
             config = ModelConfig.from_dict(json.load(fh))
     except FileNotFoundError:
         config = ModelConfig()
-    model = GeoMatchModel(config, seed=0)
+    model = GeoMatchModel(config, seed=None)
     dn.load_weights(model.store, directory)
     return model

@@ -1,4 +1,4 @@
-"""Minimal coordinate-list sparse matrix, enough for graph adjacency."""
+"""Symmetric sparse matrix in padded-neighbour form, for graph adjacency."""
 
 from __future__ import annotations
 
@@ -6,80 +6,69 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
+_BLOCK_ELEMENTS = 1 << 16    # 512 KB of float64
+
 
 class SparseCOO:
-    """Sparse S x T matrix stored as row-sorted (row, col, value) triples."""
+    """Symmetric sparse S x S matrix, built from (row, col, value) triples.
+
+    Row r keeps its entries in `nbr[r]` (column indices, ascending) and
+    `w[r]` (values), padded to the largest row degree D. A padded slot has
+    weight 0 and points at its own row. Because the matrix is symmetric,
+    the transposed product is the product itself.
+    """
 
     def __init__(self, shape, rows, cols, vals):
-        self.shape = (int(shape[0]), int(shape[1]))
+        s = int(shape[0])
+        if int(shape[1]) != s:
+            raise ShapeMismatch(f"symmetric matrix must be square, got {shape}")
+        self.shape = (s, s)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ShapeMismatch("rows, cols, vals must have equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise ShapeMismatch("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= self.shape[1]):
-            raise ShapeMismatch("col index out of range")
-        order = np.lexsort((cols, rows))
-        self.rows = rows[order]
-        self.cols = cols[order]
-        self.vals = vals[order]
-        for a in (self.rows, self.cols, self.vals):
-            a.flags.writeable = False
-        # segment boundaries for reduceat-based products (rows are sorted)
-        self._row_ids, self._row_starts = self._segments(self.rows)
-        t_order = np.lexsort((self.rows, self.cols))
-        self._t_rows = self.cols[t_order]
-        self._t_cols = self.rows[t_order]
-        self._t_vals = self.vals[t_order]
-        self._t_ids, self._t_starts = self._segments(self._t_rows)
-
-    @staticmethod
-    def _segments(sorted_ids: np.ndarray):
-        if sorted_ids.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        starts = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[0] - 1))
-        return sorted_ids[starts], starts
-
-    @property
-    def nnz(self) -> int:
-        return self.vals.size
-
-    @staticmethod
-    def _scatter_product(out_rows, ids, starts, vals, cols, dense):
-        out = np.zeros((out_rows,) + dense.shape[1:])
-        if vals.size == 0:
-            return out
-        contrib = vals.reshape((-1,) + (1,) * (dense.ndim - 1)) * dense[cols]
-        out[ids] = np.add.reduceat(contrib, starts, axis=0)
-        return out
+        for name, idx in (("row", rows), ("col", cols)):
+            if idx.size and (idx.min() < 0 or idx.max() >= s):
+                raise ShapeMismatch(f"{name} index out of range")
+        keys = rows * s + cols
+        order = np.argsort(keys)
+        keys, rows, cols, vals = keys[order], rows[order], cols[order], vals[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ShapeMismatch("duplicate (row, col) entry")
+        t_keys = cols * s + rows
+        t_order = np.argsort(t_keys)
+        if not (np.array_equal(t_keys[t_order], keys)
+                and np.array_equal(vals[t_order], vals)):
+            raise ShapeMismatch("matrix is not symmetric")
+        counts = np.bincount(rows, minlength=s)
+        width = max(1, int(counts.max(initial=0)))
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.nbr = np.repeat(np.arange(s)[:, None], width, axis=1)
+        self.nbr[rows, slot] = cols
+        self.w = np.zeros((s, width))
+        self.w[rows, slot] = vals
+        self.nbr.flags.writeable = False
+        self.w.flags.writeable = False
+        self.nnz = int(vals.size)
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """self @ dense for a dense (T, F) array."""
+        """self @ dense for a dense (S, F) array."""
         dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape[0] != self.shape[1]:
-            raise ShapeMismatch(
-                f"cannot multiply {self.shape} by {dense.shape}")
-        return self._scatter_product(self.shape[0], self._row_ids,
-                                     self._row_starts, self.vals, self.cols,
-                                     dense)
+        if dense.ndim != 2 or dense.shape[0] != self.shape[0]:
+            raise ShapeMismatch(f"cannot multiply {self.shape} by {dense.shape}")
+        out = np.empty(dense.shape)
+        # one batched (1, D) @ (D, F) product per block of rows, each block's
+        # gathered neighbour rows sized to stay in cache
+        step = max(1, _BLOCK_ELEMENTS // (self.w.shape[1] * max(1, dense.shape[1])))
+        for a in range(0, self.shape[0], step):
+            np.matmul(self.w[a:a + step, None, :], dense[self.nbr[a:a + step]],
+                      out=out[a:a + step, None, :])
+        return out
 
-    def rmatmul(self, dense: np.ndarray) -> np.ndarray:
-        """self.T @ dense for a dense (S, F) array."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape[0] != self.shape[0]:
-            raise ShapeMismatch(
-                f"cannot multiply transpose of {self.shape} by {dense.shape}")
-        return self._scatter_product(self.shape[1], self._t_ids,
-                                     self._t_starts, self._t_vals,
-                                     self._t_cols, dense)
+    rmatmul = matmul    # self.T @ dense is self @ dense: the matrix is symmetric
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        np.add.at(out, (self.rows, self.cols), self.vals)
+        np.add.at(out, (np.arange(self.shape[0])[:, None], self.nbr), self.w)
         return out
-
-    def transpose(self) -> "SparseCOO":
-        return SparseCOO((self.shape[1], self.shape[0]),
-                         self.cols, self.rows, self.vals)

@@ -169,6 +169,41 @@ class TestExitCodes:
         assert "geomatch" in capsys.readouterr().out
 
 
+class TestWeightFileFaults:
+    """infer must refuse weight files that do not fill every parameter."""
+
+    @pytest.fixture()
+    def weights(self, tmp_path):
+        from geomatch.model import GeoMatchModel, ModelConfig, save_model
+        config = ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=4,
+                             ar_hidden=(6,))
+        save_model(GeoMatchModel(config, seed=1), tmp_path / "w")
+        return tmp_path / "w"
+
+    @staticmethod
+    def infer(pipeline_dir, weights):
+        return main(["infer", "--weights", str(weights),
+                     "--manifest", str(pipeline_dir / "data"),
+                     "--split", "train", "--ranks", "0",
+                     "--out", str(weights / "proposals.jsonl")])
+
+    def test_intact_weights_load(self, pipeline_dir, weights):
+        assert self.infer(pipeline_dir, weights) == 0
+
+    def test_manifest_missing_entries(self, pipeline_dir, weights, capsys):
+        path = weights / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(manifest[:-2]))
+        assert self.infer(pipeline_dir, weights) == 2
+        assert "missing" in capsys.readouterr().err
+
+    def test_truncated_weights(self, pipeline_dir, weights, capsys):
+        path = weights / "weights.bin"
+        path.write_bytes(path.read_bytes()[:-12])
+        assert self.infer(pipeline_dir, weights) == 2
+        assert "bytes" in capsys.readouterr().err
+
+
 class TestSeedEnvOverride:
     def test_env_seed_changes_output(self, tmp_path, monkeypatch):
         from geomatch.cli import load_config

@@ -36,10 +36,14 @@ def check_grads(fn, tensors, rtol=1e-4):
 
 
 def random_sparse(s, rng):
+    """(A + A^T) / 2 for a random sparse A, since SparseCOO is symmetric."""
     rows = np.repeat(np.arange(s), 2)
     cols = (np.concatenate([np.arange(s) - 1, np.arange(s) + 1])) % s
-    vals = rng.uniform(0.2, 1.0, rows.size)
-    return SparseCOO((s, s), rows, cols, vals)
+    a = np.zeros((s, s))
+    np.add.at(a, (rows, cols), rng.uniform(0.2, 1.0, rows.size))
+    a = (a + a.T) / 2
+    rows, cols = np.nonzero(a)
+    return SparseCOO((s, s), rows, cols, a[rows, cols])
 
 
 class TestBasicOps:

@@ -23,6 +23,36 @@ def brute_force_knn(points, k):
     return nbrs
 
 
+def stable_argsort_knn(points, k):
+    """Full stable sort of the squared distances: lower index first on ties."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def set_based_adjacency(edges, s):
+    """A_hat from a Python set of symmetrized edges plus self-loops."""
+    sym = {(i, i) for i in range(s)}
+    for a, b in edges:
+        sym.add((int(a), int(b)))
+        sym.add((int(b), int(a)))
+    deg = np.zeros(s)
+    for r, _ in sym:
+        deg[r] += 1
+    dense = np.zeros((s, s))
+    for r, c in sym:
+        dense[r, c] = 1.0 / np.sqrt(deg[r] * deg[c])
+    return dense
+
+
+def lattice_cloud(rng, s):
+    """s distinct points of a shuffled integer grid: many equal distances."""
+    n = int(np.ceil(s ** (1 / 3))) + 1
+    grid = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, 3).astype(np.float64)
+    return grid[rng.permutation(len(grid))[:s]] * rng.choice([0.5, 1.0, 3.0])
+
+
 class TestPointCloud:
     def test_rejects_nonfinite(self):
         with pytest.raises(errors.SchemaError):
@@ -119,6 +149,17 @@ class TestKnnGraph:
         nbr0 = [b for a, b in graph.edges.tolist() if a == 0]
         assert nbr0 == [1]
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 250), st.integers(1, 8),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stable_argsort(self, seed, s, k, lattice):
+        rng = np.random.default_rng(seed)
+        pts = lattice_cloud(rng, s) if lattice else rng.normal(size=(s, 3))
+        graph = build_knn_graph(PointCloud(pts), k)
+        want = stable_argsort_knn(pts, k)
+        assert np.array_equal(graph.edges[:, 1].reshape(s, k), want)
+        assert np.array_equal(graph.edges[:, 0], np.repeat(np.arange(s), k))
+
 
 class TestNormalizeAdjacency:
     def test_single_vertex(self):
@@ -150,6 +191,16 @@ class TestNormalizeAdjacency:
         adj = graph.normalized_adjacency.to_dense()
         assert np.abs(adj - adj.T).max() < 1e-12
         assert np.diag(adj).min() > 0
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 120), st.integers(1, 8),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_set_based_reference(self, seed, s, k, lattice):
+        rng = np.random.default_rng(seed)
+        pts = lattice_cloud(rng, s) if lattice else rng.normal(size=(s, 3))
+        graph = normalize_adjacency(build_knn_graph(PointCloud(pts), k))
+        want = set_based_adjacency(graph.edges, s)
+        assert np.array_equal(graph.normalized_adjacency.to_dense(), want)
 
 
 class TestEstimateNormals:

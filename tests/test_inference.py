@@ -96,6 +96,21 @@ class TestProposeGrasps:
         assert [p.keypoint0_rank for p in props] == [0, 5, 11]
         assert all(p.object_id == "obj" for p in props)
 
+    def test_one_encoder_pass(self, small_world, monkeypatch):
+        model, samples = small_world
+        s = samples[0]
+        encode, calls = model.encode, []
+        monkeypatch.setattr(model, "encode",
+                            lambda *graphs: calls.append(graphs) or encode(*graphs))
+        props = propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11))
+        assert len(calls) == 1
+        for p in props:     # rollout alone encodes for itself, same result
+            alone = rollout(model, s.object_graph, s.ee, int(p.contacts[0]),
+                            p.keypoint0_rank)
+            assert np.array_equal(alone.contacts, p.contacts)
+            assert alone.score == p.score
+        assert len(calls) == 4
+
     def test_single_rank_best_chain(self, small_world):
         model, samples = small_world
         s = samples[0]

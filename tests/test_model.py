@@ -259,6 +259,16 @@ class TestTraining:
         assert np.array_equal(a.data, b.data)
 
 
+    def test_load_model_skips_random_init(self, tmp_path, monkeypatch):
+        model = GeoMatchModel(TINY, seed=4)
+        save_model(model, tmp_path / "w")
+        monkeypatch.setattr(dn, "glorot_init",
+                            lambda *a: pytest.fail("random init while loading"))
+        back = load_model(tmp_path / "w")
+        for name, p in model.store.items():
+            assert np.array_equal(back.store[name].data, p.data)
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical_forward(self, rng_np, tiny_ee):
         s = tiny_sample(rng_np, ee=tiny_ee)

@@ -1,0 +1,77 @@
+"""The symmetric padded-neighbour adjacency operator against dense products."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from geomatch import errors
+from geomatch.geometry import (GeometryGraph, PointCloud, knn_graph,
+                               normalize_adjacency)
+from geomatch.sparse import SparseCOO
+
+
+class TestProducts:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 300), st.integers(1, 8),
+           st.sampled_from([1, 3, 256]))
+    @settings(max_examples=40, deadline=None)
+    def test_knn_graph_matches_dense(self, seed, s, k, f):
+        rng = np.random.default_rng(seed)
+        adj = knn_graph(PointCloud(rng.normal(size=(s, 3))), k).normalized_adjacency
+        h = rng.normal(size=(s, f))
+        dense = adj.to_dense()
+        assert np.allclose(adj.matmul(h), dense @ h, rtol=1e-12, atol=1e-12)
+        assert np.allclose(adj.rmatmul(h), dense.T @ h, rtol=1e-12, atol=1e-12)
+
+    def test_single_vertex(self):
+        graph = normalize_adjacency(GeometryGraph(
+            cloud=PointCloud(np.zeros((1, 3))),
+            edges=np.empty((0, 2), dtype=np.int64), knn_k=1))
+        adj = graph.normalized_adjacency
+        h = np.array([[2.0, -3.0]])
+        assert adj.shape == (1, 1) and adj.nnz == 1
+        assert np.array_equal(adj.matmul(h), h)
+        assert np.array_equal(adj.rmatmul(h), h)
+
+    def test_padding_and_empty_rows(self):
+        # row 2 has no entries; row 0 is padded to the degree of row 1
+        adj = SparseCOO((3, 3), [0, 1, 1], [1, 0, 1], [0.5, 0.5, 2.0])
+        assert adj.nnz == 3
+        assert adj.w.shape == (3, 2)
+        assert np.array_equal(adj.to_dense(),
+                              [[0, 0.5, 0], [0.5, 2.0, 0], [0, 0, 0]])
+        h = np.arange(6.0).reshape(3, 2)
+        assert np.allclose(adj.matmul(h), adj.to_dense() @ h)
+
+    def test_product_shape_checked(self):
+        adj = SparseCOO((2, 2), [0, 1], [0, 1], [1.0, 1.0])
+        with pytest.raises(errors.ShapeMismatch):
+            adj.matmul(np.zeros((3, 2)))
+        with pytest.raises(errors.ShapeMismatch):
+            adj.rmatmul(np.zeros(2))
+
+
+class TestConstruction:
+    def test_asymmetric_rejected(self):
+        with pytest.raises(errors.ShapeMismatch, match="not symmetric"):
+            SparseCOO((3, 3), [0, 1], [1, 2], [1.0, 1.0])
+
+    def test_asymmetric_values_rejected(self):
+        with pytest.raises(errors.ShapeMismatch, match="not symmetric"):
+            SparseCOO((2, 2), [0, 1], [1, 0], [1.0, 1.0 + 1e-15])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            SparseCOO((2, 3), [0], [0], [1.0])
+
+    def test_duplicate_entry_rejected(self):
+        with pytest.raises(errors.ShapeMismatch, match="duplicate"):
+            SparseCOO((2, 2), [0, 0], [0, 0], [1.0, 1.0])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(errors.ShapeMismatch):
+            SparseCOO((2, 2), [0, 2], [2, 0], [1.0, 1.0])
+
+    def test_read_only(self):
+        adj = SparseCOO((2, 2), [0, 1], [1, 0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            adj.w[0, 0] = 3.0

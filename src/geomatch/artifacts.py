@@ -1,0 +1,47 @@
+"""One parser for every file a stage reads, and the JSON-lines writer.
+
+Readers extract fields inside `parsing(where)`, which turns what a
+malformed file raises (a missing key, a short list, a wrong type, a value
+that does not parse) into a `SchemaError` naming `path` or `path:line`, so
+bad input exits with code 2. Only field extraction and lookups go inside
+it, never solver or model code, whose own errors are program bugs.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+from .errors import SchemaError
+
+
+@contextmanager
+def parsing(where):
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{where}: missing or unknown key {exc}") from exc
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def read_json(path):
+    with open(path) as fh, parsing(path):
+        return json.load(fh)
+
+
+def read_jsonl(path, parse) -> list:
+    """`parse(doc)` for each non-blank line; errors name `path:line`."""
+    out = []
+    with open(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            if line.strip():
+                with parsing(f"{path}:{ln}"):
+                    out.append(parse(json.loads(line)))
+    return out
+
+
+def write_jsonl(path, docs) -> None:
+    with open(path, "w") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc) + "\n")

@@ -21,12 +21,13 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import inference as inf
 from . import model as gm
+from .artifacts import parsing, read_json, read_jsonl, write_jsonl
 from .contact_maps import DEFAULT_M, DEFAULT_THRESHOLD, build_contact_maps, save_maps
 from .errors import DataError, GeomatchError, NumericalError, SchemaError
 from .geometry import (DEFAULT_KNN_K, crop_table_top, estimate_normals,
                        knn_graph, load_cloud, perturb_cloud, save_cloud_csv)
-from .ik import ik_result_to_dict, load_ik_reports, save_ik_reports, solve_ik
-from .kinematics import keypoint_positions, pose_from_dict
+from .ik import ik_result_to_dict, solve_ik
+from .kinematics import N_KEYPOINTS, keypoint_positions, pose_from_dict
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -86,18 +87,17 @@ class RunConfig:
 def load_config(path=None, seed_override=None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
-        with open(path) as fh:
-            doc = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise SchemaError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in doc.items():
-            if key == "ranks":
-                value = tuple(int(v) for v in value)
-            else:
-                value = type(getattr(cfg, key))(value)
-            setattr(cfg, key, value)
+        doc = read_json(path)
+        with parsing(path):
+            unknown = set(doc) - {f.name for f in fields(RunConfig)}
+            if unknown:
+                raise SchemaError(f"{path}: unknown config keys {sorted(unknown)}")
+            for key, value in doc.items():
+                if key == "ranks":
+                    value = tuple(int(v) for v in value)
+                else:
+                    value = type(getattr(cfg, key))(value)
+                setattr(cfg, key, value)
     env_seed = os.environ.get("GEOMATCH_SEED")
     if env_seed is not None:
         cfg.seed = int(env_seed)
@@ -195,18 +195,21 @@ def cmd_infer(args) -> int:
 def cmd_ik(args) -> int:
     cfg = load_config(args.config, args.seed)
     manifest = ds.load_manifest(args.manifest)
-    proposals = inf.load_proposals(args.proposals)
     clouds = ds.load_object_clouds(manifest)
     ees = ds.load_ee_models(manifest, cfg.knn_k)
+
+    def job(doc):
+        p = inf.proposal_from_dict(doc)
+        return p, ees[p.ee_id], clouds[p.object_id]
+
     rows = []
-    for p in proposals:
-        result = solve_ik(ees[p.ee_id], p.contact_points, clouds[p.object_id],
-                          max_iter=args.max_iter)
+    for p, ee, cloud in read_jsonl(args.proposals, job):
+        result = solve_ik(ee, p.contact_points, cloud, max_iter=args.max_iter)
         row = ik_result_to_dict(result)
         # carry the proposal context so later stages need no extra inputs
         row.update(inf.proposal_to_dict(p))
         rows.append(row)
-    save_ik_reports(rows, args.out)
+    write_jsonl(args.out, rows)
     converged = sum(1 for r in rows if r["status"] == "Converged")
     print(f"solved {len(rows)} IK problems ({converged} converged) "
           f"-> {args.out}")
@@ -216,28 +219,32 @@ def cmd_ik(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.seed)
     manifest = ds.load_manifest(args.manifest)
-    reports = load_ik_reports(args.ik)
     clouds = ds.load_object_clouds(manifest)
     ees = ds.load_ee_models(manifest, cfg.knn_k)
+
+    def job(rep):
+        row = {"object": rep["object"], "ee": rep["ee"], "rank": rep["rank"]}
+        contacts = np.array([c["xyz"] for c in rep["contacts"]],
+                            dtype=np.float64).reshape(N_KEYPOINTS, 3)
+        return (row, pose_from_dict(rep["pose"]), ees[rep["ee"]],
+                clouds[rep["object"]], contacts)
+
+    jobs = read_jsonl(args.ik, job)
     eval_cfg = cfg.eval_config()
     os.makedirs(args.out, exist_ok=True)
     rows = []
     poses_by_ee: dict[str, list] = {}
-    for rep in reports:
-        pose = pose_from_dict(rep["pose"])
-        ee = ees[rep["ee"]]
-        outcome = ev.evaluate_grasp(clouds[rep["object"]], ee, pose, eval_cfg)
-        contact_pts = np.array([c["xyz"] for c in rep["contacts"]])
+    for row, pose, ee, cloud, contact_pts in jobs:
+        outcome = ev.evaluate_grasp(cloud, ee, pose, eval_cfg)
         errors = ev.contact_error(ee, pose, contact_pts)
-        row = {"object": rep["object"], "ee": rep["ee"], "rank": rep["rank"],
-               "success": int(outcome.success),
-               "active_contacts": len(outcome.active_contacts),
-               "mean_contact_error_mm": round(float(errors.mean()) * 1000.0, 6)}
+        row.update(success=int(outcome.success),
+                   active_contacts=len(outcome.active_contacts),
+                   mean_contact_error_mm=round(float(errors.mean()) * 1000.0, 6))
         for tag, _ in ev.AXIS_DIRECTIONS:
             row[f"resisted_{tag}"] = int(outcome.resisted[tag])
         rows.append(row)
         if outcome.success:
-            poses_by_ee.setdefault(rep["ee"], []).append(pose)
+            poses_by_ee.setdefault(row["ee"], []).append(pose)
     ev.write_eval_csv(rows, os.path.join(args.out, "evaluation.csv"))
     ev.write_eval_summary(rows, poses_by_ee,
                           os.path.join(args.out, "summary.json"))
@@ -429,8 +436,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot access file: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

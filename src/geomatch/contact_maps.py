@@ -114,14 +114,3 @@ def save_maps(maps: ContactMapSet, path) -> None:
            "co": [[int(v) for v in row] for row in maps.co]}
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def load_maps(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    for key in ("m", "threshold", "cg", "co"):
-        if key not in doc:
-            raise SchemaError(f"{path}: map file lacks '{key}'")
-    doc["cg"] = np.array(doc["cg"], dtype=np.int8)
-    doc["co"] = np.array(doc["co"], dtype=np.int8)
-    return doc

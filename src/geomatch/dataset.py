@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import parsing, read_json, read_jsonl, write_jsonl
 from .contact_maps import DEFAULT_M, DEFAULT_THRESHOLD, build_contact_maps
-from .errors import IoError, MissingFile, SchemaError, UnknownEe
+from .errors import IoError, MissingFile, NumericalError, SchemaError, UnknownEe
 from .geometry import (DEFAULT_KNN_K, PointCloud, TriangleMesh, knn_graph,
                        load_cloud, sample_surface, save_cloud_csv)
 from .kinematics import (EndEffectorModel, Joint, Keypoint, KinematicChain,
@@ -579,11 +580,11 @@ def generate_toy_dataset(seed: int, out_dir,
                 kp_world = keypoint_positions(ee, pose)
                 fk_err = np.linalg.norm(kp_world[:n_tips] - contacts, axis=1).max()
                 if fk_err > 1e-9:
-                    raise AssertionError(
+                    raise NumericalError(
                         f"{ee_id}/{obj_id}: closure disagrees with FK ({fk_err:.2e})")
                 surf = surface_distance(kind, shape, kp_world)
                 if int((surf < contact_threshold).sum()) < 2:
-                    raise AssertionError(
+                    raise NumericalError(
                         f"{ee_id}/{obj_id}: fewer than 2 keypoints in contact")
                 records.append(GraspRecord(obj_id, ee_id, pose))
 
@@ -605,10 +606,9 @@ def generate_toy_dataset(seed: int, out_dir,
 
 def save_manifest(manifest: DatasetManifest) -> None:
     rec_rel = "records.jsonl"
-    with open(os.path.join(manifest.base_dir, rec_rel), "w") as fh:
-        for r in manifest.records:
-            fh.write(json.dumps({"object": r.object_id, "ee": r.ee_id,
-                                 "pose": pose_to_dict(r.pose)}) + "\n")
+    write_jsonl(os.path.join(manifest.base_dir, rec_rel),
+                ({"object": r.object_id, "ee": r.ee_id,
+                  "pose": pose_to_dict(r.pose)} for r in manifest.records))
     doc = {"objects": [{"id": k, "cloud": v} for k, v in manifest.objects.items()],
            "end_effectors": [{"id": k, "chain": v}
                              for k, v in manifest.end_effectors.items()],
@@ -625,43 +625,32 @@ def load_manifest(path) -> DatasetManifest:
     if not os.path.exists(path):
         raise MissingFile(f"manifest not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        objects = {e["id"]: e["cloud"] for e in doc["objects"]}
-        ees = {e["id"]: e["chain"] for e in doc["end_effectors"]}
-        split = {k: list(v) for k, v in doc["split"].items()}
+    doc = read_json(path)
+    with parsing(path):
+        manifest = DatasetManifest(
+            base_dir=base, objects={e["id"]: e["cloud"] for e in doc["objects"]},
+            end_effectors={e["id"]: e["chain"] for e in doc["end_effectors"]},
+            records=[], split={k: list(v) for k, v in doc["split"].items()},
+            s_o=int(doc.get("s_o", DEFAULT_TOY_POINTS)),
+            s_g=int(doc.get("s_g", DEFAULT_TOY_POINTS)),
+            seed=int(doc.get("seed", 0)))
         rec_path = os.path.join(base, doc["records"])
-    except KeyError as exc:
-        raise SchemaError(f"{path}: manifest missing {exc}") from exc
-    train = set(split.get("train", []))
-    val = set(split.get("val", []))
+    train = set(manifest.split.get("train", []))
+    val = set(manifest.split.get("val", []))
     if train & val:
         raise SchemaError(f"{path}: train/val object sets overlap: {train & val}")
-    records = []
     if not os.path.exists(rec_path):
         raise MissingFile(f"records file not found: {rec_path}")
-    with open(rec_path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                records.append(GraspRecord(entry["object"], entry["ee"],
-                                           pose_from_dict(entry["pose"])))
-            except (KeyError, ValueError) as exc:
-                raise SchemaError(f"{rec_path}:{ln}: {exc}") from exc
-    for r in records:
-        if r.object_id not in objects:
-            raise SchemaError(f"record references unknown object {r.object_id}")
-        if r.ee_id not in ees:
-            raise SchemaError(f"record references unknown end-effector {r.ee_id}")
-    return DatasetManifest(base_dir=base, objects=objects, end_effectors=ees,
-                           records=records, split=split,
-                           s_o=int(doc.get("s_o", DEFAULT_TOY_POINTS)),
-                           s_g=int(doc.get("s_g", DEFAULT_TOY_POINTS)),
-                           seed=int(doc.get("seed", 0)))
+
+    def record(entry):
+        if entry["object"] not in manifest.objects:
+            raise ValueError(f"unknown object {entry['object']!r}")
+        if entry["ee"] not in manifest.end_effectors:
+            raise ValueError(f"unknown end-effector {entry['ee']!r}")
+        return GraspRecord(entry["object"], entry["ee"], pose_from_dict(entry["pose"]))
+
+    manifest.records = read_jsonl(rec_path, record)
+    return manifest
 
 
 def filter_by_ee(manifest: DatasetManifest, ee_ids) -> DatasetManifest:

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .artifacts import parsing, read_json
 from .errors import MissingGradient, SchemaError, ShapeMismatch
 from .rng import Rng
 from .sparse import SparseCOO
@@ -340,17 +341,11 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self._params.values())
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -413,19 +408,14 @@ def load_weights(store: ParameterStore, directory) -> None:
     matching shapes and contiguous offsets, and the blob must hold exactly
     the bytes they need.
     """
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise SchemaError(f"weight manifest is not JSON: {exc}") from exc
+    path = os.path.join(directory, "manifest.json")
+    manifest = read_json(path)
     with open(os.path.join(directory, "weights.bin"), "rb") as fh:
         blob = fh.read()
-    try:
+    with parsing(path):
         names = [entry["name"] for entry in manifest]
         shapes = [tuple(int(n) for n in entry["shape"]) for entry in manifest]
         offsets = [entry["byte_offset"] for entry in manifest]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed weight manifest: {exc!r}") from exc
     if names != store.names():
         missing = [n for n in store.names() if n not in names]
         unknown = [n for n in names if n not in store.names()]

@@ -31,10 +31,6 @@ class FullyCropped(DataError):
     pass
 
 
-class DegenerateNeighborhood(NumericalError):
-    pass
-
-
 # kinematics
 class DegenerateInput(NumericalError):
     pass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, TooFewPoses
+from .errors import NumericalError, SchemaError, TooFewPoses
 from .geometry import PointCloud
 from .kinematics import (EndEffectorModel, N_KEYPOINTS, Pose,
                          keypoint_positions)
@@ -108,7 +108,7 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
                 tableau[i] -= tableau[i, entering] * tableau[leaving]
         basis[leaving] = entering
     else:
-        raise AssertionError("simplex failed to terminate")
+        raise NumericalError("simplex failed to terminate")
 
     return bool(-tableau[m, -1] <= tol)
 

@@ -9,12 +9,12 @@ are metric meters.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import parsing
 from .errors import EmptyMesh, FullyCropped, SchemaError, TooFewPoints
 from .rng import Rng
 from .sparse import SparseCOO
@@ -283,10 +283,8 @@ def load_cloud_csv(path) -> PointCloud:
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
-            try:
+            with parsing(f"{path}:{ln}"):
                 vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{ln}: {exc}") from exc
             if with_normals:
                 if len(vals) != 6:
                     raise SchemaError(f"{path}:{ln}: expected 6 columns")
@@ -301,7 +299,7 @@ def load_cloud_csv(path) -> PointCloud:
 
 def load_cloud_ply(path) -> PointCloud:
     """ASCII PLY ingest: vertex properties x,y,z and optional nx,ny,nz."""
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         if fh.readline().strip() != "ply":
             raise SchemaError(f"{path}: not a PLY file")
         n_vertices = 0
@@ -341,26 +339,3 @@ def load_cloud(path) -> PointCloud:
     if path.endswith(".ply"):
         return load_cloud_ply(path)
     return load_cloud_csv(path)
-
-
-def save_graph_cache(graph: GeometryGraph, path) -> None:
-    doc = {
-        "knn_k": graph.knn_k,
-        "points": [[float(v) for v in p] for p in graph.cloud.points],
-        "edges": [[int(a), int(b)] for a, b in graph.edges],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_graph_cache(path) -> GeometryGraph:
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        cloud = PointCloud(np.array(doc["points"], dtype=np.float64))
-        graph = GeometryGraph(cloud=cloud,
-                              edges=np.array(doc["edges"], dtype=np.int64).reshape(-1, 2),
-                              knn_k=int(doc["knn_k"]))
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing field {exc}") from exc
-    return graph

@@ -10,7 +10,6 @@ differences and subproblems are solved exactly through an SVD.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -346,19 +345,3 @@ def ik_result_to_dict(result: IKResult) -> dict:
             "residual_norm": float(result.residual_norm),
             "per_keypoint_mm": [float(v * 1000.0) for v in result.per_keypoint],
             "pose": pose_to_dict(result.pose)}
-
-
-def save_ik_reports(rows: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_ik_reports(path) -> list[dict]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

@@ -8,15 +8,15 @@ autoregressive heads.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .errors import EmptyScores, IndexOutOfRange
 from .geometry import GeometryGraph
-from .kinematics import EndEffectorModel
+from .kinematics import EndEffectorModel, N_KEYPOINTS
 from .model import GeoMatchModel
 
 log = logging.getLogger(__name__)
@@ -111,23 +111,16 @@ def proposal_to_dict(p: GraspProposal) -> dict:
 
 def proposal_from_dict(doc: dict) -> GraspProposal:
     contacts = np.array([c["vertex"] for c in doc["contacts"]], dtype=np.int64)
-    points = np.array([c["xyz"] for c in doc["contacts"]], dtype=np.float64)
+    points = np.array([c["xyz"] for c in doc["contacts"]],
+                      dtype=np.float64).reshape(N_KEYPOINTS, 3)
     return GraspProposal(object_id=doc["object"], ee_id=doc["ee"],
                          keypoint0_rank=int(doc["rank"]), contacts=contacts,
                          contact_points=points, score=float(doc["score"]))
 
 
 def save_proposals(proposals, path) -> None:
-    with open(path, "w") as fh:
-        for p in proposals:
-            fh.write(json.dumps(proposal_to_dict(p)) + "\n")
+    write_jsonl(path, map(proposal_to_dict, proposals))
 
 
 def load_proposals(path) -> list[GraspProposal]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(proposal_from_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, proposal_from_dict)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import parsing, read_json
 from .errors import (DegenerateInput, LimitViolation, NotARotation,
                      SchemaError)
 from .geometry import GeometryGraph, PointCloud, knn_graph, load_cloud
@@ -368,22 +369,6 @@ def keypoint_positions(ee: EndEffectorModel, pose: Pose) -> np.ndarray:
     return out
 
 
-def attach_keypoints(chain: KinematicChain, rest_cloud: PointCloud,
-                     vertex_indices) -> tuple[Keypoint, ...]:
-    """Bind rest-cloud vertices to the nearest link frame (rest pose)."""
-    fk = forward_kinematics(chain, rest_pose(chain))
-    names = [l.name for l in chain.links]
-    origins = np.array([fk[n][:3, 3] for n in names])
-    kps = []
-    for v in vertex_indices:
-        p = rest_cloud.points[int(v)]
-        nearest = int(np.argmin(np.linalg.norm(origins - p, axis=1)))
-        m = fk[names[nearest]]
-        offset = m[:3, :3].T @ (p - m[:3, 3])
-        kps.append(Keypoint(vertex=int(v), link=names[nearest], offset=offset))
-    return tuple(kps)
-
-
 def pregrasp_targets(contacts, object_cloud: PointCloud,
                      offset: float = PREGRASP_OFFSET) -> np.ndarray:
     """Move each contact `offset` meters outward along its vertex normal."""
@@ -461,9 +446,8 @@ def save_chain(path, chain: KinematicChain, palm: Palm, keypoints,
 
 def load_chain(path) -> dict:
     """Parse a chain JSON file; returns the raw document plus built pieces."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
+    doc = read_json(path)
+    with parsing(path):
         links = [Link(name=l["name"], parent=l["parent"],
                       origin_t=np.array(l["origin"]["t"], dtype=np.float64),
                       origin_q=np.array(l["origin"]["q"], dtype=np.float64))
@@ -473,8 +457,6 @@ def load_chain(path) -> dict:
                         axis=np.array(j["axis"], dtype=np.float64),
                         limits=(float(j["limits"][0]), float(j["limits"][1])))
                   for j in doc["joints"]]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed chain file ({exc})") from exc
     doc["_chain"] = KinematicChain(links, joints)
     return doc
 
@@ -482,23 +464,20 @@ def load_chain(path) -> dict:
 def load_ee_model(path, name: str | None = None, knn_k: int = 8) -> EndEffectorModel:
     """Load chain + rest cloud + keypoints + palm into a full model."""
     doc = load_chain(path)
-    chain = doc["_chain"]
-    for field_name in ("palm", "keypoints", "rest_cloud"):
-        if field_name not in doc:
-            raise SchemaError(f"{path}: chain file lacks '{field_name}'")
-    cloud_path = os.path.join(os.path.dirname(os.path.abspath(str(path))),
-                              doc["rest_cloud"])
+    with parsing(path):
+        cloud_path = os.path.join(os.path.dirname(os.path.abspath(str(path))),
+                                  doc["rest_cloud"])
+        palm = Palm(link=doc["palm"]["link"],
+                    normal=np.array(doc["palm"]["normal"], dtype=np.float64),
+                    point=np.array(doc["palm"]["point"], dtype=np.float64))
+        keypoints = tuple(
+            Keypoint(vertex=int(kp["vertex"]), link=kp["link"],
+                     offset=np.array(kp["offset"], dtype=np.float64))
+            for kp in doc["keypoints"])
     rest_cloud = load_cloud(cloud_path)
-    palm = Palm(link=doc["palm"]["link"],
-                normal=np.array(doc["palm"]["normal"], dtype=np.float64),
-                point=np.array(doc["palm"]["point"], dtype=np.float64))
-    keypoints = tuple(
-        Keypoint(vertex=int(kp["vertex"]), link=kp["link"],
-                 offset=np.array(kp["offset"], dtype=np.float64))
-        for kp in doc["keypoints"])
     return EndEffectorModel(
         name=name or os.path.splitext(os.path.basename(str(path)))[0],
-        chain=chain, rest_cloud=rest_cloud,
+        chain=doc["_chain"], rest_cloud=rest_cloud,
         rest_graph=knn_graph(rest_cloud, knn_k),
         keypoints=keypoints, palm=palm)
 
@@ -510,9 +489,6 @@ def pose_to_dict(pose: Pose) -> dict:
 
 
 def pose_from_dict(doc: dict) -> Pose:
-    try:
-        return Pose(t=np.array(doc["t"], dtype=np.float64),
-                    r6=np.array(doc["r6"], dtype=np.float64),
-                    theta=np.array(doc["theta"], dtype=np.float64))
-    except KeyError as exc:
-        raise SchemaError(f"pose record missing field {exc}") from exc
+    return Pose(t=np.array(doc["t"], dtype=np.float64),
+                r6=np.array(doc["r6"], dtype=np.float64),
+                theta=np.array(doc["theta"], dtype=np.float64))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffnet as dn
+from .artifacts import parsing, read_json
 from .contact_maps import ContactMapSet
 from .errors import EmptyDataset, IndexOutOfRange, SchemaError
 from .geometry import GeometryGraph
@@ -56,11 +57,15 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
-        return ModelConfig(gcn_hidden=tuple(doc["gcn_hidden"]),
-                           gcn_out=int(doc["gcn_out"]),
-                           proj_dim=int(doc["proj_dim"]),
-                           ar_hidden=tuple(doc["ar_hidden"]),
-                           n_keypoints=int(doc["n_keypoints"]))
+        config = ModelConfig(gcn_hidden=tuple(int(n) for n in doc["gcn_hidden"]),
+                             gcn_out=int(doc["gcn_out"]),
+                             proj_dim=int(doc["proj_dim"]),
+                             ar_hidden=tuple(int(n) for n in doc["ar_hidden"]),
+                             n_keypoints=int(doc["n_keypoints"]))
+        if min(*config.gcn_hidden, *config.ar_hidden, config.gcn_out,
+               config.proj_dim, config.n_keypoints) < 1:
+            raise ValueError(f"layer widths must be positive: {doc}")
+        return config
 
 
 @dataclass
@@ -242,12 +247,11 @@ def write_loss_csv(history: list[dict], path) -> None:
 
 
 def read_loss_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="") as fh, parsing(path):
         return [{"epoch": int(r["epoch"]),
                  "loss_total": float(r["loss_total"]),
                  "loss_f": float(r["loss_f"]),
-                 "loss_m": float(r["loss_m"])} for r in reader]
+                 "loss_m": float(r["loss_m"])} for r in csv.DictReader(fh)]
 
 
 def save_model(model: GeoMatchModel, directory) -> None:
@@ -257,12 +261,10 @@ def save_model(model: GeoMatchModel, directory) -> None:
 
 
 def load_model(directory) -> GeoMatchModel:
-    cfg_path = os.path.join(directory, "model_config.json")
-    try:
-        with open(cfg_path) as fh:
-            config = ModelConfig.from_dict(json.load(fh))
-    except FileNotFoundError:
-        config = ModelConfig()
+    path = os.path.join(directory, "model_config.json")
+    doc = read_json(path)
+    with parsing(path):
+        config = ModelConfig.from_dict(doc)
     model = GeoMatchModel(config, seed=None)
     dn.load_weights(model.store, directory)
     return model

@@ -2,10 +2,15 @@
 
 import json
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geomatch import dataset
 from geomatch.cli import main
 
 
@@ -162,6 +167,27 @@ class TestExitCodes:
         assert main(["maps", "--manifest", str(pipeline_dir / "data"),
                      "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
 
+    def test_directory_given_as_file(self, tmp_path, capsys):
+        assert main(["augment", "--cloud", str(tmp_path), "--noise", "0.001",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_closure_error_exits_3(self, tmp_path, monkeypatch):
+        grasps = dataset._pincer_grasps
+
+        def one_tip_off(params, kind, shape):
+            out = []
+            for pose, contacts in grasps(params, kind, shape):
+                contacts = np.array(contacts, dtype=np.float64)
+                contacts[0, 0] += 1e-3
+                out.append((pose, contacts))
+            return out
+
+        monkeypatch.setattr(dataset, "_pincer_grasps", one_tip_off)
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "5",
+                     "--objects", "sphere_small", "--s-o", "48",
+                     "--s-g", "48"]) == 3
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -230,3 +256,147 @@ class TestDeterminism:
             (tmp_path / "w2" / "loss.csv").read_bytes()
         assert (tmp_path / "w1" / "weights.bin").read_bytes() == \
             (tmp_path / "w2" / "weights.bin").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# corrupt artifacts: every stage input, damaged on a copy
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def artifacts(pipeline_dir):
+    """One file of every kind a stage reads, made once from the toy data."""
+    from geomatch.geometry import load_cloud
+    from geomatch.model import GeoMatchModel, ModelConfig, save_model
+    root = pipeline_dir / "artifacts"
+    shutil.copytree(pipeline_dir / "data", root / "data")
+    config = ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=4, ar_hidden=(6,))
+    save_model(GeoMatchModel(config, seed=1), root / "weights")
+    assert main(["infer", "--weights", str(root / "weights"),
+                 "--manifest", str(root / "data"), "--split", "train",
+                 "--ranks", "0,5", "--out", str(root / "proposals.jsonl")]) == 0
+    assert main(["ik", "--proposals", str(root / "proposals.jsonl"),
+                 "--manifest", str(root / "data"), "--max-iter", "3",
+                 "--out", str(root / "ik.jsonl")]) == 0
+    (root / "config.json").write_text(json.dumps({"epochs": 2, "m": 8}))
+    (root / "loss.csv").write_text("epoch,loss_total,loss_f,loss_m\n"
+                                   "1,10.0,6.0,4.0\n2,5.0,3.0,2.0\n")
+    cloud = load_cloud(root / "data" / "objects" / "sphere_small.csv")
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+              *(f"property float {n}" for n in ("x", "y", "z", "nx", "ny", "nz")),
+              "end_header"]
+    rows = [" ".join(repr(float(v)) for v in (*p, *n))
+            for p, n in zip(cloud.points, cloud.normals)]
+    (root / "cloud.ply").write_text("\n".join(header + rows) + "\n")
+    return root
+
+
+def stage_reading(rel, d):
+    """The command line of a stage that reads artifact `rel` under `d`."""
+    data = str(d / "data")
+    if rel in ("config.json", "cloud.ply"):
+        return ["augment", "--cloud", str(d / "cloud.ply"), "--crop-table",
+                "--config", str(d / "config.json"), "--out", str(d / "out.csv")]
+    if rel.startswith("data/"):
+        return ["maps", "--manifest", data, "--out", str(d / "maps")]
+    if rel.startswith("weights/"):
+        return ["infer", "--weights", str(d / "weights"), "--manifest", data,
+                "--split", "train", "--ranks", "0", "--out", str(d / "p.jsonl")]
+    if rel == "proposals.jsonl":
+        return ["ik", "--proposals", str(d / rel), "--manifest", data,
+                "--max-iter", "3", "--out", str(d / "ik2.jsonl")]
+    if rel == "ik.jsonl":
+        return ["eval", "--ik", str(d / rel), "--manifest", data,
+                "--out", str(d / "eval")]
+    assert rel == "loss.csv"
+    return ["plot", "--loss", str(d / rel), "--out", str(d / "loss.svg")]
+
+
+def edit_json(change):
+    def apply(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return apply
+
+
+def edit_first_row(change):
+    def apply(text):
+        first, rest = text.split("\n", 1)
+        return edit_json(change)(first) + "\n" + rest
+    return apply
+
+
+def short_first_vertex(text):
+    head, body = text.split("end_header\n")
+    first, rest = body.split("\n", 1)
+    return f"{head}end_header\n{' '.join(first.split()[:5])}\n{rest}"
+
+
+def cut_last_line(text):
+    return text[:-30]
+
+
+FAULTS = [
+    ("config-not-json", "config.json", lambda t: '{"epochs": 2'),
+    ("config-ranks-scalar", "config.json", lambda t: '{"ranks": 5}'),
+    ("config-epochs-string", "config.json", lambda t: '{"epochs": "x"}'),
+    ("manifest-not-json", "data/manifest.json", lambda t: t[:-10]),
+    ("chain-not-json", "data/grippers/pincer.json", lambda t: t[:len(t) // 2]),
+    ("chain-keypoint-no-offset", "data/grippers/pincer.json",
+     edit_json(lambda d: d["keypoints"][0].pop("offset"))),
+    ("ply-short-row", "cloud.ply", short_first_vertex),
+    ("weights-no-model-config", "weights/model_config.json", None),
+    ("model-config-no-gcn-out", "weights/model_config.json",
+     edit_json(lambda d: d.pop("gcn_out"))),
+    ("model-config-negative-width", "weights/model_config.json",
+     edit_json(lambda d: d.update(gcn_out=-1))),
+    ("proposals-cut", "proposals.jsonl", cut_last_line),
+    ("proposals-no-contacts", "proposals.jsonl",
+     edit_first_row(lambda d: d.pop("contacts"))),
+    ("proposals-unknown-gripper", "proposals.jsonl",
+     edit_first_row(lambda d: d.update(ee="robotiq"))),
+    ("proposals-five-contacts", "proposals.jsonl",
+     edit_first_row(lambda d: d["contacts"].pop())),
+    ("ik-cut", "ik.jsonl", cut_last_line),
+    ("ik-no-pose", "ik.jsonl", edit_first_row(lambda d: d.pop("pose"))),
+    ("ik-unknown-object", "ik.jsonl",
+     edit_first_row(lambda d: d.update(object="teapot"))),
+    ("ik-five-contacts", "ik.jsonl", edit_first_row(lambda d: d["contacts"].pop())),
+    ("loss-no-loss-f", "loss.csv",
+     lambda t: "epoch,loss_total,loss_m\n1,10.0,4.0\n"),
+    ("records-cut", "data/records.jsonl", cut_last_line),
+]
+
+
+@pytest.mark.parametrize("rel, damage", [f[1:] for f in FAULTS],
+                         ids=[f[0] for f in FAULTS])
+def test_corrupt_artifact_exits_2(artifacts, tmp_path, capsys, rel, damage):
+    d = tmp_path / "a"
+    shutil.copytree(artifacts, d)
+    path = d / rel
+    if damage is None:
+        path.unlink()
+    else:
+        path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert main(stage_reading(rel, d)) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+TEXT_ARTIFACTS = ("config.json", "cloud.ply", "data/manifest.json",
+                  "data/records.jsonl", "data/grippers/claw.json",
+                  "data/grippers/claw_cloud.csv", "data/objects/sphere_small.csv",
+                  "weights/manifest.json", "weights/model_config.json",
+                  "proposals.jsonl", "ik.jsonl", "loss.csv")
+
+
+@pytest.mark.parametrize("rel", TEXT_ARTIFACTS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_truncated_artifact_never_raises(artifacts, rel, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "a"
+        shutil.copytree(artifacts, d)
+        blob = (d / rel).read_bytes()
+        (d / rel).write_bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        assert main(stage_reading(rel, d)) in (0, 2, 3)

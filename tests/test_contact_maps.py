@@ -1,12 +1,14 @@
 """Contact map construction against brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomatch import errors
 from geomatch.contact_maps import (ContactMapSet, build_contact_maps,
-                                   gripper_contact_map, load_maps,
+                                   gripper_contact_map,
                                    object_contact_map, proximity_map,
                                    save_maps)
 from geomatch.geometry import PointCloud
@@ -129,7 +131,7 @@ class TestContactMapSet:
         kw = rng_np.normal(scale=0.03, size=(6, 3))
         maps = build_contact_maps(cloud, kw, m=4, threshold=0.04)
         save_maps(maps, tmp_path / "maps.json")
-        doc = load_maps(tmp_path / "maps.json")
+        doc = json.loads((tmp_path / "maps.json").read_text())
         assert doc["m"] == 4
         assert doc["threshold"] == 0.04
         assert np.array_equal(doc["cg"], maps.cg)

@@ -309,16 +309,6 @@ class TestCloudFiles:
         cloud = geometry.load_cloud(path)
         assert np.array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
 
-    def test_graph_cache_roundtrip(self, tmp_path, rng_np):
-        cloud = PointCloud(rng_np.normal(size=(30, 3)))
-        graph = build_knn_graph(cloud, 4)
-        path = tmp_path / "graph.json"
-        geometry.save_graph_cache(graph, path)
-        back = geometry.load_graph_cache(path)
-        assert back.knn_k == 4
-        assert np.array_equal(back.edges, graph.edges)
-        assert np.allclose(back.cloud.points, cloud.points)
-
     def test_csv_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -9,10 +9,9 @@ from scipy.spatial.transform import Rotation
 from geomatch import errors
 from geomatch.geometry import PointCloud
 from geomatch.kinematics import (EndEffectorModel, Joint, KinematicChain,
-                                 Link, Pose, attach_keypoints,
-                                 axis_angle_to_matrix, forward_kinematics,
-                                 heuristic_init_pose, keypoint_positions,
-                                 load_chain, load_ee_model,
+                                 Link, Pose, axis_angle_to_matrix,
+                                 forward_kinematics, heuristic_init_pose,
+                                 keypoint_positions, load_chain, load_ee_model,
                                  matrix_to_axis_angle, matrix_to_rot6d,
                                  pregrasp_targets, rest_pose, rot6d_to_matrix,
                                  rotation_between, save_chain)
@@ -228,16 +227,6 @@ class TestKeypoints:
         rotated = Pose(np.zeros(3), matrix_to_rot6d(rot), pose.theta)
         assert np.allclose(keypoint_positions(pincer, rotated),
                            keypoint_positions(pincer, pose) @ rot.T, atol=1e-12)
-
-    def test_attach_keypoints_consistency(self, pincer):
-        kps = attach_keypoints(pincer.chain, pincer.rest_cloud,
-                               pincer.keypoint_vertices)
-        fk = forward_kinematics(pincer.chain, rest_pose(pincer.chain))
-        for kp in kps:
-            m = fk[kp.link]
-            world = m[:3, :3] @ kp.offset + m[:3, 3]
-            assert np.allclose(world, pincer.rest_cloud.points[kp.vertex],
-                               atol=1e-9)
 
 
 class TestPregraspTargets:

@@ -84,6 +84,17 @@ class RunConfig:
                              snap_radius=self.snap_radius)
 
 
+# JSON values each config type accepts: no bool as a number, no float as an int
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _typed(path, key: str, value, kind: type):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise SchemaError(f"{path}: config {key} must be a JSON {kind.__name__}, "
+                          f"got {json.dumps(value)}")
+    return kind(value)
+
+
 def load_config(path=None, seed_override=None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
@@ -94,9 +105,11 @@ def load_config(path=None, seed_override=None) -> RunConfig:
                 raise SchemaError(f"{path}: unknown config keys {sorted(unknown)}")
             for key, value in doc.items():
                 if key == "ranks":
-                    value = tuple(int(v) for v in value)
+                    if not isinstance(value, list):
+                        raise SchemaError(f"{path}: config ranks must be a JSON list")
+                    value = tuple(_typed(path, key, v, int) for v in value)
                 else:
-                    value = type(getattr(cfg, key))(value)
+                    value = _typed(path, key, value, type(getattr(cfg, key)))
                 setattr(cfg, key, value)
     env_seed = os.environ.get("GEOMATCH_SEED")
     if env_seed is not None:

@@ -4,8 +4,10 @@ The solver is a dense trust-region method of the reflective family:
 Gauss-Newton steps inside a trust region, Coleman-Li diagonal scaling from
 the distance to the active box bounds, and single reflection of steps that
 would cross a bound. Iterates stay strictly inside the box. Problem sizes
-here are tiny (a dozen unknowns), so Jacobians come from finite
-differences and subproblems are solved exactly through an SVD.
+here are tiny (a dozen unknowns), so subproblems are solved exactly through
+an SVD. A problem may supply its Jacobian; otherwise it comes from finite
+differences. Grasp IK supplies the analytic keypoint Jacobian, computed in
+the same forward-kinematics pass as the residual.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .errors import InfeasibleStart, NonFiniteResidual, SchemaError
 from .geometry import PointCloud
 from .kinematics import (EndEffectorModel, Pose, PREGRASP_OFFSET,
                          axis_angle_to_matrix, heuristic_init_pose,
-                         keypoint_positions, matrix_to_axis_angle,
-                         matrix_to_rot6d, pregrasp_targets, rot6d_to_matrix)
+                         keypoint_jacobian, keypoint_positions,
+                         matrix_to_axis_angle, matrix_to_rot6d,
+                         pregrasp_targets)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_ITERATIONS = "MaxIterations"
@@ -38,6 +41,8 @@ class LeastSquaresProblem:
     lower: np.ndarray
     upper: np.ndarray
     x0: np.ndarray
+    # d residual / dx; None means numeric_jacobian
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=np.float64).reshape(-1)
@@ -92,6 +97,15 @@ def numeric_jacobian(problem: LeastSquaresProblem, q: np.ndarray,
             qm[j] -= h
             rm = _check_finite(problem.residual(qm), f"probing -{j}")
             jac[:, j] = (r0 - rm) / h
+    return jac
+
+
+def _jacobian(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
+    if problem.jacobian is None:
+        return numeric_jacobian(problem, x)
+    jac = np.asarray(problem.jacobian(x), dtype=np.float64)
+    if not np.isfinite(jac).all():
+        raise NonFiniteResidual("Jacobian non-finite")
     return jac
 
 
@@ -178,10 +192,12 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100,
                        status=STATUS_MAX_ITERATIONS,
                        x_history=[x.copy()], cost_history=[cost])
     radius = max(1.0, float(np.linalg.norm(x)))
+    jac = None      # recomputed only where x moved
 
     for it in range(1, max_iter + 1):
         result.iterations = it
-        jac = numeric_jacobian(problem, x)
+        if jac is None:
+            jac = _jacobian(problem, x)
         grad = jac.T @ r
 
         # Coleman-Li scaling: distance to the bound the gradient pushes toward
@@ -243,7 +259,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100,
 
         step_norm = float(np.linalg.norm(p_best))
         if actual > 0:
-            x, r, cost = x_trial, r_trial, cost_trial
+            x, r, cost, jac = x_trial, r_trial, cost_trial, None
             result.x_history.append(x.copy())
             result.cost_history.append(cost)
             if actual <= ftol * max(cost, 1e-300) and predicted <= ftol * max(cost, 1e-300):
@@ -284,7 +300,7 @@ class IKResult:
     per_keypoint: np.ndarray    # meters, distance to each target
 
 
-def _pose_from_vector(ee: EndEffectorModel, q: np.ndarray) -> Pose:
+def _pose_from_vector(q: np.ndarray) -> Pose:
     rot = axis_angle_to_matrix(q[3:6])
     return Pose(t=q[:3], r6=matrix_to_rot6d(rot), theta=q[6:])
 
@@ -322,17 +338,24 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     upper = np.concatenate([np.full(3, TRANSLATION_BOUND),
                             np.full(3, math.pi), hi_theta])
     x0 = np.concatenate([init_pose.t,
-                         matrix_to_axis_angle(rot6d_to_matrix(init_pose.r6)),
+                         matrix_to_axis_angle(init_pose.root_matrix()),
                          init_pose.theta])
 
-    def residual(q: np.ndarray) -> np.ndarray:
-        pose = _pose_from_vector(ee, q)
-        return (keypoint_positions(ee, pose) - effective).reshape(-1)
+    # the residual and its Jacobian at the last point, from one FK pass; an
+    # accepted trial point is where solve_trf asks for the next Jacobian
+    last = {"q": None}
 
-    problem = LeastSquaresProblem(residual=residual, lower=lower,
-                                  upper=upper, x0=x0)
+    def at(q: np.ndarray) -> dict:
+        if last["q"] is None or not np.array_equal(q, last["q"]):
+            kp, jac = keypoint_jacobian(ee, q)
+            last.update(q=q.copy(), r=(kp - effective).reshape(-1), jac=jac)
+        return last
+
+    problem = LeastSquaresProblem(residual=lambda q: at(q)["r"],
+                                  jacobian=lambda q: at(q)["jac"],
+                                  lower=lower, upper=upper, x0=x0)
     res = solve_trf(problem, max_iter=max_iter, ftol=ftol, xtol=xtol, gtol=gtol)
-    pose = _pose_from_vector(ee, res.x)
+    pose = _pose_from_vector(res.x)
     per_kp = np.linalg.norm(keypoint_positions(ee, pose) - effective, axis=1)
     return IKResult(pose=pose, residual_norm=res.residual_norm,
                     iterations=res.iterations, status=res.status,

@@ -2,8 +2,10 @@
 
 A gripper pose is (t, r6, theta): root translation, root rotation in the
 continuous 6D representation (first two rotation-matrix columns), and one
-value per non-fixed joint. Chains are plain trees loaded from JSON; see
-load_chain for the schema.
+value per non-fixed joint. Inverse kinematics works on the pose vector
+q = (t, w, theta) instead, with the root rotation as an axis-angle w;
+forward kinematics accepts either form. Chains are plain trees loaded from
+JSON; see load_chain for the schema.
 """
 
 from __future__ import annotations
@@ -228,6 +230,19 @@ class KinematicChain:
             pending = rest
         self._order = [self.root] + order
         self.actuated = [j for j in self.joints if j.type != "fixed"]
+        # constant per link: its origin transform, and which actuated joints
+        # lie on its path from the root
+        self._origins = {l.name: _homogeneous(quat_to_matrix(l.origin_q), l.origin_t)
+                         for l in self.links}
+        self._axes = np.array([j.axis for j in self.actuated]).reshape(-1, 3)
+        self._revolute = np.array([j.type == "revolute" for j in self.actuated],
+                                  dtype=bool)
+        column = {j.child: i for i, j in enumerate(self.actuated)}
+        self._on_path = {self.root: np.zeros(self.dof, dtype=bool)}
+        for name in order:
+            self._on_path[name] = self._on_path[self.link(name).parent].copy()
+            if name in column:
+                self._on_path[name][column[name]] = True
 
     @property
     def dof(self) -> int:
@@ -278,32 +293,34 @@ def _joint_motion(joint: Joint, value: float) -> np.ndarray:
     return np.eye(4)
 
 
-def forward_kinematics(chain: KinematicChain, pose: Pose) -> dict[str, np.ndarray]:
-    """World 4x4 transform per link.
+def forward_kinematics(chain: KinematicChain,
+                       pose: Pose | np.ndarray) -> dict[str, np.ndarray]:
+    """World 4x4 transform per link, at a Pose or a pose vector (t, w, theta).
 
     Composition per non-root link: T_parent @ origin(link) @ motion(joint).
     Joint values outside limits by more than 1e-9 raise LimitViolation.
     """
-    if pose.theta.size != chain.dof:
+    if isinstance(pose, Pose):
+        rot, t, theta = pose.root_matrix(), pose.t, pose.theta
+    else:
+        q = np.asarray(pose, dtype=np.float64).reshape(-1)
+        rot, t, theta = axis_angle_to_matrix(q[3:6]), q[:3], q[6:]
+    if theta.size != chain.dof:
         raise SchemaError(
-            f"theta has {pose.theta.size} values, chain has {chain.dof} joints")
+            f"theta has {theta.size} values, chain has {chain.dof} joints")
     values = {}
-    for j, value in zip(chain.actuated, pose.theta):
+    for j, value in zip(chain.actuated, theta):
         lo, hi = j.limits
         if value < lo - 1e-9 or value > hi + 1e-9:
             raise LimitViolation(
                 f"joint {j.name}: value {value:.6g} outside [{lo:.6g}, {hi:.6g}]")
         values[j.name] = float(value)
-    transforms = {chain.root: _homogeneous(pose.root_matrix(), pose.t)}
-    root_link = chain.link(chain.root)
-    transforms[chain.root] = transforms[chain.root] @ _homogeneous(
-        quat_to_matrix(root_link.origin_q), root_link.origin_t)
+    transforms = {chain.root: _homogeneous(rot, t) @ chain._origins[chain.root]}
     for name in chain._order[1:]:
-        link = chain.link(name)
         joint = chain._joint_by_child[name]
-        local = _homogeneous(quat_to_matrix(link.origin_q), link.origin_t)
         motion = _joint_motion(joint, values.get(joint.name, 0.0))
-        transforms[name] = transforms[link.parent] @ local @ motion
+        transforms[name] = (transforms[chain.link(name).parent]
+                            @ chain._origins[name] @ motion)
     return transforms
 
 
@@ -359,14 +376,60 @@ class EndEffectorModel:
         return np.array([kp.vertex for kp in self.keypoints], dtype=np.int64)
 
 
-def keypoint_positions(ee: EndEffectorModel, pose: Pose) -> np.ndarray:
-    """World coordinates of the 6 keypoints at the given pose, (6, 3)."""
-    fk = forward_kinematics(ee.chain, pose)
+def _keypoints(ee: EndEffectorModel, fk: dict[str, np.ndarray]) -> np.ndarray:
     out = np.empty((N_KEYPOINTS, 3))
     for i, kp in enumerate(ee.keypoints):
         m = fk[kp.link]
         out[i] = m[:3, :3] @ kp.offset + m[:3, 3]
     return out
+
+
+def keypoint_positions(ee: EndEffectorModel, pose: Pose | np.ndarray) -> np.ndarray:
+    """World coordinates of the 6 keypoints at the given pose, (6, 3)."""
+    return _keypoints(ee, forward_kinematics(ee.chain, pose))
+
+
+def _left_jacobian(w: np.ndarray) -> np.ndarray:
+    """Left Jacobian of SO(3) at w: exp([w + d]x) = exp([J_l(w) d]x) exp([w]x)."""
+    theta = float(np.linalg.norm(w))
+    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    if theta < 1e-2:    # series; the closed forms lose digits to cancellation
+        t2 = theta * theta
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a = (1.0 - math.cos(theta)) / (theta * theta)
+        b = (theta - math.sin(theta)) / theta ** 3
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def keypoint_jacobian(ee: EndEffectorModel, q) -> tuple[np.ndarray, np.ndarray]:
+    """Keypoints (6, 3) and their Jacobian (18, 6 + dof) at the pose vector q.
+
+    q = (t, w, theta); row 3i + k of the Jacobian is coordinate k of keypoint
+    i, and both come from one forward-kinematics pass. With x a keypoint, the
+    columns are (Lynch & Park, Modern Robotics, ch. 5):
+    - t: the identity;
+    - w: -[x - t]x J_l(w), which equals -R [p]x J_r(w) with p = R^T (x - t);
+    - a revolute joint: a x (x - o), a = R_child @ axis and o the origin of
+      the joint's child frame (exact for non-unit axes too);
+    - a prismatic joint: a;
+    - a joint not on the path from the root to x's link: zero.
+    """
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    chain = ee.chain
+    fk = forward_kinematics(chain, q)
+    x = _keypoints(ee, fk)
+    cols = np.empty((N_KEYPOINTS, 6 + chain.dof, 3))    # [keypoint, column, xyz]
+    cols[:, :3] = np.eye(3)
+    cols[:, 3:6] = np.cross(_left_jacobian(q[3:6]).T[None], (x - q[:3])[:, None])
+    child = np.array([fk[j.child] for j in chain.actuated]).reshape(-1, 4, 4)
+    axes = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes)
+    swept = np.cross(axes[None], x[:, None] - child[None, :, :3, 3])
+    moving = np.where(chain._revolute[None, :, None], swept, axes[None])
+    on_path = np.array([chain._on_path[kp.link] for kp in ee.keypoints])
+    cols[:, 6:] = moving * on_path[:, :, None]
+    return x, cols.transpose(0, 2, 1).reshape(3 * N_KEYPOINTS, -1)
 
 
 def pregrasp_targets(contacts, object_cloud: PointCloud,

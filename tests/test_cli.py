@@ -340,6 +340,9 @@ FAULTS = [
     ("config-not-json", "config.json", lambda t: '{"epochs": 2'),
     ("config-ranks-scalar", "config.json", lambda t: '{"ranks": 5}'),
     ("config-epochs-string", "config.json", lambda t: '{"epochs": "x"}'),
+    ("config-bool-string", "config.json", lambda t: '{"squared_threshold": "false"}'),
+    ("config-seed-float", "config.json", lambda t: '{"seed": 1.7}'),
+    ("config-epochs-bool", "config.json", lambda t: '{"epochs": true}'),
     ("manifest-not-json", "data/manifest.json", lambda t: t[:-10]),
     ("chain-not-json", "data/grippers/pincer.json", lambda t: t[:len(t) // 2]),
     ("chain-keypoint-no-offset", "data/grippers/pincer.json",

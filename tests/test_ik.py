@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from geomatch import errors
+from geomatch import errors, kinematics
 from geomatch.geometry import PointCloud
 from geomatch.ik import (LeastSquaresProblem, STATUS_CONVERGED,
                          STATUS_MAX_ITERATIONS, STATUS_SMALL_STEP,
@@ -110,6 +110,28 @@ class TestSolveTrf:
         res = solve_trf(p)
         assert res.x[0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_supplied_jacobian_matches_numeric_path(self, rng_np):
+        a = rng_np.normal(size=(6, 3))
+
+        def fn(q):
+            return a @ q - 1.0 + 0.2 * np.sin(q).repeat(2)
+
+        def jac(q):
+            return a + 0.2 * np.diag(np.cos(q)).repeat(2, axis=0)
+
+        lo, hi = np.full(3, -0.4), np.full(3, 0.6)
+        numeric = solve_trf(LeastSquaresProblem(fn, lo, hi, np.zeros(3)))
+        exact = solve_trf(LeastSquaresProblem(fn, lo, hi, np.zeros(3), jacobian=jac))
+        assert np.allclose(exact.x, numeric.x, atol=1e-6)
+        assert exact.status == numeric.status
+
+    def test_nonfinite_jacobian_raises(self):
+        p = LeastSquaresProblem(residual=lambda q: q - 1.0, lower=np.array([-2.0]),
+                                upper=np.array([2.0]), x0=np.array([0.0]),
+                                jacobian=lambda q: np.array([[np.nan]]))
+        with pytest.raises(errors.NonFiniteResidual):
+            solve_trf(p)
+
     def test_statuses_are_named(self):
         p = unbounded(lambda q: np.array([q[0] - 1.0]), [0.0])
         res = solve_trf(p, max_iter=1)
@@ -167,6 +189,26 @@ class TestSolveIk:
                                offset=0.0)
                 assert res.status in (STATUS_CONVERGED, STATUS_MAX_ITERATIONS,
                                       STATUS_SMALL_STEP)
+
+    def test_fk_budget(self, claw, monkeypatch):
+        # one FK pass per iteration gives residual and Jacobian; finite
+        # differences would take 2 * (6 + 9) + 1 passes per iteration
+        calls = [0]
+        fk = kinematics.forward_kinematics
+
+        def counted(*args):
+            calls[0] += 1
+            return fk(*args)
+
+        monkeypatch.setattr(kinematics, "forward_kinematics", counted)
+        rng = Rng(31)
+        for offset in (0.0, 0.005):
+            for _ in range(4):
+                targets = keypoint_positions(claw, self.random_reachable_pose(claw, rng))
+                calls[0] = 0
+                res = solve_ik(claw, targets, self.synthetic_object(targets),
+                               offset=offset)
+                assert 0 < calls[0] <= 2 * res.iterations + 2
 
     def test_offset_requires_cloud(self, pincer):
         with pytest.raises(errors.SchemaError):

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from geomatch import errors
-from geomatch.geometry import PointCloud
+from geomatch.geometry import PointCloud, knn_graph
+from geomatch.ik import LeastSquaresProblem, numeric_jacobian
 from geomatch.kinematics import (EndEffectorModel, Joint, KinematicChain,
-                                 Link, Pose, axis_angle_to_matrix,
-                                 forward_kinematics, heuristic_init_pose,
+                                 Keypoint, Link, Palm, Pose,
+                                 axis_angle_to_matrix, forward_kinematics,
+                                 heuristic_init_pose, keypoint_jacobian,
                                  keypoint_positions, load_chain, load_ee_model,
                                  matrix_to_axis_angle, matrix_to_rot6d,
-                                 pregrasp_targets, rest_pose, rot6d_to_matrix,
-                                 rotation_between, save_chain)
+                                 pregrasp_targets, quat_to_matrix, rest_pose,
+                                 rot6d_to_matrix, rotation_between, save_chain)
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -188,6 +191,147 @@ class TestForwardKinematics:
         chain = KinematicChain(links, joints)
         fk = forward_kinematics(chain, Pose(np.zeros(3), [1, 0, 0, 0, 1, 0], [0.25]))
         assert np.allclose(fk["b"][:3, 3], [0, 0, 0.25])
+
+
+def homogeneous(rot, t):
+    m = np.eye(4)
+    m[:3, :3] = rot
+    m[:3, 3] = t
+    return m
+
+
+def reference_fk(chain, pose):
+    """FK that rebuilds every link origin from its quaternion on each call."""
+    root = chain.link(chain.root)
+    out = {root.name: homogeneous(pose.root_matrix(), pose.t)
+           @ homogeneous(quat_to_matrix(root.origin_q), root.origin_t)}
+    values = dict(zip((j.name for j in chain.actuated), pose.theta))
+    pending = [l for l in chain.links if l.parent is not None]
+    while pending:
+        link = next(l for l in pending if l.parent in out)
+        pending.remove(link)
+        joint = next(j for j in chain.joints if j.child == link.name)
+        value = values.get(joint.name, 0.0)
+        motion = np.eye(4)
+        if joint.type == "revolute":
+            motion = homogeneous(axis_angle_to_matrix(joint.axis * value), np.zeros(3))
+        elif joint.type == "prismatic":
+            motion = homogeneous(np.eye(3), joint.axis * value)
+        out[link.name] = (out[link.parent]
+                          @ homogeneous(quat_to_matrix(link.origin_q), link.origin_t)
+                          @ motion)
+    return out
+
+
+def random_pose(ee, rng):
+    lo, hi = ee.chain.joint_limits()
+    rot = Rotation.random(rng=rng).as_matrix()
+    return Pose(rng.normal(size=3) * 0.1, matrix_to_rot6d(rot), rng.uniform(lo, hi))
+
+
+class TestOriginCache:
+    def test_fk_bit_identical_to_per_call_origins(self, pincer, claw, rng_np):
+        # the claw's finger origins have non-identity quaternions
+        assert any(abs(l.origin_q[0]) < 1.0 for l in claw.chain.links)
+        for ee in (pincer, claw):
+            for _ in range(25):
+                pose = random_pose(ee, rng_np)
+                fk, ref = forward_kinematics(ee.chain, pose), reference_fk(ee.chain, pose)
+                assert fk.keys() == ref.keys()
+                for name in ref:
+                    assert np.array_equal(fk[name], ref[name]), name
+
+    def test_pose_vector_matches_pose(self, claw, rng_np):
+        for _ in range(10):
+            pose = random_pose(claw, rng_np)
+            q = np.concatenate([pose.t, matrix_to_axis_angle(pose.root_matrix()),
+                                pose.theta])
+            assert np.allclose(keypoint_positions(claw, q),
+                               keypoint_positions(claw, pose), atol=1e-12)
+
+    def test_pose_vector_checks_limits(self, claw):
+        q = np.zeros(6 + claw.chain.dof)
+        q[6] = 10.0
+        with pytest.raises(errors.LimitViolation):
+            keypoint_jacobian(claw, q)
+
+
+def mixed_hand():
+    """Prismatic, fixed and revolute joints in two two-level subtrees, with
+    non-identity origin quaternions and non-unit joint axes."""
+    q_tilt = np.array([0.9, 0.1, -0.2, 0.3])     # normalized on use
+    q_roll = np.array([math.cos(0.4), math.sin(0.4), 0.0, 0.0])
+    links = [
+        Link("base", None, np.array([0.01, 0.0, 0.02]), q_tilt),
+        Link("slider", "base", np.array([0.0, 0.02, 0.0]), IDENTITY_Q),
+        Link("arm", "slider", np.array([0.05, 0.0, 0.01]), q_roll),
+        Link("tip", "arm", np.array([0.04, 0.01, 0.0]), q_tilt),
+        Link("wrist", "base", np.array([-0.03, 0.0, 0.02]), q_roll),
+        Link("finger", "wrist", np.array([0.0, 0.0, 0.04]), IDENTITY_Q),
+    ]
+    joints = [
+        Joint("slide", "prismatic", "base", "slider", np.array([0.0, 0.0, 2.0]),
+              (-0.02, 0.03)),
+        Joint("elbow", "revolute", "slider", "arm", np.array([0.3, -0.5, 0.8]) * 1.7,
+              (-1.0, 1.2)),
+        Joint("weld", "fixed", "arm", "tip", np.array([0.0, 0.0, 1.0]), (0.0, 0.0)),
+        Joint("twist", "revolute", "base", "wrist", np.array([1.0, 0.0, 0.0]),
+              (-2.0, 0.5)),
+        Joint("curl", "revolute", "wrist", "finger", np.array([0.0, 0.5, 0.0]),
+              (-0.7, 1.4)),
+    ]
+    chain = KinematicChain(links, joints)
+    specs = [("base", [0.01, 0.02, 0.0]), ("slider", [0.0, 0.0, 0.01]),
+             ("arm", [0.02, 0.0, -0.01]), ("tip", [0.01, 0.01, 0.01]),
+             ("wrist", [0.0, 0.01, 0.0]), ("finger", [0.0, -0.01, 0.03])]
+    fk = forward_kinematics(chain, rest_pose(chain))
+    kp_world = [fk[link][:3, :3] @ off + fk[link][:3, 3] for link, off in specs]
+    cloud = PointCloud(np.vstack([kp_world,
+                                  np.random.default_rng(0).normal(size=(10, 3)) * 0.05]))
+    keypoints = tuple(Keypoint(i, link, np.array(off, dtype=np.float64))
+                      for i, (link, off) in enumerate(specs))
+    return EndEffectorModel("mixed", chain, cloud, knn_graph(cloud, 4), keypoints,
+                            Palm("base", np.array([0.0, 0.0, 1.0]), np.zeros(3)))
+
+
+MIXED_HAND = mixed_hand()
+
+
+class TestKeypointJacobian:
+    @given(ee_name=st.sampled_from(["pincer", "claw", "mixed"]),
+           w_kind=st.sampled_from(["zero", "tiny", "corner", "box"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_finite_differences(self, pincer, claw, ee_name, w_kind, seed):
+        ee = {"pincer": pincer, "claw": claw, "mixed": MIXED_HAND}[ee_name]
+        rng = np.random.default_rng(seed)
+        lo, hi = ee.chain.joint_limits()
+        w = {"zero": np.zeros(3),
+             "tiny": 1e-6 * Rotation.random(rng=rng).apply([1.0, 0.0, 0.0]),
+             "corner": math.pi * rng.choice([-1.0, 1.0], size=3),  # |w| = pi sqrt(3)
+             "box": rng.uniform(-math.pi, math.pi, 3)}[w_kind]
+        q = np.concatenate([rng.normal(size=3) * 0.1, w, rng.uniform(lo, hi)])
+        kp, jac = keypoint_jacobian(ee, q)
+        assert np.array_equal(kp, keypoint_positions(ee, q))
+        # the oracle's box only decides where differences are one-sided
+        oracle = LeastSquaresProblem(
+            residual=lambda v: keypoint_positions(ee, v).reshape(-1),
+            lower=np.concatenate([np.full(6, -10.0), lo]),
+            upper=np.concatenate([np.full(6, 10.0), hi]), x0=q)
+        assert jac.shape == (18, 6 + ee.chain.dof)
+        assert np.abs(jac - numeric_jacobian(oracle, q)).max() < 1e-6
+
+    def test_joint_columns_vanish_off_path(self):
+        q = np.concatenate([np.zeros(6), rest_pose(MIXED_HAND.chain).theta])
+        _, jac = keypoint_jacobian(MIXED_HAND, q)
+        joints = [j.name for j in MIXED_HAND.chain.actuated]
+        on_path = {"base": set(), "slider": {"slide"}, "arm": {"slide", "elbow"},
+                   "tip": {"slide", "elbow"}, "wrist": {"twist"},
+                   "finger": {"twist", "curl"}}
+        for i, kp in enumerate(MIXED_HAND.keypoints):
+            for c, name in enumerate(joints):
+                block = jac[3 * i:3 * i + 3, 6 + c]
+                assert (np.abs(block).max() > 0) == (name in on_path[kp.link])
 
 
 class TestRestPose:

@@ -54,8 +54,6 @@ class RunConfig:
     ranks: tuple = inf.DEFAULT_RANKS
     friction_mu: float = 0.5
     cone_edges: int = 8
-    mass: float = 0.1
-    acceleration: float = 0.5
     snap_radius: float = 0.01
 
     _RANGES = {
@@ -64,7 +62,6 @@ class RunConfig:
         "beta": (0.0, 1e6), "lambda_a": (1e-9, 1e9), "lambda_b": (1e-9, 1e9),
         "lr": (1e-12, 1.0), "epochs": (1, 1_000_000),
         "friction_mu": (1e-9, 100.0), "cone_edges": (3, 64),
-        "mass": (1e-9, 1e6), "acceleration": (0.0, 1e6),
         "snap_radius": (1e-6, 1.0),
     }
 
@@ -79,8 +76,7 @@ class RunConfig:
 
     def eval_config(self) -> ev.EvalConfig:
         return ev.EvalConfig(friction_mu=self.friction_mu,
-                             cone_edges=self.cone_edges, mass=self.mass,
-                             acceleration=self.acceleration,
+                             cone_edges=self.cone_edges,
                              snap_radius=self.snap_radius)
 
 
@@ -249,7 +245,7 @@ def cmd_eval(args) -> int:
     poses_by_ee: dict[str, list] = {}
     for row, pose, ee, cloud, contact_pts in jobs:
         outcome = ev.evaluate_grasp(cloud, ee, pose, eval_cfg)
-        errors = ev.contact_error(ee, pose, contact_pts)
+        errors = np.linalg.norm(outcome.keypoints - contact_pts, axis=1)
         row.update(success=int(outcome.success),
                    active_contacts=len(outcome.active_contacts),
                    mean_contact_error_mm=round(float(errors.mean()) * 1000.0, 6))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError, ShapeMismatch, TooFewVertices
-from .geometry import PointCloud
+from .geometry import PointCloud, nearest_vertices
 from .kinematics import N_KEYPOINTS
 
 DEFAULT_M = 20
@@ -78,14 +78,9 @@ def gripper_contact_map(object_cloud: PointCloud, keypoint_world,
     """
     if threshold <= 0:
         raise SchemaError("threshold must be positive")
-    pts = object_cloud.points
-    kw = np.asarray(keypoint_world, dtype=np.float64).reshape(-1, 3)
-    cg = np.zeros(kw.shape[0], dtype=np.int8)
-    for i, k in enumerate(kw):
-        d2 = np.min(np.sum((pts - k) ** 2, axis=1))
-        value = d2 if squared else np.sqrt(d2)
-        cg[i] = 1 if value < threshold else 0
-    return cg
+    _, dist = nearest_vertices(object_cloud.points, keypoint_world)
+    value = dist * dist if squared else dist
+    return (value < threshold).astype(np.int8)
 
 
 def object_contact_map(prox, cg) -> np.ndarray:

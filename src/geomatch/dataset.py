@@ -21,7 +21,8 @@ from .artifacts import parsing, read_json, read_jsonl, write_jsonl
 from .contact_maps import DEFAULT_M, DEFAULT_THRESHOLD, build_contact_maps
 from .errors import IoError, MissingFile, NumericalError, SchemaError, UnknownEe
 from .geometry import (DEFAULT_KNN_K, PointCloud, TriangleMesh, knn_graph,
-                       load_cloud, sample_surface, save_cloud_csv)
+                       load_cloud, nearest_vertices, sample_surface,
+                       save_cloud_csv)
 from .kinematics import (EndEffectorModel, Joint, Keypoint, KinematicChain,
                          Link, Palm, Pose, forward_kinematics,
                          keypoint_positions, load_ee_model, matrix_to_rot6d,
@@ -700,10 +701,12 @@ def load_records(manifest: DatasetManifest, split: str = "all",
     object) are skipped with a warning.
     """
     clouds = load_object_clouds(manifest)
-    graphs = {k: knn_graph(c, knn_k) for k, c in clouds.items()}
+    records = manifest.records_for_split(split)
+    used = {r.object_id for r in records}
+    graphs = {k: knn_graph(c, knn_k) for k, c in clouds.items() if k in used}
     ees = load_ee_models(manifest, knn_k)
     samples = []
-    for r in manifest.records_for_split(split):
+    for r in records:
         ee = ees[r.ee_id]
         if r.pose.theta.size != ee.chain.dof:
             raise SchemaError(
@@ -716,9 +719,7 @@ def load_records(manifest: DatasetManifest, split: str = "all",
             log.warning("skipping record %s/%s: no keypoint within %.3f m",
                         r.object_id, r.ee_id, threshold)
             continue
-        d = np.linalg.norm(
-            clouds[r.object_id].points[None, :, :] - kp_world[:, None, :], axis=2)
-        gt = np.argmin(d, axis=1).astype(np.int64)
+        gt, _ = nearest_vertices(clouds[r.object_id].points, kp_world)
         samples.append(TrainingSample(
             object_id=r.object_id, ee_id=r.ee_id,
             object_graph=graphs[r.object_id], ee=ee, pose=r.pose, maps=maps,

@@ -1,11 +1,12 @@
 """Quasi-static grasp assessment.
 
-A grasp succeeds if, for a unit acceleration pushed along each of the six
-axis directions in turn, nonnegative combinations of linearized
-friction-cone edge forces at the active contacts can balance the resulting
-wrench, and at least two keypoints actually touch the object. This is a
-desk-scale stand-in for running the grasp in a physics simulator; success
-percentages from simulator-based protocols are not comparable.
+A grasp succeeds if, for a unit force pushed along each of the six axis
+directions in turn, nonnegative combinations of linearized friction-cone
+edge forces at the active contacts can balance it, and at least two
+keypoints actually touch the object. Balance is cone membership, so the
+verdict does not depend on the size of the push. This is a desk-scale
+stand-in for running the grasp in a physics simulator; success percentages
+from simulator-based protocols are not comparable.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SchemaError, TooFewPoses
-from .geometry import PointCloud
-from .kinematics import (EndEffectorModel, N_KEYPOINTS, Pose,
-                         keypoint_positions)
+from .geometry import PointCloud, nearest_vertices
+from .kinematics import EndEffectorModel, Pose, keypoint_positions
 
 AXIS_DIRECTIONS = (
     ("px", np.array([1.0, 0.0, 0.0])), ("nx", np.array([-1.0, 0.0, 0.0])),
@@ -33,8 +33,6 @@ AXIS_DIRECTIONS = (
 class EvalConfig:
     friction_mu: float = 0.5
     cone_edges: int = 8
-    mass: float = 0.1               # kg; scales the test wrench only
-    acceleration: float = 0.5       # m/s^2, applied along each axis
     snap_radius: float = 0.01       # keypoint-to-surface contact tolerance
 
     def __post_init__(self):
@@ -42,15 +40,13 @@ class EvalConfig:
             raise SchemaError("friction coefficient must be positive")
         if self.cone_edges < 3:
             raise SchemaError("need at least 3 cone edges")
-        if self.mass <= 0:
-            raise SchemaError("mass must be positive")
 
 
 @dataclass(frozen=True)
 class GraspOutcome:
     success: bool
     resisted: dict                  # direction tag -> bool
-    contact_errors: np.ndarray      # (6,) keypoint distance to nearest vertex
+    keypoints: np.ndarray           # (6, 3) solved keypoint positions
     active_contacts: tuple[int, ...]
 
 
@@ -82,30 +78,25 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
     # objective row for min sum(artificials), basis = artificials
     tableau[m, :n] = -a.sum(axis=0)
     tableau[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     for _ in range(20000):
-        reduced = tableau[m, :n + m]
-        entering = -1
-        for j in range(n + m):     # Bland: smallest eligible index
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(tableau[m, :n + m] < -tol)
+        if eligible.size == 0:
             break
-        ratios = []
-        for i in range(m):
-            if tableau[i, entering] > tol:
-                ratios.append((tableau[i, -1] / tableau[i, entering],
-                               basis[i], i))
-        if not ratios:
+        entering = eligible[0]      # Bland: smallest eligible index
+        column = tableau[:m, entering]
+        rows = np.flatnonzero(column > tol)
+        if rows.size == 0:
             return False            # unbounded phase-1: cannot happen, bail out
-        _, _, leaving = min(ratios, key=lambda t: (t[0], t[1]))
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        ratios = tableau[rows, -1] / column[rows]
+        # smallest ratio, ties to the smallest basic index
+        leaving = rows[np.lexsort((basis[rows], ratios))[0]]
+        tableau[leaving] /= tableau[leaving, entering]
+        # a row with a zero factor keeps its values: x - 0 * y == x
+        factors = tableau[:, entering].copy()
+        factors[leaving] = 0.0
+        tableau -= np.outer(factors, tableau[leaving])
         basis[leaving] = entering
     else:
         raise NumericalError("simplex failed to terminate")
@@ -139,43 +130,40 @@ def friction_cone_edges(normal: np.ndarray, mu: float, edges: int) -> np.ndarray
                               + np.sin(phis)[:, None] * v[None, :])
 
 
-def wrench_feasible(contact_points, contact_normals, wrench,
-                    cfg: EvalConfig = EvalConfig(),
-                    origin=None) -> bool:
-    """Can cone-edge forces at the contacts balance the external wrench?
+def wrench_basis(contact_points, contact_normals, cfg: EvalConfig,
+                 origin) -> np.ndarray:
+    """(6, C*E) wrenches of the cone edges, torques about `origin`.
 
-    Feasible iff nonnegative coefficients on the edge forces produce the
-    net wrench -w, torques taken about `origin` (the contact centroid by
-    default; grasp evaluation passes the object centroid).
+    Column c*E + e is edge e at contact c: its force over its torque.
     """
     pts = np.asarray(contact_points, dtype=np.float64).reshape(-1, 3)
     nrm = np.asarray(contact_normals, dtype=np.float64).reshape(-1, 3)
-    w = np.asarray(wrench, dtype=np.float64).reshape(6)
     if pts.shape[0] == 0:
         raise SchemaError("need at least one contact")
     if pts.shape != nrm.shape:
         raise SchemaError("points and normals must align")
-    origin = pts.mean(axis=0) if origin is None else np.asarray(origin, dtype=np.float64)
-    cols = []
-    for p, n in zip(pts, nrm):
-        arm = p - origin
-        for f in friction_cone_edges(n, cfg.friction_mu, cfg.cone_edges):
-            cols.append(np.concatenate([f, np.cross(arm, f)]))
-    mat = np.stack(cols, axis=1)
-    return nonnegative_combination_exists(mat, -w)
+    forces = np.stack([friction_cone_edges(n, cfg.friction_mu, cfg.cone_edges)
+                       for n in nrm])
+    arms = pts - np.asarray(origin, dtype=np.float64)
+    torques = np.cross(arms[:, None, :], forces)
+    return np.concatenate([forces, torques], axis=2).reshape(-1, 6).T
+
+
+def wrench_feasible(contact_points, contact_normals, wrench, cfg: EvalConfig,
+                    origin) -> bool:
+    """Can cone-edge forces at the contacts balance the external wrench?
+
+    Feasible iff nonnegative coefficients on the edge forces produce the
+    net wrench -w, torques taken about `origin`.
+    """
+    w = np.asarray(wrench, dtype=np.float64).reshape(6)
+    return nonnegative_combination_exists(
+        wrench_basis(contact_points, contact_normals, cfg, origin), -w)
 
 
 # ---------------------------------------------------------------------------
 # grasp-level metrics
 # ---------------------------------------------------------------------------
-
-def contact_error(ee: EndEffectorModel, solved_pose: Pose,
-                  proposal_points) -> np.ndarray:
-    """(6,) distance between each solved keypoint and its proposed contact."""
-    targets = np.asarray(proposal_points, dtype=np.float64).reshape(-1, 3)
-    kp = keypoint_positions(ee, solved_pose)
-    return np.linalg.norm(kp - targets, axis=1)
-
 
 def evaluate_grasp(object_cloud: PointCloud, ee: EndEffectorModel,
                    solved_pose: Pose,
@@ -183,35 +171,27 @@ def evaluate_grasp(object_cloud: PointCloud, ee: EndEffectorModel,
     """Wrench-feasibility test along all six axis directions.
 
     Keypoints within the snap radius of the object become contacts at their
-    nearest vertex, pressing along that vertex's inward normal. Success
-    requires every direction resisted and at least two active contacts.
+    nearest vertex, pressing along that vertex's inward normal. Torques are
+    taken about the object centroid. Success requires every direction
+    resisted and at least two active contacts.
     """
     if object_cloud.normals is None:
         raise SchemaError("object cloud lacks normals")
     kp = keypoint_positions(ee, solved_pose)
-    dists = np.empty(N_KEYPOINTS)
-    active, points, normals = [], [], []
-    for i in range(N_KEYPOINTS):
-        d = np.linalg.norm(object_cloud.points - kp[i], axis=1)
-        j = int(np.argmin(d))
-        dists[i] = d[j]
-        if d[j] <= cfg.snap_radius:
-            active.append(i)
-            points.append(object_cloud.points[j])
-            normals.append(-object_cloud.normals[j])
-    resisted = {}
-    centroid = object_cloud.centroid()
-    magnitude = cfg.mass * cfg.acceleration
-    for tag, direction in AXIS_DIRECTIONS:
-        if not active:
-            resisted[tag] = False
-            continue
-        wrench = np.concatenate([magnitude * direction, np.zeros(3)])
-        resisted[tag] = wrench_feasible(points, normals, wrench, cfg,
-                                        origin=centroid)
-    success = all(resisted.values()) and len(active) >= 2
-    return GraspOutcome(success=success, resisted=resisted,
-                        contact_errors=dists, active_contacts=tuple(active))
+    idx, dist = nearest_vertices(object_cloud.points, kp)
+    active = np.flatnonzero(dist <= cfg.snap_radius)
+    if active.size:
+        basis = wrench_basis(object_cloud.points[idx[active]],
+                             -object_cloud.normals[idx[active]], cfg,
+                             object_cloud.centroid())
+        resisted = {tag: nonnegative_combination_exists(
+                        basis, -np.concatenate([direction, np.zeros(3)]))
+                    for tag, direction in AXIS_DIRECTIONS}
+    else:
+        resisted = {tag: False for tag, _ in AXIS_DIRECTIONS}
+    success = all(resisted.values()) and active.size >= 2
+    return GraspOutcome(success=success, resisted=resisted, keypoints=kp,
+                        active_contacts=tuple(int(i) for i in active))
 
 
 def diversity(successful_poses: list[Pose]) -> float:

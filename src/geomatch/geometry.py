@@ -133,6 +133,18 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     return PointCloud(pts, nrm)
 
 
+def nearest_vertices(points, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and Euclidean distance to, the point nearest each query.
+
+    Returns two (Q,) arrays; distance ties go to the lower point index.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    d = np.linalg.norm(pts[None, :, :] - q[:, None, :], axis=2)
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(q.shape[0]), idx]
+
+
 def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbours per point, ties broken by lower index."""
     s = points.shape[0]

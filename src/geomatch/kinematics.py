@@ -20,7 +20,8 @@ import numpy as np
 from .artifacts import parsing, read_json
 from .errors import (DegenerateInput, LimitViolation, NotARotation,
                      SchemaError)
-from .geometry import GeometryGraph, PointCloud, knn_graph, load_cloud
+from .geometry import (GeometryGraph, PointCloud, knn_graph, load_cloud,
+                       nearest_vertices)
 
 PREGRASP_OFFSET = 0.005     # meters, applied along the object normal
 HEURISTIC_STANDOFF = 0.02   # palm standoff of the initial IK guess, meters
@@ -438,11 +439,8 @@ def pregrasp_targets(contacts, object_cloud: PointCloud,
     contacts = np.asarray(contacts, dtype=np.float64).reshape(-1, 3)
     if object_cloud.normals is None:
         raise SchemaError("object cloud lacks normals")
-    targets = np.empty_like(contacts)
-    for i, c in enumerate(contacts):
-        idx = int(np.argmin(np.linalg.norm(object_cloud.points - c, axis=1)))
-        targets[i] = c + offset * object_cloud.normals[idx]
-    return targets
+    idx, _ = nearest_vertices(object_cloud.points, contacts)
+    return contacts + offset * object_cloud.normals[idx]
 
 
 def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
@@ -456,8 +454,7 @@ def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
     if object_cloud.normals is None:
         raise SchemaError("object cloud lacks normals")
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
-    center = targets.mean(axis=0)
-    idx = int(np.argmin(np.linalg.norm(object_cloud.points - center, axis=1)))
+    (idx,), _ = nearest_vertices(object_cloud.points, targets.mean(axis=0))
     vertex = object_cloud.points[idx]
     obj_normal = object_cloud.normals[idx]
 

@@ -343,6 +343,7 @@ FAULTS = [
     ("config-bool-string", "config.json", lambda t: '{"squared_threshold": "false"}'),
     ("config-seed-float", "config.json", lambda t: '{"seed": 1.7}'),
     ("config-epochs-bool", "config.json", lambda t: '{"epochs": true}'),
+    ("config-removed-acceleration", "config.json", lambda t: '{"acceleration": 0}'),
     ("manifest-not-json", "data/manifest.json", lambda t: t[:-10]),
     ("chain-not-json", "data/grippers/pincer.json", lambda t: t[:len(t) // 2]),
     ("chain-keypoint-no-offset", "data/grippers/pincer.json",

@@ -153,6 +153,22 @@ class TestLoadRecords:
         assert val_objs <= set(toy_dataset.split["val"])
         assert not train_objs & val_objs
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_graphs_built_for_split_objects_only(self, toy_dataset,
+                                                 monkeypatch, split):
+        built = []
+        knn_graph = dataset.knn_graph
+
+        def counting(cloud, k):
+            built.append(knn_graph(cloud, k))
+            return built[-1]
+
+        monkeypatch.setattr(dataset, "knn_graph", counting)
+        samples = load_records(toy_dataset, split=split)
+        assert len(built) == len(toy_dataset.split[split])
+        assert len(built) < len(toy_dataset.objects)
+        assert {id(s.object_graph) for s in samples} <= {id(g) for g in built}
+
 
 class TestManifestRoundtrip:
     def test_save_load(self, toy_dataset):

@@ -5,12 +5,13 @@ import pytest
 from scipy.optimize import nnls
 
 from geomatch import errors
-from geomatch.evaluation import (EvalConfig, diversity, evaluate_grasp,
-                                 friction_cone_edges,
+from geomatch.dataset import load_ee_models, load_object_clouds
+from geomatch.evaluation import (AXIS_DIRECTIONS, EvalConfig, diversity,
+                                 evaluate_grasp, friction_cone_edges,
                                  nonnegative_combination_exists,
                                  tangent_basis, wrench_feasible)
 from geomatch.geometry import PointCloud
-from geomatch.kinematics import Pose, rest_pose
+from geomatch.kinematics import Pose, keypoint_positions, rest_pose
 
 
 def nnls_feasible(mat, rhs, tol=1e-7):
@@ -40,11 +41,20 @@ class TestSimplexFeasibility:
                 b = a @ x
             else:
                 b = rng_np.normal(size=m)
-            got = nonnegative_combination_exists(a, b)
-            want = nnls_feasible(a, b)
-            assert got == want
-            agree += 1
-        assert agree == 200
+            # degenerate variants, where Bland's tie rules pick the pivots:
+            # every column twice, zero columns, a zero row with zero rhs
+            zero_row, b_zero_row = a.copy(), b.copy()
+            zero_row[0] = 0.0
+            b_zero_row[0] = 0.0
+            zero_col = np.zeros((m, 1))
+            for mat, rhs in ((a, b), (a[:, np.repeat(np.arange(n), 2)], b),
+                             (np.hstack([zero_col, a, zero_col]), b),
+                             (zero_row, b_zero_row)):
+                got = nonnegative_combination_exists(mat, rhs)
+                want = nnls_feasible(mat, rhs)
+                assert got == want
+                agree += 1
+        assert agree == 800
 
 
 class TestFrictionCones:
@@ -129,6 +139,54 @@ class TestEvaluateGrasp:
         outcome = evaluate_grasp(cloud, pincer, pose, EvalConfig())
         assert len(outcome.active_contacts) >= 2
         assert outcome.success
+
+
+def oracle_contacts(cloud, ee, pose, cfg):
+    """Snapped contacts and inward normals, one keypoint at a time."""
+    points, normals = [], []
+    for k in keypoint_positions(ee, pose):
+        d = np.linalg.norm(cloud.points - k, axis=1)
+        j = int(np.argmin(d))
+        if d[j] <= cfg.snap_radius:
+            points.append(cloud.points[j])
+            normals.append(-cloud.normals[j])
+    return points, normals
+
+
+def oracle_resisted(points, normals, origin, cfg):
+    """Edge wrenches built one cone edge at a time, decided by NNLS."""
+    cols = [np.concatenate([f, np.cross(p - origin, f)])
+            for p, n in zip(points, normals)
+            for f in friction_cone_edges(n, cfg.friction_mu, cfg.cone_edges)]
+    return {tag: bool(cols) and nnls_feasible(
+                np.stack(cols, axis=1), -np.concatenate([d, np.zeros(3)]))
+            for tag, d in AXIS_DIRECTIONS}
+
+
+class TestEvaluateGraspOracle:
+    def test_every_toy_record_matches_nnls(self, toy_dataset):
+        cfg = EvalConfig()
+        clouds = load_object_clouds(toy_dataset)
+        ees = load_ee_models(toy_dataset)
+        seen, contacted = set(), 0
+        for r in toy_dataset.records:
+            cloud, ee = clouds[r.object_id], ees[r.ee_id]
+            points, normals = oracle_contacts(cloud, ee, r.pose, cfg)
+            want = oracle_resisted(points, normals, cloud.centroid(), cfg)
+            outcome = evaluate_grasp(cloud, ee, r.pose, cfg)
+            assert outcome.resisted == want, (r.object_id, r.ee_id)
+            assert len(outcome.active_contacts) == len(points)
+            seen.add((r.object_id, r.ee_id))
+            if not points:
+                continue
+            contacted += 1
+            # a unit push decides the verdict for every push size
+            for c in (1e-3, 1.0, 1e3):
+                for tag, d in AXIS_DIRECTIONS:
+                    w = c * np.concatenate([d, np.zeros(3)])
+                    assert wrench_feasible(points, normals, w, cfg,
+                                           cloud.centroid()) == want[tag]
+        assert len(seen) == 12 and contacted > 0
 
 
 class TestDiversity:

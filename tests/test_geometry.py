@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from geomatch import errors, geometry
 from geomatch.geometry import (GeometryGraph, PointCloud, TriangleMesh,
                                build_knn_graph, crop_table_top,
-                               estimate_normals, normalize_adjacency,
-                               perturb_cloud, sample_surface)
+                               estimate_normals, nearest_vertices,
+                               normalize_adjacency, perturb_cloud,
+                               sample_surface)
 
 
 def brute_force_knn(points, k):
@@ -159,6 +160,30 @@ class TestKnnGraph:
         want = stable_argsort_knn(pts, k)
         assert np.array_equal(graph.edges[:, 1].reshape(s, k), want)
         assert np.array_equal(graph.edges[:, 0], np.repeat(np.arange(s), k))
+
+
+class TestNearestVertices:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 200), st.integers(1, 8),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stable_argsort(self, seed, s, q, lattice):
+        # lattice queries on a lattice cloud hit many exact distance ties
+        rng = np.random.default_rng(seed)
+        if lattice:
+            both = lattice_cloud(rng, s + q)
+            pts, queries = both[:s], both[s:] + rng.integers(0, 2, size=(q, 3))
+        else:
+            pts, queries = rng.normal(size=(s, 3)), rng.normal(size=(q, 3))
+        d = np.sqrt(np.sum((queries[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+        want = np.argsort(d, axis=1, kind="stable")[:, 0]
+        idx, dist = nearest_vertices(pts, queries)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(dist, d[np.arange(q), want])
+
+    def test_tie_goes_to_lower_index(self):
+        pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
+        idx, dist = nearest_vertices(pts, np.zeros(3))
+        assert idx.tolist() == [0] and dist.tolist() == [1.0]
 
 
 class TestNormalizeAdjacency:

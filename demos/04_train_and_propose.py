@@ -1,7 +1,7 @@
 """Train a small model on one object and roll out diverse proposals.
 
 A short run for demonstration; the acceptance suite trains the full 200
-epochs. Takes about a minute.
+epochs. Takes about 20 seconds.
 
 Run: python demos/04_train_and_propose.py
 """

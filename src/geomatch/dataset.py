@@ -328,7 +328,7 @@ def build_claw(params: ClawParams = ClawParams(),
 
 def _assemble_ee(name: str, chain: KinematicChain, rest_mesh: TriangleMesh,
                  kp_specs, palm: Palm, s_g: int, seed: int) -> EndEffectorModel:
-    """Sample the rest surface, append exact keypoint vertices, build graph."""
+    """Sample the rest surface and append exact keypoint vertices."""
     n_kp = len(kp_specs)
     sampled = sample_surface(rest_mesh, s_g - n_kp, seed)
     fk = forward_kinematics(chain, rest_pose(chain))
@@ -340,7 +340,6 @@ def _assemble_ee(name: str, chain: KinematicChain, rest_mesh: TriangleMesh,
         Keypoint(vertex=s_g - n_kp + i, link=link, offset=np.asarray(off))
         for i, (link, off) in enumerate(kp_specs))
     return EndEffectorModel(name=name, chain=chain, rest_cloud=cloud,
-                            rest_graph=knn_graph(cloud, DEFAULT_KNN_K),
                             keypoints=keypoints, palm=palm)
 
 

@@ -307,13 +307,17 @@ def mlp(x: Tensor, layers) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def glorot_init(shape, seed) -> Tensor:
-    """Uniform(+-sqrt(6 / (fan_in + fan_out))) initialization."""
+    """Uniform(+-sqrt(6 / (fan_in + fan_out))) initialization.
+
+    `seed` is an int seed to draw the shape[0] * shape[1] uniforms from,
+    or those uniforms in [0, 1), already drawn.
+    """
     if len(shape) != 2:
         raise ShapeMismatch("glorot_init expects a 2-D shape")
-    rng = seed if isinstance(seed, Rng) else Rng(int(seed))
+    uniforms = (seed if isinstance(seed, np.ndarray)
+                else Rng(int(seed)).randoms(shape[0] * shape[1]))
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    data = np.array(rng.randoms(shape[0] * shape[1])).reshape(shape)
-    return Tensor((data * 2.0 - 1.0) * limit, requires_grad=True)
+    return Tensor((uniforms.reshape(shape) * 2.0 - 1.0) * limit, requires_grad=True)
 
 
 def zeros_param(shape) -> Tensor:

@@ -60,6 +60,9 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
 
     Phase-1 simplex with Bland's rule: minimize the sum of artificial
     slacks; the optimum is zero exactly when the system is feasible.
+    Scaling rhs scales every ratio test and the optimum alike, so the
+    optimum is compared against `tol` times the largest |rhs| entry and
+    the verdict does not depend on the size of rhs.
     """
     a = np.asarray(mat, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64).reshape(-1)
@@ -101,7 +104,7 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
     else:
         raise NumericalError("simplex failed to terminate")
 
-    return bool(-tableau[m, -1] <= tol)
+    return bool(-tableau[m, -1] <= tol * b.max(initial=0.0))
 
 
 def tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -247,8 +247,7 @@ def perturb_cloud(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
         raise SchemaError("sigma must be >= 0")
     if sigma == 0.0:
         return cloud
-    rng = Rng(seed)
-    noise = np.array(rng.normals(cloud.points.size)).reshape(cloud.points.shape)
+    noise = Rng(seed).normals(cloud.points.size).reshape(cloud.points.shape)
     noise = np.clip(noise * sigma, -sigma, sigma)
     return PointCloud(cloud.points + noise, cloud.normals, cloud.frame)
 

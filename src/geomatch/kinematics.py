@@ -10,6 +10,7 @@ JSON; see load_chain for the schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -20,8 +21,8 @@ import numpy as np
 from .artifacts import parsing, read_json
 from .errors import (DegenerateInput, LimitViolation, NotARotation,
                      SchemaError)
-from .geometry import (GeometryGraph, PointCloud, knn_graph, load_cloud,
-                       nearest_vertices)
+from .geometry import (DEFAULT_KNN_K, GeometryGraph, PointCloud, knn_graph,
+                       load_cloud, nearest_vertices)
 
 PREGRASP_OFFSET = 0.005     # meters, applied along the object normal
 HEURISTIC_STANDOFF = 0.02   # palm standoff of the initial IK guess, meters
@@ -354,9 +355,9 @@ class EndEffectorModel:
     name: str
     chain: KinematicChain
     rest_cloud: PointCloud
-    rest_graph: GeometryGraph
     keypoints: tuple[Keypoint, ...]
     palm: Palm
+    knn_k: int = DEFAULT_KNN_K          # neighbours per vertex of rest_graph
 
     def __post_init__(self):
         if len(self.keypoints) != N_KEYPOINTS:
@@ -371,6 +372,12 @@ class EndEffectorModel:
                 raise SchemaError(
                     f"keypoint {i}: offset does not reproduce rest-cloud vertex "
                     f"(error {np.linalg.norm(world - ref):.3e})")
+
+    @functools.cached_property
+    def rest_graph(self) -> GeometryGraph:
+        """k-NN graph of the rest cloud, built on first read: only the
+        encoders (train, infer) read it."""
+        return knn_graph(self.rest_cloud, self.knn_k)
 
     @property
     def keypoint_vertices(self) -> np.ndarray:
@@ -521,7 +528,8 @@ def load_chain(path) -> dict:
     return doc
 
 
-def load_ee_model(path, name: str | None = None, knn_k: int = 8) -> EndEffectorModel:
+def load_ee_model(path, name: str | None = None,
+                  knn_k: int = DEFAULT_KNN_K) -> EndEffectorModel:
     """Load chain + rest cloud + keypoints + palm into a full model."""
     doc = load_chain(path)
     with parsing(path):
@@ -538,8 +546,7 @@ def load_ee_model(path, name: str | None = None, knn_k: int = 8) -> EndEffectorM
     return EndEffectorModel(
         name=name or os.path.splitext(os.path.basename(str(path)))[0],
         chain=doc["_chain"], rest_cloud=rest_cloud,
-        rest_graph=knn_graph(rest_cloud, knn_k),
-        keypoints=keypoints, palm=palm)
+        keypoints=keypoints, palm=palm, knn_k=knn_k)
 
 
 def pose_to_dict(pose: Pose) -> dict:

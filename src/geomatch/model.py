@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -88,27 +89,34 @@ class GeoMatchModel:
     def __init__(self, config: ModelConfig = ModelConfig(),
                  seed: int | None = 0):
         """Glorot-initialized weights from `seed`; seed=None allocates
-        zeros, for `load_weights` to overwrite."""
+        zeros, for `load_weights` to overwrite. Biases start at zero."""
         self.config = config
         self.store = dn.ParameterStore()
-        rng = Rng(seed) if seed is not None else None
-
-        def weight(shape):
-            return dn.zeros_param(shape) if rng is None else dn.glorot_init(shape, rng)
-
+        shapes = {}                     # parameter name -> shape, store order
         enc_dims = [3, *config.gcn_hidden, config.gcn_out]
         for enc in ("obj", "grip"):
             for i in range(len(enc_dims) - 1):
-                self.store.add(f"{enc}_enc.w{i}",
-                               weight((enc_dims[i], enc_dims[i + 1])))
-                self.store.add(f"{enc}_enc.b{i}", dn.zeros_param(enc_dims[i + 1]))
-            self.store.add(f"{enc}_proj.w",
-                           weight((config.gcn_out, config.proj_dim)))
+                shapes[f"{enc}_enc.w{i}"] = (enc_dims[i], enc_dims[i + 1])
+                shapes[f"{enc}_enc.b{i}"] = (enc_dims[i + 1],)
+            shapes[f"{enc}_proj.w"] = (config.gcn_out, config.proj_dim)
         ar_dims = [config.ar_input_dim, *config.ar_hidden, 1]
         for n in range(1, config.n_keypoints):
             for i in range(len(ar_dims) - 1):
-                self.store.add(f"ar{n}.w{i}", weight((ar_dims[i], ar_dims[i + 1])))
-                self.store.add(f"ar{n}.b{i}", dn.zeros_param(ar_dims[i + 1]))
+                shapes[f"ar{n}.w{i}"] = (ar_dims[i], ar_dims[i + 1])
+                shapes[f"ar{n}.b{i}"] = (ar_dims[i + 1],)
+        # the weights draw in store order from one stream: one bulk draw
+        # for all of them, each weight scaling its slice
+        n_draws = sum(math.prod(s) for s in shapes.values() if len(s) == 2)
+        uniforms = Rng(seed).randoms(n_draws) if seed is not None else None
+        offset = 0
+        for name, shape in shapes.items():
+            if uniforms is None or len(shape) == 1:
+                self.store.add(name, dn.zeros_param(shape))
+            else:
+                size = shape[0] * shape[1]
+                self.store.add(name, dn.glorot_init(
+                    shape, uniforms[offset:offset + size]))
+                offset += size
         self._n_enc_layers = len(enc_dims) - 1
         self._n_ar_layers = len(ar_dims) - 1
 

@@ -404,3 +404,24 @@ def test_truncated_artifact_never_raises(artifacts, rel, data):
         blob = (d / rel).read_bytes()
         (d / rel).write_bytes(blob[:data.draw(st.integers(0, len(blob)))])
         assert main(stage_reading(rel, d)) in (0, 2, 3)
+
+
+def test_only_encoding_stages_build_graphs(artifacts, tmp_path, monkeypatch):
+    """maps, ik and eval never encode, so they build no k-NN graph; infer
+    builds one per object and one per gripper."""
+    from geomatch import geometry
+    built = []
+    real = geometry.build_knn_graph
+    monkeypatch.setattr(geometry, "build_knn_graph",
+                        lambda *a, **kw: built.append(1) or real(*a, **kw))
+    data, d = str(artifacts / "data"), artifacts
+    assert main(["maps", "--manifest", data, "--out", str(tmp_path / "maps")]) == 0
+    assert main(["ik", "--proposals", str(d / "proposals.jsonl"), "--manifest",
+                 data, "--max-iter", "3", "--out", str(tmp_path / "ik.jsonl")]) == 0
+    assert main(["eval", "--ik", str(d / "ik.jsonl"), "--manifest", data,
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert built == []
+    assert main(["infer", "--weights", str(d / "weights"), "--manifest", data,
+                 "--split", "train", "--ranks", "0",
+                 "--out", str(tmp_path / "p.jsonl")]) == 0
+    assert len(built) == 3          # 1 train object + 2 grippers

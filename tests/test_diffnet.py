@@ -305,7 +305,7 @@ class TestRngStream:
         assert r.derive(1).next_u64() != r.derive(2).next_u64()
 
     def test_reproducible(self):
-        assert Rng(123).randoms(5) == Rng(123).randoms(5)
+        assert np.array_equal(Rng(123).randoms(5), Rng(123).randoms(5))
 
     def test_normal_moments(self):
         vals = np.array(Rng(5).normals(20000))

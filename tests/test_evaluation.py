@@ -9,7 +9,7 @@ from geomatch.dataset import load_ee_models, load_object_clouds
 from geomatch.evaluation import (AXIS_DIRECTIONS, EvalConfig, diversity,
                                  evaluate_grasp, friction_cone_edges,
                                  nonnegative_combination_exists,
-                                 tangent_basis, wrench_feasible)
+                                 tangent_basis, wrench_basis, wrench_feasible)
 from geomatch.geometry import PointCloud
 from geomatch.kinematics import Pose, keypoint_positions, rest_pose
 
@@ -187,6 +187,41 @@ class TestEvaluateGraspOracle:
                     assert wrench_feasible(points, normals, w, cfg,
                                            cloud.centroid()) == want[tag]
         assert len(seen) == 12 and contacted > 0
+
+
+class TestScaleFreeVerdict:
+    SCALES = 10.0 ** np.arange(-6, 7)
+
+    def test_toy_grasp_verdicts_ignore_push_size(self, toy_dataset):
+        """Each grasp's one wrench basis gives one verdict per direction
+        for every push size from 1e-6 to 1e6."""
+        cfg = EvalConfig()
+        clouds = load_object_clouds(toy_dataset)
+        ees = load_ee_models(toy_dataset)
+        decided = 0
+        for r in toy_dataset.records:
+            cloud = clouds[r.object_id]
+            points, normals = oracle_contacts(cloud, ees[r.ee_id], r.pose, cfg)
+            if not points:
+                continue
+            basis = wrench_basis(points, normals, cfg, cloud.centroid())
+            for tag, d in AXIS_DIRECTIONS:
+                rhs = -np.concatenate([d, np.zeros(3)])
+                verdicts = {nonnegative_combination_exists(basis, c * rhs)
+                            for c in self.SCALES}
+                assert len(verdicts) == 1, (r.object_id, r.ee_id, tag)
+                decided += 1
+        assert decided > 0
+
+    def test_random_systems_ignore_rhs_size(self, rng_np):
+        for _ in range(100):
+            a = rng_np.normal(size=(6, 12))
+            b = (a @ np.abs(rng_np.normal(size=12)) if rng_np.uniform() < 0.5
+                 else rng_np.normal(size=6))
+            want = nonnegative_combination_exists(a, b)
+            assert want == nnls_feasible(a, b)
+            for c in self.SCALES:
+                assert nonnegative_combination_exists(a, c * b) == want
 
 
 class TestDiversity:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from geomatch import errors
-from geomatch.geometry import PointCloud, knn_graph
+from geomatch.geometry import PointCloud
 from geomatch.ik import LeastSquaresProblem, numeric_jacobian
 from geomatch.kinematics import (EndEffectorModel, Joint, KinematicChain,
                                  Keypoint, Link, Palm, Pose,
@@ -290,8 +290,9 @@ def mixed_hand():
                                   np.random.default_rng(0).normal(size=(10, 3)) * 0.05]))
     keypoints = tuple(Keypoint(i, link, np.array(off, dtype=np.float64))
                       for i, (link, off) in enumerate(specs))
-    return EndEffectorModel("mixed", chain, cloud, knn_graph(cloud, 4), keypoints,
-                            Palm("base", np.array([0.0, 0.0, 1.0]), np.zeros(3)))
+    return EndEffectorModel("mixed", chain, cloud, keypoints,
+                            Palm("base", np.array([0.0, 0.0, 1.0]), np.zeros(3)),
+                            knn_k=4)
 
 
 MIXED_HAND = mixed_hand()
@@ -462,5 +463,4 @@ class TestChainFiles:
         with pytest.raises(errors.SchemaError):
             EndEffectorModel(name="x", chain=pincer.chain,
                              rest_cloud=pincer.rest_cloud,
-                             rest_graph=pincer.rest_graph,
                              keypoints=tuple(bad_kps), palm=pincer.palm)

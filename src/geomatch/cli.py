@@ -128,9 +128,12 @@ def save_config(cfg: RunConfig, path) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.seed)
+    for key in ("s_o", "s_g"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
+    cfg.validate()
     object_ids = args.objects.split(",") if args.objects else None
-    manifest = ds.generate_toy_dataset(cfg.seed, args.out, s_o=args.s_o or cfg.s_o,
-                                       s_g=args.s_g or cfg.s_g,
+    manifest = ds.generate_toy_dataset(cfg.seed, args.out, s_o=cfg.s_o, s_g=cfg.s_g,
                                        object_ids=object_ids,
                                        contact_threshold=cfg.threshold)
     print(f"wrote {len(manifest.records)} records, "

@@ -2,8 +2,9 @@
 
 Everything is 64-bit floats. The graph is built eagerly: each op returns a
 Tensor holding its parents and a closure that routes the upstream gradient.
-Only the op set needed by the grasp model exists; there is no general
-broadcasting beyond a bias row.
+Only the op set needed by the grasp model exists. Every network layer is one
+`dense` op (matmul, bias row and ReLU on one tape node); a GCN layer feeds it
+the product `spmm(A_hat, h)`. No other op broadcasts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .artifacts import parsing, read_json
 from .errors import MissingGradient, SchemaError, ShapeMismatch
-from .rng import Rng
 from .sparse import SparseCOO
 
 
@@ -113,6 +113,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=back)
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
+    """One network layer: ReLU(x @ w + b), or x @ w + b with relu=False."""
+    x = _as_tensor(x)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeMismatch(f"dense {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        np.copyto(out, 0.0, where=~(out > 0))    # -0.0 and NaN become 0.0 too
+
+    def back(g):
+        if relu:
+            g = g * (out > 0)
+        grads = [(w, x.data.T @ g), (b, g.sum(axis=0))]
+        if x.requires_grad:     # the first GCN layer's input is the constant cloud
+            grads.append((x, g @ w.data.T))
+        return grads
+
+    return Tensor(out, _parents=(x, w, b), _backward=back)
+
+
 def spmm(sp: SparseCOO, h: Tensor) -> Tensor:
     """Constant sparse matrix times dense tensor."""
     h = _as_tensor(h)
@@ -126,16 +148,13 @@ def spmm(sp: SparseCOO, h: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also accepts a (F,) bias row against an (A, F) left."""
+    """Elementwise add of equal-shape tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
-    bias_row = (a.data.ndim == 2 and b.data.ndim == 1
-                and a.data.shape[1] == b.data.shape[0])
-    if not bias_row and a.data.shape != b.data.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"add {a.data.shape} + {b.data.shape}")
 
     def back(g):
-        gb = g.sum(axis=0) if bias_row else g
-        return ((a, g), (b, gb))
+        return ((a, g), (b, g))
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=back)
 
@@ -148,16 +167,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         return ((x, g * c),)
 
     return Tensor(x.data * c, _parents=(x,), _backward=back)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    mask = x.data > 0
-
-    def back(g):
-        return ((x, g * mask),)
-
-    return Tensor(np.where(mask, x.data, 0.0), _parents=(x,), _backward=back)
 
 
 def concat_cols(parts) -> Tensor:
@@ -278,44 +287,14 @@ def bce_with_pos_weight(logits: Tensor, targets, pos_weight: float = 1.0) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# layers
-# ---------------------------------------------------------------------------
-
-def gcn_layer(adj: SparseCOO, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """ReLU(A_hat @ H @ W + b) graph convolution."""
-    return relu(add(matmul(spmm(adj, h), w), b))
-
-
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return add(out, bias) if bias is not None else out
-
-
-def mlp(x: Tensor, layers) -> Tensor:
-    """Stack of (w, b) pairs: ReLU between layers, final layer linear."""
-    out = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        out = linear(out, w, b)
-        if i != last:
-            out = relu(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # parameters and optimization
 # ---------------------------------------------------------------------------
 
-def glorot_init(shape, seed) -> Tensor:
-    """Uniform(+-sqrt(6 / (fan_in + fan_out))) initialization.
-
-    `seed` is an int seed to draw the shape[0] * shape[1] uniforms from,
-    or those uniforms in [0, 1), already drawn.
-    """
+def glorot_init(shape, uniforms: np.ndarray) -> Tensor:
+    """Uniform(+-sqrt(6 / (fan_in + fan_out))) initialization from
+    shape[0] * shape[1] uniforms in [0, 1), already drawn."""
     if len(shape) != 2:
         raise ShapeMismatch("glorot_init expects a 2-D shape")
-    uniforms = (seed if isinstance(seed, np.ndarray)
-                else Rng(int(seed)).randoms(shape[0] * shape[1]))
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return Tensor((uniforms.reshape(shape) * 2.0 - 1.0) * limit, requires_grad=True)
 

@@ -185,11 +185,17 @@ def normalize_adjacency(graph: GeometryGraph) -> GeometryGraph:
     loops = np.arange(s, dtype=np.int64)
     keys = np.unique(np.concatenate([src * s + dst, dst * s + src, loops * (s + 1)]))
     rows, cols = np.divmod(keys, s)
-    deg = np.bincount(rows, minlength=s).astype(np.float64)
-    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    adj = SparseCOO((s, s), rows, cols, vals)
-    return GeometryGraph(cloud=graph.cloud, edges=graph.edges,
-                         knn_k=graph.knn_k, normalized_adjacency=adj)
+    counts = np.bincount(rows, minlength=s)
+    deg = counts.astype(np.float64)
+    # the sorted keys fill each row's first slots in ascending column order;
+    # the rest of the row is padding: its own index, weight 0
+    slot = np.arange(keys.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    nbr = np.repeat(np.arange(s)[:, None], counts.max(initial=1), axis=1)
+    nbr[rows, slot] = cols
+    w = np.zeros(nbr.shape)
+    w[rows, slot] = 1.0 / np.sqrt(deg[rows] * deg[cols])
+    return GeometryGraph(cloud=graph.cloud, edges=graph.edges, knn_k=graph.knn_k,
+                         normalized_adjacency=SparseCOO(nbr, w))
 
 
 def knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:

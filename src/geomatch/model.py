@@ -132,9 +132,9 @@ class GeoMatchModel:
             raise SchemaError("degenerate cloud: zero spatial extent")
         h = dn.Tensor(centered / scale)
         for i in range(self._n_enc_layers):
-            h = dn.gcn_layer(graph.normalized_adjacency, h,
-                             self.store[f"{prefix}_enc.w{i}"],
-                             self.store[f"{prefix}_enc.b{i}"])
+            h = dn.dense(dn.spmm(graph.normalized_adjacency, h),
+                         self.store[f"{prefix}_enc.w{i}"],
+                         self.store[f"{prefix}_enc.b{i}"])
         return dn.matmul(h, self.store[f"{prefix}_proj.w"])
 
     def encode(self, object_graph: GeometryGraph,
@@ -171,10 +171,12 @@ class GeoMatchModel:
             dists[:, j] = np.linalg.norm(
                 object_points - object_points[c], axis=1) / scale
         kp_rows = dn.gather_rows(v_grip, np.full(s, keypoint_vertex, dtype=np.int64))
-        feats = dn.concat_cols([v_obj, kp_rows, dn.Tensor(dists)])
-        layers = [(self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"])
-                  for i in range(self._n_ar_layers)]
-        return dn.column(dn.mlp(feats, layers), 0)
+        h = dn.concat_cols([v_obj, kp_rows, dn.Tensor(dists)])
+        last = self._n_ar_layers - 1
+        for i in range(self._n_ar_layers):
+            h = dn.dense(h, self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
+                         relu=i < last)
+        return dn.column(h, 0)
 
     # -- objective ----------------------------------------------------------
 

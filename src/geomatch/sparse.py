@@ -10,47 +10,22 @@ _BLOCK_ELEMENTS = 1 << 16    # 512 KB of float64
 
 
 class SparseCOO:
-    """Symmetric sparse S x S matrix, built from (row, col, value) triples.
+    """Symmetric sparse S x S matrix in padded-neighbour form.
 
     Row r keeps its entries in `nbr[r]` (column indices, ascending) and
     `w[r]` (values), padded to the largest row degree D. A padded slot has
-    weight 0 and points at its own row. Because the matrix is symmetric,
-    the transposed product is the product itself.
+    weight 0 and points at its own row. Only `geometry.normalize_adjacency`
+    builds one, from unique symmetric entries; this class stores the two
+    arrays read-only. Because the matrix is symmetric, the transposed
+    product is the product itself.
     """
 
-    def __init__(self, shape, rows, cols, vals):
-        s = int(shape[0])
-        if int(shape[1]) != s:
-            raise ShapeMismatch(f"symmetric matrix must be square, got {shape}")
-        self.shape = (s, s)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ShapeMismatch("rows, cols, vals must have equal length")
-        for name, idx in (("row", rows), ("col", cols)):
-            if idx.size and (idx.min() < 0 or idx.max() >= s):
-                raise ShapeMismatch(f"{name} index out of range")
-        keys = rows * s + cols
-        order = np.argsort(keys)
-        keys, rows, cols, vals = keys[order], rows[order], cols[order], vals[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ShapeMismatch("duplicate (row, col) entry")
-        t_keys = cols * s + rows
-        t_order = np.argsort(t_keys)
-        if not (np.array_equal(t_keys[t_order], keys)
-                and np.array_equal(vals[t_order], vals)):
-            raise ShapeMismatch("matrix is not symmetric")
-        counts = np.bincount(rows, minlength=s)
-        width = max(1, int(counts.max(initial=0)))
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.nbr = np.repeat(np.arange(s)[:, None], width, axis=1)
-        self.nbr[rows, slot] = cols
-        self.w = np.zeros((s, width))
-        self.w[rows, slot] = vals
+    def __init__(self, nbr: np.ndarray, w: np.ndarray):
+        self.nbr, self.w = nbr, w
         self.nbr.flags.writeable = False
         self.w.flags.writeable = False
-        self.nnz = int(vals.size)
+        self.shape = (nbr.shape[0], nbr.shape[0])
+        self.nnz = int(np.count_nonzero(w))
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
         """self @ dense for a dense (S, F) array."""

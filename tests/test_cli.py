@@ -48,6 +48,16 @@ class TestGenData:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("value", [-3, 0, 5])
+    @pytest.mark.parametrize("flag", ["--s-o", "--s-g"])
+    def test_point_count_flag_range_checked(self, tmp_path, capsys, flag, value):
+        # the flags obey the config's [16, 65536] range, checked before any write
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--objects", "sphere_small",
+                     flag, str(value)]) == 2
+        assert "outside [16, 65536]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMaps:
     def test_writes_map_files(self, pipeline_dir):

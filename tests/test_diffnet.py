@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomatch import diffnet as dn
 from geomatch import errors
+from geomatch.geometry import PointCloud, knn_graph
 from geomatch.rng import Rng
 from geomatch.sparse import SparseCOO
 
@@ -36,14 +38,16 @@ def check_grads(fn, tensors, rtol=1e-4):
 
 
 def random_sparse(s, rng):
-    """(A + A^T) / 2 for a random sparse A, since SparseCOO is symmetric."""
-    rows = np.repeat(np.arange(s), 2)
-    cols = (np.concatenate([np.arange(s) - 1, np.arange(s) + 1])) % s
-    a = np.zeros((s, s))
-    np.add.at(a, (rows, cols), rng.uniform(0.2, 1.0, rows.size))
-    a = (a + a.T) / 2
-    rows, cols = np.nonzero(a)
-    return SparseCOO((s, s), rows, cols, a[rows, cols])
+    """A_hat of a 2-NN graph over random points."""
+    return knn_graph(PointCloud(rng.normal(size=(s, 3))), 2).normalized_adjacency
+
+
+def head(x, layers):
+    """Stack of (w, b) pairs: ReLU between layers, final layer linear."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        x = dn.dense(x, w, b, relu=i < last)
+    return x
 
 
 class TestBasicOps:
@@ -62,8 +66,8 @@ class TestBasicOps:
         assert out.data.tolist() == [[11.0]]
 
     def test_linear_identity(self):
-        x = dn.Tensor(np.arange(6.0).reshape(2, 3))
-        out = dn.linear(x, dn.Tensor(np.eye(3)))
+        x = dn.Tensor(np.arange(6.0).reshape(2, 3) - 3.0)
+        out = dn.dense(x, dn.Tensor(np.eye(3)), dn.Tensor(np.zeros(3)), relu=False)
         assert np.array_equal(out.data, x.data)
 
     def test_shape_mismatch(self):
@@ -77,7 +81,7 @@ class TestBasicOps:
             c = dn.Tensor(rng_np.normal(size=5), requires_grad=True)
 
             def fn():
-                return dn.tmean(dn.square(dn.relu(dn.add(dn.matmul(a, b), c))))
+                return dn.tmean(dn.square(dn.dense(a, b, c)))
 
             check_grads(fn, [a, b, c])
             a.grad = b.grad = c.grad = None
@@ -167,12 +171,56 @@ class TestBce:
             dn.bce_with_pos_weight(dn.Tensor(np.zeros(3)), np.array([0, 0.5, 1]))
 
 
+class TestDense:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5), st.integers(1, 4),
+           st.integers(1, 4), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_grads_match_central_differences(self, seed, rows, fan_in, fan_out,
+                                             relu, x_grad):
+        rng = np.random.default_rng(seed)
+        x = dn.Tensor(rng.normal(size=(rows, fan_in)), requires_grad=x_grad)
+        w = dn.Tensor(rng.normal(size=(fan_in, fan_out)), requires_grad=True)
+        b = dn.Tensor(rng.normal(size=fan_out), requires_grad=True)
+        # the offset keeps the upstream gradient nonzero where ReLU clips
+        offset = dn.Tensor(rng.normal(size=(rows, fan_out)))
+
+        def fn():
+            return dn.tmean(dn.square(dn.dense(x, w, b, relu=relu) + offset))
+
+        check_grads(fn, [x, w, b] if x_grad else [w, b])
+        if not x_grad:
+            assert x.grad is None
+
+    def test_constant_input_gets_no_gradient(self, rng_np):
+        x = dn.Tensor(rng_np.normal(size=(4, 3)))
+        w = dn.Tensor(rng_np.normal(size=(3, 2)), requires_grad=True)
+        b = dn.Tensor(np.zeros(2), requires_grad=True)
+        out = dn.dense(x, w, b)
+        assert [p for p, _ in out._backward(np.ones((4, 2)))] == [w, b]
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_forward_matches_numpy(self, rng_np, relu):
+        x, w, b = (rng_np.normal(size=(7, 5)), rng_np.normal(size=(5, 3)),
+                   rng_np.normal(size=3))
+        z = x @ w + b
+        want = np.where(z > 0, z, 0.0) if relu else z
+        got = dn.dense(dn.Tensor(x), dn.Tensor(w), dn.Tensor(b), relu=relu).data
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("w_shape, b_len", [((4, 3), 3), ((5, 3), 2)],
+                             ids=["inner-dim", "bias-length"])
+    def test_shape_mismatch(self, w_shape, b_len):
+        with pytest.raises(errors.ShapeMismatch):
+            dn.dense(dn.Tensor(np.zeros((2, 5))), dn.Tensor(np.zeros(w_shape)),
+                     dn.Tensor(np.zeros(b_len)))
+
+
 class TestGcnLayer:
     def test_identity_propagation(self):
         s = 4
-        adj = SparseCOO((s, s), np.arange(s), np.arange(s), np.ones(s))
+        adj = SparseCOO(np.arange(s)[:, None], np.ones((s, 1)))
         h = dn.Tensor(np.abs(np.arange(12.0)).reshape(4, 3))
-        out = dn.gcn_layer(adj, h, dn.Tensor(np.eye(3)), dn.Tensor(np.zeros(3)))
+        out = dn.dense(dn.spmm(adj, h), dn.Tensor(np.eye(3)), dn.Tensor(np.zeros(3)))
         assert np.array_equal(out.data, h.data)
 
     def test_grads(self, rng_np):
@@ -183,7 +231,7 @@ class TestGcnLayer:
         y = (rng_np.uniform(size=(5, 4)) > 0.5).astype(float)
 
         def fn():
-            return dn.bce_with_pos_weight(dn.gcn_layer(sp, h, w, b), y, 3.0)
+            return dn.bce_with_pos_weight(dn.dense(dn.spmm(sp, h), w, b), y, 3.0)
 
         check_grads(fn, [h, w, b])
 
@@ -193,32 +241,32 @@ class TestMlp:
         x = dn.Tensor(np.ones((3, 4)))
         layers = [(dn.Tensor(np.zeros((4, 5))), dn.Tensor(np.zeros(5))),
                   (dn.Tensor(np.zeros((5, 1))), dn.Tensor(np.zeros(1)))]
-        assert np.array_equal(dn.mlp(x, layers).data, np.zeros((3, 1)))
+        assert np.array_equal(head(x, layers).data, np.zeros((3, 1)))
 
     def test_single_hidden_unit_manual(self):
         # relu(x*2 - 1) * 3 + 0.5
         x = dn.Tensor(np.array([[1.0], [0.2]]))
         layers = [(dn.Tensor([[2.0]]), dn.Tensor([-1.0])),
                   (dn.Tensor([[3.0]]), dn.Tensor([0.5]))]
-        out = dn.mlp(x, layers)
+        out = head(x, layers)
         assert np.allclose(out.data, [[3.5], [0.5]])
 
 
 class TestGlorotInit:
     def test_bounds_256(self):
-        t = dn.glorot_init((256, 256), seed=0)
+        t = dn.glorot_init((256, 256), Rng(0).randoms(256 * 256))
         limit = np.sqrt(6.0 / 512.0)
         assert limit == pytest.approx(0.10825, abs=1e-5)
         assert np.abs(t.data).max() <= limit
 
     def test_deterministic(self):
-        a = dn.glorot_init((16, 8), seed=42)
-        b = dn.glorot_init((16, 8), seed=42)
+        a = dn.glorot_init((16, 8), Rng(42).randoms(128))
+        b = dn.glorot_init((16, 8), Rng(42).randoms(128))
         assert np.array_equal(a.data, b.data)
 
     def test_rejects_non_2d(self):
         with pytest.raises(errors.ShapeMismatch):
-            dn.glorot_init((4,), seed=0)
+            dn.glorot_init((4,), Rng(0).randoms(4))
 
 
 class TestAdam:

@@ -187,6 +187,13 @@ class TestNearestVertices:
 
 
 class TestNormalizeAdjacency:
+    @pytest.mark.parametrize("edge", [[0, 2], [-1, 0]])
+    def test_edge_index_out_of_range(self, edge):
+        # the one check on A_hat's indices: SparseCOO trusts its builder
+        with pytest.raises(errors.SchemaError):
+            GeometryGraph(cloud=PointCloud(np.zeros((2, 3))),
+                          edges=np.array([edge]), knn_k=1)
+
     def test_single_vertex(self):
         g = GeometryGraph(cloud=PointCloud(np.zeros((1, 3))),
                           edges=np.empty((0, 2), dtype=np.int64), knn_k=1)
@@ -226,6 +233,25 @@ class TestNormalizeAdjacency:
         graph = normalize_adjacency(build_knn_graph(PointCloud(pts), k))
         want = set_based_adjacency(graph.edges, s)
         assert np.array_equal(graph.normalized_adjacency.to_dense(), want)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 120), st.integers(1, 8),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_padded_layout(self, seed, s, k, lattice):
+        rng = np.random.default_rng(seed)
+        pts = lattice_cloud(rng, s) if lattice else rng.normal(size=(s, 3))
+        graph = geometry.knn_graph(PointCloud(pts), k)
+        adj = graph.normalized_adjacency
+        want = set_based_adjacency(graph.edges, s)
+        degree = np.count_nonzero(want, axis=1)
+        assert adj.nbr.shape == adj.w.shape == (s, degree.max())
+        assert adj.nnz == degree.sum()
+        for r in range(s):
+            real, pad = slice(0, degree[r]), slice(degree[r], None)
+            assert np.all(np.diff(adj.nbr[r, real]) > 0)
+            assert np.all(adj.w[r, real] > 0)
+            assert np.all(adj.nbr[r, pad] == r) and np.all(adj.w[r, pad] == 0)
+        assert np.array_equal(adj.to_dense(), want)
 
 
 class TestEstimateNormals:

@@ -4,6 +4,8 @@ Gradient and overfit checks on the full-size network live in
 test_acceptance; here a tiny-width variant keeps everything fast.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -132,11 +134,11 @@ class TestArLogits:
         dists[:, 0] = np.linalg.norm(pts - pts[2], axis=1) / scale
         feats = np.concatenate([v_o.data, np.tile(v_g.data[0], (12, 1)), dists],
                                axis=1)
-        out = dn.Tensor(feats)
-        layers = [(model.store[f"ar1.w{i}"], model.store[f"ar1.b{i}"])
-                  for i in range(4)]
-        manual = dn.mlp(out, layers).data[:, 0]
-        assert np.allclose(logits.data, manual, atol=1e-12)
+        for i in range(4):
+            feats = feats @ model.store[f"ar1.w{i}"].data + model.store[f"ar1.b{i}"].data
+            if i < 3:
+                feats = np.maximum(feats, 0.0)
+        assert np.allclose(logits.data, feats[:, 0], atol=1e-12)
 
     def test_prefix_length_enforced(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
@@ -196,6 +198,29 @@ class TestTotalLoss:
         assert corrupted != first
         s.gt_contacts = original
         assert model.total_loss(s)[0].item() == first
+
+    def test_tape_node_count(self, rng_np, tiny_ee):
+        # one tape node per op: a GCN layer is spmm + dense, a head layer dense
+        model = GeoMatchModel(TINY, seed=0)
+        total, _, _ = model.total_loss(tiny_sample(rng_np, ee=tiny_ee))
+        ops = Counter()
+        seen, stack = set(), [total]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._backward is None:
+                continue
+            seen.add(id(node))
+            ops[node._backward.__qualname__.split(".")[0]] += 1
+            stack.extend(node._parents)
+        gcn_layers = 2 * (len(TINY.gcn_hidden) + 1)
+        head_layers = 5 * (len(TINY.ar_hidden) + 1)
+        assert ops["spmm"] == gcn_layers
+        assert ops["dense"] == gcn_layers + head_layers
+        # plus 2 projections; score map gather, transpose and matmul; column
+        # and BCE per keypoint; gather, concat, column and BCE per head; 9
+        # adds of loss terms; alpha * loss_f + beta * loss_m
+        assert sum(ops.values()) == (2 * gcn_layers + head_layers + 2 + 3
+                                     + 6 * 2 + 5 * 4 + 9 + 3) == 85
 
     def test_gradient_check_tiny(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=2)

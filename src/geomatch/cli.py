@@ -2,8 +2,8 @@
 
 Every stage reads files written by earlier stages plus a JSON config and is
 deterministic for a fixed seed. Exit codes: 1 usage, 2 bad data or schema,
-3 numerical failure. The environment variable GEOMATCH_SEED overrides the
-configured seed everywhere.
+3 numerical failure. The environment variable GEOMATCH_SEED, a JSON integer
+like a config seed, overrides the configured seed everywhere.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def load_config(path=None, seed_override=None) -> RunConfig:
                     value = _typed(path, key, value, type(getattr(cfg, key)))
                 setattr(cfg, key, value)
     env_seed = os.environ.get("GEOMATCH_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
+    if env_seed is not None:    # a JSON integer, like a config seed
+        with parsing("GEOMATCH_SEED"):
+            cfg.seed = _typed("GEOMATCH_SEED", "seed", json.loads(env_seed), int)
     if seed_override is not None:
         cfg.seed = int(seed_override)
     return cfg.validate()
@@ -186,8 +187,7 @@ def cmd_infer(args) -> int:
     cfg = load_config(args.config, args.seed)
     manifest = ds.load_manifest(args.manifest)
     model = gm.load_model(args.weights)
-    ranks = (tuple(int(r) for r in args.ranks.split(","))
-             if args.ranks else cfg.ranks)
+    ranks = args.ranks or cfg.ranks
     clouds = ds.load_object_clouds(manifest)
     ees = ds.load_ee_models(manifest, cfg.knn_k)
     object_ids = sorted(set(
@@ -348,6 +348,20 @@ def write_loss_curve_svg(history: list[dict], path,
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _ranks(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(r) for r in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of integers: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -400,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="dataset dir or manifest.json")
     p.add_argument("--split", default="val", choices=("train", "val", "all"),
                    help="object split to propose on (default val)")
-    p.add_argument("--ranks", help="comma list of keypoint-0 score ranks "
-                                   "(default 0,20,50,100)")
+    p.add_argument("--ranks", type=_ranks,
+                   help="comma list of keypoint-0 score ranks (default 0,20,50,100)")
     p.add_argument("--out", required=True, help="output proposals JSONL file")
     common(p)
     p.set_defaults(func=cmd_infer)
@@ -409,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ik", help="solve IK for each proposal")
     p.add_argument("--proposals", required=True, help="proposals JSONL from infer")
     p.add_argument("--manifest", required=True, help="dataset dir or manifest.json")
-    p.add_argument("--max-iter", type=int, default=100,
+    p.add_argument("--max-iter", type=_positive_int, default=100,
                    help="solver iteration cap (default 100)")
     p.add_argument("--out", required=True, help="output IK reports JSONL file")
     common(p)

@@ -3,8 +3,11 @@
 The generator emits a 2-finger pincer and a 3-finger claw plus spheres,
 boxes and cylinders at varied scales, then solves antipodal / radial
 closures in closed form so every record carries fingertips exactly on the
-object surface. Records are stored as JSON lines and tied together by a
-manifest with an object-level train/val split.
+object surface. Each cloud takes its 3 uniforms (or normals) per point from
+one bulk draw and is computed as arrays, with each point's float operations
+in the order of point-by-point sampling, so the bits are the same. Records
+are stored as JSON lines and tied together by a manifest with an
+object-level train/val split.
 """
 
 from __future__ import annotations
@@ -90,37 +93,29 @@ PALM_CLEARANCE = 0.005      # target palm-to-surface gap in a closure
 
 
 def _sample_sphere(r: float, count: int, rng: Rng):
-    pts = np.empty((count, 3))
-    nrm = np.empty((count, 3))
-    for i in range(count):
-        v = np.array([rng.normal(), rng.normal(), rng.normal()])
-        n = v / np.linalg.norm(v)
-        nrm[i] = n
-        pts[i] = r * n
-    return pts, nrm
+    v = rng.normals(3 * count).reshape(count, 3)
+    # vecdot rounds like the 1-D norm's dot; norm(axis=1) does not
+    nrm = v / np.sqrt(np.vecdot(v, v))[:, None]
+    return r * nrm, nrm
+
+
+_BOX_NORMALS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                         [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
+_TANGENT_AXES = np.array([[1, 2], [0, 2], [0, 1]])   # per face axis
 
 
 def _sample_box(half, count: int, rng: Rng):
+    half = np.asarray(half, dtype=np.float64)
     a, b, c = half
     areas = np.array([b * c, b * c, a * c, a * c, a * b, a * b]) * 4.0
     cdf = np.cumsum(areas) / areas.sum()
-    normals = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                        [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
-    pts = np.empty((count, 3))
-    nrm = np.empty((count, 3))
-    for i in range(count):
-        f = int(np.searchsorted(cdf, rng.random(), side="right"))
-        f = min(f, 5)
-        u = (2.0 * rng.random() - 1.0)
-        v = (2.0 * rng.random() - 1.0)
-        if f < 2:
-            p = [math.copysign(a, normals[f][0]), u * b, v * c]
-        elif f < 4:
-            p = [u * a, math.copysign(b, normals[f][1]), v * c]
-        else:
-            p = [u * a, v * b, math.copysign(c, normals[f][2])]
-        pts[i] = p
-        nrm[i] = normals[f]
+    draws = rng.randoms(3 * count).reshape(count, 3)
+    face = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), 5)
+    nrm = _BOX_NORMALS[face]
+    pts = nrm * half            # +-half on the face axis
+    tangent = _TANGENT_AXES[face // 2]
+    np.put_along_axis(pts, tangent, (2.0 * draws[:, 1:] - 1.0) * half[tangent],
+                      axis=1)
     return pts, nrm
 
 
@@ -129,20 +124,16 @@ def _sample_cylinder(r: float, hh: float, count: int, rng: Rng):
     cap = math.pi * r * r
     cdf = np.cumsum([lateral, cap, cap])
     cdf = cdf / cdf[-1]
-    pts = np.empty((count, 3))
-    nrm = np.empty((count, 3))
-    for i in range(count):
-        pick = rng.random()
-        phi = 2.0 * math.pi * rng.random()
-        if pick <= cdf[0]:
-            z = (2.0 * rng.random() - 1.0) * hh
-            pts[i] = [r * math.cos(phi), r * math.sin(phi), z]
-            nrm[i] = [math.cos(phi), math.sin(phi), 0.0]
-        else:
-            sign = 1.0 if pick <= cdf[1] else -1.0
-            rad = r * math.sqrt(rng.random())
-            pts[i] = [rad * math.cos(phi), rad * math.sin(phi), sign * hh]
-            nrm[i] = [0.0, 0.0, sign]
+    pick, u, w = rng.randoms(3 * count).reshape(count, 3).T
+    phi = 2.0 * math.pi * u
+    cos, sin = np.cos(phi), np.sin(phi)
+    side = pick <= cdf[0]
+    sign = np.where(pick <= cdf[1], 1.0, -1.0)
+    rad = np.where(side, r, r * np.sqrt(w))
+    z = np.where(side, (2.0 * w - 1.0) * hh, sign * hh)
+    pts = np.stack([rad * cos, rad * sin, z], axis=1)
+    nrm = np.where(side[:, None], np.stack([cos, sin, np.zeros(count)], axis=1),
+                   np.stack([np.zeros(count), np.zeros(count), sign], axis=1))
     return pts, nrm
 
 
@@ -198,10 +189,7 @@ def _box_mesh(lo, hi) -> TriangleMesh:
         (0, 2, 6, 4),   # -z
         (1, 5, 7, 3),   # +z
     ]
-    tris = []
-    for a, b, c, d in faces:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
+    tris = [t for a, b, c, d in faces for t in ((a, b, c), (a, c, d))]
     return TriangleMesh(corners, np.array(tris))
 
 
@@ -536,7 +524,6 @@ def generate_toy_dataset(seed: int, out_dir,
     surface.
     """
     try:
-        os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "objects"), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "grippers"), exist_ok=True)
     except OSError as exc:

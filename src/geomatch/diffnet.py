@@ -335,28 +335,30 @@ class ParameterStore:
             p.grad = None
 
 
-def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8    # Adam decays and denominator floor
+
+
+def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
     """Bias-corrected Adam update over all parameters; zeroes grads after."""
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradient(f"parameter {name} has no gradient")
     store.step_count += 1
     t = store.step_count
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     for name, p in store.items():
         g = p.grad
         m, v = store._m[name], store._v[name]
-        m *= beta1
-        v *= beta2
+        m *= _BETA1
+        v *= _BETA2
         g2 = g * g
-        g2 *= (1.0 - beta2)
+        g2 *= (1.0 - _BETA2)
         v += g2
-        g *= (1.0 - beta1)
+        g *= (1.0 - _BETA1)
         m += g
         denom = np.sqrt(v / c2, out=g2)     # reuse the g*g buffer
-        denom += eps
+        denom += _EPS
         np.divide(m, denom, out=denom)
         denom *= lr / c1
         p.data -= denom

@@ -54,14 +54,16 @@ class GraspOutcome:
 # linear feasibility by a two-phase (phase-1) simplex
 # ---------------------------------------------------------------------------
 
-def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
-                                   tol: float = 1e-9) -> bool:
+_SIMPLEX_TOL = 1e-9     # pivot tolerance; also bounds the optimum / max|rhs|
+
+
+def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray) -> bool:
     """True iff some x >= 0 satisfies mat @ x = rhs.
 
     Phase-1 simplex with Bland's rule: minimize the sum of artificial
     slacks; the optimum is zero exactly when the system is feasible.
     Scaling rhs scales every ratio test and the optimum alike, so the
-    optimum is compared against `tol` times the largest |rhs| entry and
+    optimum is compared against `_SIMPLEX_TOL` times the largest |rhs| entry and
     the verdict does not depend on the size of rhs.
     """
     a = np.asarray(mat, dtype=np.float64)
@@ -84,12 +86,12 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
     basis = np.arange(n, n + m)
 
     for _ in range(20000):
-        eligible = np.flatnonzero(tableau[m, :n + m] < -tol)
+        eligible = np.flatnonzero(tableau[m, :n + m] < -_SIMPLEX_TOL)
         if eligible.size == 0:
             break
         entering = eligible[0]      # Bland: smallest eligible index
         column = tableau[:m, entering]
-        rows = np.flatnonzero(column > tol)
+        rows = np.flatnonzero(column > _SIMPLEX_TOL)
         if rows.size == 0:
             return False            # unbounded phase-1: cannot happen, bail out
         ratios = tableau[rows, -1] / column[rows]
@@ -104,7 +106,7 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray,
     else:
         raise NumericalError("simplex failed to terminate")
 
-    return bool(-tableau[m, -1] <= tol * b.max(initial=0.0))
+    return bool(-tableau[m, -1] <= _SIMPLEX_TOL * b.max(initial=0.0))
 
 
 def tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,37 +100,29 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
 
-    def triangle_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
 
 def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
-    """Area-weighted surface sampling; normals are the triangle normals."""
+    """Area-weighted surface sampling from one `randoms` draw, 3 per point
+    (triangle, then two barycentric); normals are the triangle normals."""
     if count < 1:
         raise SchemaError("count must be >= 1")
-    areas = mesh.triangle_areas()
+    a, b, c = (mesh.vertices[mesh.triangles[:, j]] for j in range(3))
+    e1, e2 = b - a, c - a
+    cross = np.cross(e1, e2)
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
     total = areas.sum()
-    if mesh.triangles.shape[0] == 0 or total <= 0.0:
+    if total <= 0.0:            # also when there is no triangle
         raise EmptyMesh("mesh has no non-degenerate triangle")
     cdf = np.cumsum(areas) / total
-    rng = Rng(seed)
-    pts = np.empty((count, 3))
-    nrm = np.empty((count, 3))
-    for i in range(count):
-        t = int(np.searchsorted(cdf, rng.random(), side="right"))
-        t = min(t, len(cdf) - 1)
-        ia, ib, ic = mesh.triangles[t]
-        a, b, c = mesh.vertices[ia], mesh.vertices[ib], mesh.vertices[ic]
-        u, v = rng.random(), rng.random()
-        if u + v > 1.0:   # fold back into the triangle
-            u, v = 1.0 - u, 1.0 - v
-        pts[i] = a + u * (b - a) + v * (c - a)
-        n = np.cross(b - a, c - a)
-        nrm[i] = n / np.linalg.norm(n)
-    return PointCloud(pts, nrm)
+    draws = Rng(seed).randoms(3 * count).reshape(count, 3)
+    tri = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), len(cdf) - 1)
+    u, v = draws[:, 1:2], draws[:, 2:]
+    fold = u + v > 1.0          # fold back into the triangle
+    u, v = np.where(fold, 1.0 - u, u), np.where(fold, 1.0 - v, v)
+    pts = a[tri] + u * e1[tri] + v * e2[tri]
+    n = cross[tri]
+    # vecdot rounds like the 1-D norm's dot; norm(axis=1) does not
+    return PointCloud(pts, n / np.sqrt(np.vecdot(n, n))[:, None])
 
 
 def nearest_vertices(points, queries) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,10 @@ STATUS_FAILED = "Failed"
 
 _STRICT_NUDGE = 1e-10   # fraction of the bound range used to leave a bound
 _INTERIOR = 0.995       # fraction of the distance to a bound a step may take
+_FTOL = 1e-8            # relative cost drop that counts as converged
+_XTOL = 1e-8            # step, relative to ||x||, that counts as small
+_GTOL = 1e-8            # scaled gradient that counts as converged
+_FD_STEP = 1e-7         # finite-difference step, relative to max(1, |q_j|)
 
 
 @dataclass
@@ -72,14 +76,13 @@ def _check_finite(r: np.ndarray, where: str) -> np.ndarray:
     return r
 
 
-def numeric_jacobian(problem: LeastSquaresProblem, q: np.ndarray,
-                     step: float = 1e-7) -> np.ndarray:
+def numeric_jacobian(problem: LeastSquaresProblem, q: np.ndarray) -> np.ndarray:
     """Finite-difference Jacobian: central inside, one-sided at a bound."""
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     r0 = _check_finite(problem.residual(q), "at the expansion point")
     jac = np.empty((r0.size, q.size))
     for j in range(q.size):
-        h = step * max(1.0, abs(q[j]))
+        h = _FD_STEP * max(1.0, abs(q[j]))
         hi_ok = q[j] + h <= problem.upper[j]
         lo_ok = q[j] - h >= problem.lower[j]
         qp, qm = q.copy(), q.copy()
@@ -173,14 +176,12 @@ def _clip_strict(x, lower, upper):
     return out
 
 
-def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100,
-              ftol: float = 1e-8, xtol: float = 1e-8,
-              gtol: float = 1e-8) -> TrfResult:
+def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
     """Minimize 0.5 ||r(q)||^2 over a box, keeping iterates strictly inside.
 
-    Accepted steps never increase the objective. Termination: gtol on the
-    scaled gradient or ftol on the relative cost drop report Converged; a
-    step below xtol reports SmallStep; otherwise MaxIterations.
+    Accepted steps never increase the objective. Termination: `_GTOL` on the
+    scaled gradient or `_FTOL` on the relative cost drop report Converged; a
+    step below `_XTOL` reports SmallStep; otherwise MaxIterations.
     """
     lower, upper = problem.lower, problem.upper
     x = _clip_strict(problem.x0, lower, upper)
@@ -206,7 +207,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100,
         pos = (grad > 0) & np.isfinite(lower)
         v[neg] = upper[neg] - x[neg]
         v[pos] = x[pos] - lower[pos]
-        if np.max(np.abs(grad * v), initial=0.0) < gtol:
+        if np.max(np.abs(grad * v), initial=0.0) < _GTOL:
             result.status = STATUS_CONVERGED
             break
         d = np.sqrt(v)
@@ -262,13 +263,13 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100,
             x, r, cost, jac = x_trial, r_trial, cost_trial, None
             result.x_history.append(x.copy())
             result.cost_history.append(cost)
-            if actual <= ftol * max(cost, 1e-300) and predicted <= ftol * max(cost, 1e-300):
+            if actual <= _FTOL * max(cost, 1e-300) and predicted <= _FTOL * max(cost, 1e-300):
                 result.status = STATUS_CONVERGED
                 break
             if cost <= 1e-300:
                 result.status = STATUS_CONVERGED
                 break
-        if step_norm <= xtol * (xtol + float(np.linalg.norm(x))):
+        if step_norm <= _XTOL * (_XTOL + float(np.linalg.norm(x))):
             result.status = STATUS_SMALL_STEP if actual <= 0 else STATUS_CONVERGED
             break
         if rho < 0.25:
@@ -306,31 +307,23 @@ def _pose_from_vector(q: np.ndarray) -> Pose:
 
 
 def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = None,
-             offset: float = PREGRASP_OFFSET, init_pose: Pose | None = None,
-             max_iter: int = 100, ftol: float = 1e-8, xtol: float = 1e-8,
-             gtol: float = 1e-8) -> IKResult:
+             offset: float = PREGRASP_OFFSET, max_iter: int = 100) -> IKResult:
     """Fit the gripper pose so its keypoints reach the given contacts.
 
     The decision vector is (t, root axis-angle, theta) with the translation
     in a [-10, 10] m box, the axis-angle components in [-pi, pi] and theta
     inside the joint limits. Targets are first pushed `offset` meters along
     the object normals (pass offset=0 to aim at the contacts directly). The
-    start point is the palm-alignment heuristic unless `init_pose` is given.
+    start point is the palm-alignment heuristic, so the cloud is required.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     if not np.isfinite(targets).all():
         raise SchemaError("targets must be finite")
-    if offset != 0.0:
-        if object_cloud is None:
-            raise SchemaError("an object cloud is required to offset targets")
-        effective = pregrasp_targets(targets, object_cloud, offset)
-    else:
-        effective = targets
-
-    if init_pose is None:
-        if object_cloud is None:
-            raise SchemaError("an object cloud is required for the heuristic start")
-        init_pose = heuristic_init_pose(ee, object_cloud, targets)
+    if object_cloud is None:
+        raise SchemaError("an object cloud is required for the heuristic start")
+    effective = (pregrasp_targets(targets, object_cloud, offset)
+                 if offset != 0.0 else targets)
+    init_pose = heuristic_init_pose(ee, object_cloud, targets)
 
     lo_theta, hi_theta = ee.chain.joint_limits()
     lower = np.concatenate([np.full(3, -TRANSLATION_BOUND),
@@ -354,7 +347,7 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     problem = LeastSquaresProblem(residual=lambda q: at(q)["r"],
                                   jacobian=lambda q: at(q)["jac"],
                                   lower=lower, upper=upper, x0=x0)
-    res = solve_trf(problem, max_iter=max_iter, ftol=ftol, xtol=xtol, gtol=gtol)
+    res = solve_trf(problem, max_iter=max_iter)
     pose = _pose_from_vector(res.x)
     per_kp = np.linalg.norm(keypoint_positions(ee, pose) - effective, axis=1)
     return IKResult(pose=pose, residual_norm=res.residual_norm,

@@ -451,12 +451,13 @@ def pregrasp_targets(contacts, object_cloud: PointCloud,
 
 
 def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
-                        targets, standoff: float = HEURISTIC_STANDOFF) -> Pose:
+                        targets) -> Pose:
     """Initial IK guess: palm faces the object vertex nearest the targets.
 
     Non-root joints stay at rest; the root rotation maps the rest-pose palm
     normal onto the negated object normal at that vertex, and the root
-    translation puts the palm point `standoff` meters outside the surface.
+    translation puts the palm point `HEURISTIC_STANDOFF` meters outside the
+    surface.
     """
     if object_cloud.normals is None:
         raise SchemaError("object cloud lacks normals")
@@ -472,7 +473,7 @@ def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
     palm_point_rest = palm_m[:3, :3] @ ee.palm.point + palm_m[:3, 3]
 
     rot = rotation_between(palm_normal_rest, -obj_normal)
-    t = vertex + standoff * obj_normal - rot @ palm_point_rest
+    t = vertex + HEURISTIC_STANDOFF * obj_normal - rot @ palm_point_rest
     return Pose(t=t, r6=matrix_to_rot6d(rot), theta=rest.theta.copy())
 
 

@@ -5,19 +5,20 @@ gives bit-identical streams on every platform (no dependence on numpy's
 generator versioning). Gaussian samples come from Box-Muller.
 
 Single draws (`random`, `integer`, `shuffle`, `normal`) step the state in
-Python. Bulk draws (`randoms`, and through it `normals`) produce the very
-same stream in numpy lanes. The state update of xoshiro256++ is linear over
-GF(2) (Blackman & Vigna, "Scrambled linear pseudorandom number generators",
-arXiv 1805.01407): one step is a 256x256 bit matrix T applied to the state,
-which `_transition` builds by stepping each unit state once. A draw of
-`count` numbers splits into L lanes of `_LANE` steps and a short tail. Lane
-k starts at T^(k * _LANE) applied to the current state, found by repeated
-squaring of T, so it yields draws k * _LANE ... (k + 1) * _LANE - 1 of the
-one stream. All lanes step together as `uint64` arrays with the scalar
-step's shifts, xors, rotations and wrapping adds, so each output is the
-scalar output bit for bit. The last lane ends in the state after L * _LANE
-scalar steps, and the tail continues from there in Python, so the state
-afterwards is the state after `count` calls of `next_u64`.
+Python. Bulk draws (`randoms`, and through it `normals`) give the very same
+stream: below `_LANE_MIN_DRAWS` draws they step the state in Python too,
+from there on in numpy lanes. The state update of xoshiro256++ is linear
+over GF(2) (Blackman & Vigna, "Scrambled linear pseudorandom number
+generators", arXiv 1805.01407): one step is a 256x256 bit matrix T applied
+to the state, which `_transition` builds by stepping each unit state once.
+A draw of `count` numbers splits into L lanes of `_LANE` steps and a short
+tail. Lane k starts at T^(k * _LANE) applied to the current state, found by
+repeated squaring of T, so it yields draws k * _LANE ... (k + 1) * _LANE - 1
+of the one stream. All lanes step together as `uint64` arrays with the
+scalar step's shifts, xors, rotations and wrapping adds, so each output is
+the scalar output bit for bit. The last lane ends in the state after
+L * _LANE scalar steps, and the tail continues from there in Python, so the
+state afterwards is the state after `count` calls of `next_u64`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # steps per lane: long enough that the Python loop over steps is short next
 # to the lane width, short enough that the tail drawn in Python stays cheap
 _LANE = 256
+# lane starts cost ~10 ms a call, so `randoms` draws fewer than this scalar.
+# Per call, best of 5 (2-vCPU Xeon VM, 1 BLAS thread): lanes 7.8, 10.4, 10.6
+# and 11.2 ms, scalar 0.3, 4.8, 9.7 and 19.6 ms, at 384, 6,144, 12,288 and
+# 24,576 draws
+_LANE_MIN_DRAWS = 1 << 14
 
 
 def _splitmix64(state: int):
@@ -126,9 +132,9 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
     def randoms(self, count: int) -> np.ndarray:
-        """The next `count` `random()` values, drawn in numpy lanes."""
+        """The next `count` `random()` values; lanes from `_LANE_MIN_DRAWS` on."""
         out = np.empty(count)
-        lanes = count // _LANE
+        lanes = count // _LANE if count >= _LANE_MIN_DRAWS else 0
         if lanes:
             s0, s1, s2, s3 = _lane_starts(self._s, lanes)
             # lane k's draws are row k of `out`, written one column per

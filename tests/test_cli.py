@@ -435,3 +435,45 @@ def test_only_encoding_stages_build_graphs(artifacts, tmp_path, monkeypatch):
                  "--split", "train", "--ranks", "0",
                  "--out", str(tmp_path / "p.jsonl")]) == 0
     assert len(built) == 3          # 1 train object + 2 grippers
+
+
+# ---------------------------------------------------------------------------
+# flag and environment values: a clean exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys, value):
+    # the rule of a config seed: a JSON integer, else exit 2
+    monkeypatch.setenv("GEOMATCH_SEED", value)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--objects", "sphere_small",
+                 "--s-o", "16", "--s-g", "16"]) == 2
+    assert "GEOMATCH_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def usage_error(argv, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ranks", ["0,x", "1.5", "0,,5"])
+def test_ranks_must_be_integers(artifacts, tmp_path, capsys, ranks):
+    out = tmp_path / "p.jsonl"
+    usage_error(["infer", "--weights", str(artifacts / "weights"), "--manifest",
+                 str(artifacts / "data"), "--split", "train", "--ranks", ranks,
+                 "--out", str(out)], capsys, "--ranks")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_max_iter_at_least_one(artifacts, tmp_path, capsys, value):
+    # --max-iter 0 used to write every start pose as a solved row
+    out = tmp_path / "ik.jsonl"
+    usage_error(["ik", "--proposals", str(artifacts / "proposals.jsonl"),
+                 "--manifest", str(artifacts / "data"), "--max-iter", value,
+                 "--out", str(out)], capsys, "--max-iter")
+    assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomatch import errors, geometry
+from geomatch.rng import _LANE_MIN_DRAWS, Rng
 from geomatch.geometry import (GeometryGraph, PointCloud, TriangleMesh,
                                build_knn_graph, crop_table_top,
                                estimate_normals, nearest_vertices,
@@ -69,7 +70,40 @@ class TestPointCloud:
             cloud.points[0, 0] = 1.0
 
 
+def loop_sample_surface(mesh, count, seed):
+    """The point-by-point sampler `sample_surface` replaced: the reference."""
+    a, b, c = (mesh.vertices[mesh.triangles[:, j]] for j in range(3))
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    cdf = np.cumsum(areas) / areas.sum()
+    rng = Rng(seed)
+    pts, nrm = np.empty((count, 3)), np.empty((count, 3))
+    for i in range(count):
+        t = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+        a, b, c = mesh.vertices[mesh.triangles[t]]
+        u, v = rng.random(), rng.random()
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        pts[i] = a + u * (b - a) + v * (c - a)
+        n = np.cross(b - a, c - a)
+        nrm[i] = n / np.linalg.norm(n)
+    return pts, nrm
+
+
 class TestSampleSurface:
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           count=st.integers(1, 300) | st.sampled_from(
+               [_LANE_MIN_DRAWS // 3, _LANE_MIN_DRAWS // 3 + 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_point_by_point_loop(self, seed, count):
+        rng = np.random.default_rng(seed)
+        verts = rng.normal(size=(8, 3)) * 10.0 ** rng.uniform(-3, 1, size=(8, 1))
+        tris = np.array([rng.choice(8, 3, replace=False) for _ in range(12)])
+        mesh = TriangleMesh(verts, tris)
+        cloud = sample_surface(mesh, count, seed)
+        pts, nrm = loop_sample_surface(mesh, count, seed)
+        assert cloud.points.tobytes() == pts.tobytes()
+        assert cloud.normals.tobytes() == nrm.tobytes()
+
     def unit_square(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]])
         return TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
@@ -104,6 +138,10 @@ class TestSampleSurface:
         degenerate = TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
         with pytest.raises(errors.EmptyMesh):
             sample_surface(degenerate, 10, seed=0)
+
+    def test_mesh_without_triangles(self):
+        with pytest.raises(errors.EmptyMesh):
+            sample_surface(TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3))), 10, seed=0)
 
     def test_deterministic(self):
         a = sample_surface(self.unit_square(), 50, seed=5)

@@ -8,6 +8,7 @@ from geomatch import rng as rng_module
 from geomatch.rng import Rng
 
 LANE = rng_module._LANE
+CUT = rng_module._LANE_MIN_DRAWS
 
 # first 8 next_u64() outputs, then first 8 random() values, per seed
 GOLDEN = {
@@ -61,7 +62,9 @@ class TestGolden:
 
 
 BOUNDARY_COUNTS = [0, 1, LANE - 1, LANE, LANE + 1, 2 * LANE - 1, 2 * LANE,
-                   2 * LANE + 1, 3 * LANE + 1, 8 * LANE - 1, 8 * LANE + 1]
+                   2 * LANE + 1, 3 * LANE + 1, 8 * LANE - 1, 8 * LANE + 1,
+                   # either side of the scalar/lane cut
+                   CUT - 1, CUT, CUT + 1, CUT + 3 * LANE - 1, CUT + 3 * LANE + 1]
 
 OPS = st.one_of(
     st.tuples(st.just("randoms"),
@@ -87,6 +90,20 @@ class TestBulkMatchesScalar:
                 assert bulk.integer(arg) == scalar.integer(arg)
             assert bulk._s == scalar._s
         assert bulk.next_u64() == scalar.next_u64()
+
+    def test_path_by_count(self, monkeypatch):
+        lane_counts = []
+        real = rng_module._lane_starts
+
+        def counting(state, lanes):
+            lane_counts.append(lanes)
+            return real(state, lanes)
+
+        monkeypatch.setattr(rng_module, "_lane_starts", counting)
+        Rng(3).randoms(CUT - 1)
+        assert lane_counts == []
+        Rng(3).randoms(CUT + LANE + 1)
+        assert lane_counts == [CUT // LANE + 1]
 
     def test_over_a_million(self):
         count = 2 ** 20 + 3 * LANE + 7

@@ -113,26 +113,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=back)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
-    """One network layer: ReLU(x @ w + b), or x @ w + b with relu=False."""
-    x = _as_tensor(x)
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise ShapeMismatch(f"dense {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    out = x.data @ w.data
-    out += b.data
+def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
+    """One network layer: ReLU(x @ w + b), or x @ w + b with relu=False.
+
+    `x` is one input or a list of column parts that together make the
+    input, each multiplying its own row block of `w` (a view of the one
+    parameter). A part has S rows, or one row that broadcasts over all S:
+    its product is computed once and added with the bias. The ReLU maps
+    -0.0 and NaN to +0.0.
+    """
+    parts = [_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
+    shapes = [p.data.shape for p in parts]
+    rows = max((s[0] for s in shapes if len(s) == 2), default=0)
+    if (any(len(s) != 2 or s[0] not in (1, rows) for s in shapes)
+            or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
+            or sum(s[1] for s in shapes) != w.data.shape[0]):
+        raise ShapeMismatch(f"dense {shapes} @ {w.data.shape} + {b.data.shape}")
+    edges = np.cumsum([0] + [s[1] for s in shapes])
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    full = [s[0] == rows for s in shapes]
+    out, shift = None, b.data
+    for p, k, is_full in zip(parts, blocks, full):
+        prod = p.data @ w.data[k]
+        if not is_full:
+            shift = shift + prod
+        elif out is None:
+            out = prod
+        else:
+            out += prod
+    out += shift
     if relu:
-        np.copyto(out, 0.0, where=~(out > 0))    # -0.0 and NaN become 0.0 too
+        np.fmax(out, 0.0, out=out)     # not fmax(0.0, out): that keeps -0.0
 
     def back(g):
         if relu:
             g = g * (out > 0)
-        grads = [(w, x.data.T @ g), (b, g.sum(axis=0))]
-        if x.requires_grad:     # the first GCN layer's input is the constant cloud
-            grads.append((x, g @ w.data.T))
+        g_sum = g.sum(axis=0)
+        g_w = np.empty_like(w.data)
+        grads = [(w, g_w), (b, g_sum)]
+        for p, k, is_full in zip(parts, blocks, full):
+            g_k = g if is_full else g_sum[None]
+            np.matmul(p.data.T, g_k, out=g_w[k])
+            # constant parts (the cloud, the head's distances) get no gradient
+            if p.requires_grad:
+                grads.append((p, g_k @ w.data[k].T))
         return grads
 
-    return Tensor(out, _parents=(x, w, b), _backward=back)
+    return Tensor(out, _parents=(*parts, w, b), _backward=back)
 
 
 def spmm(sp: SparseCOO, h: Tensor) -> Tensor:
@@ -391,7 +418,7 @@ def load_weights(store: ParameterStore, directory) -> None:
 
     The manifest must list exactly the store's parameters, in order, with
     matching shapes and contiguous offsets, and the blob must hold exactly
-    the bytes they need.
+    the bytes they need, every value finite.
     """
     path = os.path.join(directory, "manifest.json")
     manifest = read_json(path)
@@ -418,5 +445,10 @@ def load_weights(store: ParameterStore, directory) -> None:
         raise SchemaError(f"weights.bin holds {len(blob)} bytes, the manifest "
                           f"needs {8 * starts[-1]}")
     values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    for name, start, end in zip(names, starts, starts[1:]):
+        # a NaN would pass the ReLU as 0.0 and hide the damage
+        if not np.isfinite(values[start:end]).all():
+            raise SchemaError(f"{directory}: parameter {name} holds a "
+                              f"non-finite value")
     for name, shape, start, end in zip(names, shapes, starts, starts[1:]):
         store[name].data = values[start:end].reshape(shape)

@@ -170,8 +170,9 @@ class GeoMatchModel:
         for j, c in enumerate(prev):
             dists[:, j] = np.linalg.norm(
                 object_points - object_points[c], axis=1) / scale
-        kp_rows = dn.gather_rows(v_grip, np.full(s, keypoint_vertex, dtype=np.int64))
-        h = dn.concat_cols([v_obj, kp_rows, dn.Tensor(dists)])
+        # the first layer's input is [object | keypoint | distances]; the
+        # keypoint's one embedding row broadcasts over the S vertices
+        h = [v_obj, dn.gather_rows(v_grip, [keypoint_vertex]), dists]
         last = self._n_ar_layers - 1
         for i in range(self._n_ar_layers):
             h = dn.dense(h, self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],

@@ -239,6 +239,18 @@ class TestWeightFileFaults:
         assert self.infer(pipeline_dir, weights) == 2
         assert "bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, pipeline_dir, weights, capsys, value):
+        entry = json.loads((weights / "manifest.json").read_text())[-3]
+        path = weights / "weights.bin"
+        blob = bytearray(path.read_bytes())
+        at = entry["byte_offset"] + 8
+        blob[at:at + 8] = np.float64(value).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        assert self.infer(pipeline_dir, weights) == 2
+        assert f"parameter {entry['name']}" in capsys.readouterr().err
+        assert not (weights / "proposals.jsonl").exists()
+
 
 class TestSeedEnvOverride:
     def test_env_seed_changes_output(self, tmp_path, monkeypatch):

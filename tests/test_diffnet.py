@@ -207,12 +207,106 @@ class TestDense:
         got = dn.dense(dn.Tensor(x), dn.Tensor(w), dn.Tensor(b), relu=relu).data
         assert np.array_equal(got, want)
 
+    def test_relu_bits_on_ieee_special_values(self):
+        # -1e-200 * 1e-200 underflows: a two-term product gives -0.0, and a
+        # -0.0 or +0.0 bias keeps or flips its sign; +-5e-324 biases cancel
+        # subnormal products to +0.0; 1e308 overflows to inf
+        x = np.array([[-1e-200, -1e-200], [1e-200, 1e-200], [-0.0, -0.0],
+                      [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
+                      [1e308, 1e308], [-1e308, -1e308], [5e-324, 0.0],
+                      [-5e-324, 0.0], [2.0, -3.0], [0.5, 0.25]])
+        w = np.repeat([[1.0, 1e-200], [1.0, 1e-200]], 4, axis=1)
+        b = np.tile([-0.0, 0.0, -5e-324, 5e-324], 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x @ w + b
+            got = dn.dense(dn.Tensor(x), dn.Tensor(w), dn.Tensor(b)).data
+        assert (np.signbit(z) & (z == 0)).any(), "no -0.0 pre-activation"
+        assert np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
+        subnormal = (z != 0) & (np.abs(z) < np.finfo(float).tiny)
+        assert (subnormal & (z > 0)).any() and (subnormal & (z < 0)).any()
+        assert got.tobytes() == np.where(z > 0, z, 0.0).tobytes()
+
     @pytest.mark.parametrize("w_shape, b_len", [((4, 3), 3), ((5, 3), 2)],
                              ids=["inner-dim", "bias-length"])
     def test_shape_mismatch(self, w_shape, b_len):
         with pytest.raises(errors.ShapeMismatch):
             dn.dense(dn.Tensor(np.zeros((2, 5))), dn.Tensor(np.zeros(w_shape)),
                      dn.Tensor(np.zeros(b_len)))
+
+    @pytest.mark.parametrize("shapes", [[(4, 1), (1, 2)], [(4, 2), (4, 3)],
+                                        [(4, 2), (3, 2)], [(4, 2), (2,)]],
+                             ids=["too-narrow", "too-wide", "rows", "1-d"])
+    def test_parts_shape_mismatch(self, shapes):
+        # w has 4 rows: the parts' widths must add up to them, and each part
+        # is 2-D with S rows or one
+        with pytest.raises(errors.ShapeMismatch):
+            dn.dense([np.zeros(s) for s in shapes], dn.Tensor(np.zeros((4, 3))),
+                     dn.Tensor(np.zeros(3)))
+
+
+class TestDenseParts:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_grads_match_central_differences(self, seed, rows, relu):
+        # a gradient-carrying (S, k) part, a broadcast (1, k) row and a
+        # constant (S, k) array, as a head's first layer takes them
+        rng = np.random.default_rng(seed)
+        x = dn.Tensor(rng.normal(size=(rows, 3)), requires_grad=True)
+        row = dn.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+        const = dn.Tensor(rng.normal(size=(rows, 2)))
+        w = dn.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        b = dn.Tensor(rng.normal(size=3), requires_grad=True)
+        offset = dn.Tensor(rng.normal(size=(rows, 3)))
+
+        def fn():
+            return dn.tmean(dn.square(dn.dense([x, row, const], w, b, relu=relu)
+                                      + offset))
+
+        check_grads(fn, [x, row, w, b])
+        assert const.grad is None
+        out = dn.dense([x, row, const], w, b, relu=relu)
+        assert const not in [p for p, _ in out._backward(np.ones((rows, 3)))]
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6),
+           st.lists(st.tuples(st.integers(1, 5), st.sampled_from(["full", "row"])),
+                    min_size=1, max_size=4),
+           st.integers(1, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_concatenated_input(self, seed, rows, specs, fan_out, relu):
+        rng = np.random.default_rng(seed)
+        if all(kind == "row" for _, kind in specs):
+            rows = 1                # no part sets a larger row count
+        parts = [rng.normal(size=(rows if kind == "full" else 1, k))
+                 for k, kind in specs]
+        w = dn.Tensor(rng.normal(size=(sum(k for k, _ in specs), fan_out)))
+        b = dn.Tensor(rng.normal(size=fan_out))
+        g = rng.normal(size=(rows, fan_out))
+        tensors = [dn.Tensor(p, requires_grad=True) for p in parts]
+        whole = dn.Tensor(np.concatenate(
+            [np.broadcast_to(p, (rows, p.shape[1])) for p in parts], axis=1),
+            requires_grad=True)
+        got = dn.dense(tensors, w, b, relu=relu)
+        want = dn.dense(whole, w, b, relu=relu)
+        got_grads = {id(t): gt for t, gt in got._backward(g)}
+        want_grads = {id(t): gt for t, gt in want._backward(g)}
+
+        def close(a, c):
+            return np.allclose(a, c, rtol=1e-12, atol=1e-12)
+
+        assert close(got.data, want.data)
+        assert close(got_grads[id(w)], want_grads[id(w)])
+        assert close(got_grads[id(b)], want_grads[id(b)])
+        ends = np.cumsum([k for k, _ in specs])
+        for t, end, (k, kind) in zip(tensors, ends, specs):
+            block = want_grads[id(whole)][:, end - k:end]
+            assert close(got_grads[id(t)],
+                         block if kind == "full" else block.sum(0, keepdims=True))
+
+    def test_one_part_list_is_the_plain_call(self, rng_np):
+        x, w, b = (rng_np.normal(size=(5, 4)), rng_np.normal(size=(4, 3)),
+                   rng_np.normal(size=3))
+        one = dn.dense([x], dn.Tensor(w), dn.Tensor(b)).data
+        assert one.tobytes() == dn.dense(x, dn.Tensor(w), dn.Tensor(b)).data.tobytes()
 
 
 class TestGcnLayer:
@@ -345,6 +439,19 @@ class TestWeightFiles:
         fresh.add("a", dn.Tensor(np.zeros((3, 2))))
         with pytest.raises(errors.ShapeMismatch):
             dn.load_weights(fresh, tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_before_any_load(self, tmp_path, value):
+        store = dn.ParameterStore()
+        store.add("a", dn.Tensor(np.ones((2, 2))))
+        store.add("b", dn.Tensor(np.array([1.0, value])))
+        dn.save_weights(store, tmp_path)
+        fresh = dn.ParameterStore()
+        fresh.add("a", dn.Tensor(np.zeros((2, 2))))
+        fresh.add("b", dn.Tensor(np.zeros(2)))
+        with pytest.raises(errors.SchemaError, match="parameter b "):
+            dn.load_weights(fresh, tmp_path)
+        assert not fresh["a"].data.any() and not fresh["b"].data.any()
 
 
 class TestRngStream:

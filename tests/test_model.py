@@ -4,6 +4,7 @@ Gradient and overfit checks on the full-size network live in
 test_acceptance; here a tiny-width variant keeps everything fast.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -217,10 +218,13 @@ class TestTotalLoss:
         assert ops["spmm"] == gcn_layers
         assert ops["dense"] == gcn_layers + head_layers
         # plus 2 projections; score map gather, transpose and matmul; column
-        # and BCE per keypoint; gather, concat, column and BCE per head; 9
-        # adds of loss terms; alpha * loss_f + beta * loss_m
+        # and BCE per keypoint; per head the keypoint's one-row gather (its
+        # first dense layer takes the parts unconcatenated), column and BCE;
+        # 9 adds of loss terms; alpha * loss_f + beta * loss_m
+        assert ops["gather_rows"] == 1 + 5
+        assert "concat_cols" not in ops
         assert sum(ops.values()) == (2 * gcn_layers + head_layers + 2 + 3
-                                     + 6 * 2 + 5 * 4 + 9 + 3) == 85
+                                     + 6 * 2 + 5 * 3 + 9 + 3) == 80
 
     def test_gradient_check_tiny(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=2)
@@ -244,6 +248,66 @@ class TestTotalLoss:
                 fd = (up - down) / 2e-6
                 assert grads[name].reshape(-1)[i] == pytest.approx(
                     fd, rel=1e-4, abs=1e-9)
+
+
+# the full-size network's weight file: every parameter's name and shape, in
+# file order; splitting a layer's input must not change it
+FULL_SIZE_LAYOUT = [
+    ("obj_enc.w0", (3, 256)), ("obj_enc.b0", (256,)),
+    ("obj_enc.w1", (256, 256)), ("obj_enc.b1", (256,)),
+    ("obj_enc.w2", (256, 256)), ("obj_enc.b2", (256,)),
+    ("obj_enc.w3", (256, 512)), ("obj_enc.b3", (512,)),
+    ("obj_proj.w", (512, 64)),
+    ("grip_enc.w0", (3, 256)), ("grip_enc.b0", (256,)),
+    ("grip_enc.w1", (256, 256)), ("grip_enc.b1", (256,)),
+    ("grip_enc.w2", (256, 256)), ("grip_enc.b2", (256,)),
+    ("grip_enc.w3", (256, 512)), ("grip_enc.b3", (512,)),
+    ("grip_proj.w", (512, 64)),
+    ("ar1.w0", (133, 256)), ("ar1.b0", (256,)), ("ar1.w1", (256, 256)),
+    ("ar1.b1", (256,)), ("ar1.w2", (256, 256)), ("ar1.b2", (256,)),
+    ("ar1.w3", (256, 1)), ("ar1.b3", (1,)),
+    ("ar2.w0", (133, 256)), ("ar2.b0", (256,)), ("ar2.w1", (256, 256)),
+    ("ar2.b1", (256,)), ("ar2.w2", (256, 256)), ("ar2.b2", (256,)),
+    ("ar2.w3", (256, 1)), ("ar2.b3", (1,)),
+    ("ar3.w0", (133, 256)), ("ar3.b0", (256,)), ("ar3.w1", (256, 256)),
+    ("ar3.b1", (256,)), ("ar3.w2", (256, 256)), ("ar3.b2", (256,)),
+    ("ar3.w3", (256, 1)), ("ar3.b3", (1,)),
+    ("ar4.w0", (133, 256)), ("ar4.b0", (256,)), ("ar4.w1", (256, 256)),
+    ("ar4.b1", (256,)), ("ar4.w2", (256, 256)), ("ar4.b2", (256,)),
+    ("ar4.w3", (256, 1)), ("ar4.b3", (1,)),
+    ("ar5.w0", (133, 256)), ("ar5.b0", (256,)), ("ar5.w1", (256, 256)),
+    ("ar5.b1", (256,)), ("ar5.w2", (256, 256)), ("ar5.b2", (256,)),
+    ("ar5.w3", (256, 1)), ("ar5.b3", (1,)),
+]
+
+
+class TestWeightFormat:
+    def test_full_size_layout_pinned(self):
+        store = GeoMatchModel(seed=None).store
+        assert len(FULL_SIZE_LAYOUT) == 58
+        assert [(n, p.data.shape) for n, p in store.items()] == FULL_SIZE_LAYOUT
+
+    def test_written_layout_loads(self, tmp_path):
+        # manifest and blob written by hand from the pinned layout: each
+        # parameter a distinct run of values at contiguous byte offsets
+        manifest, chunks, offset = [], [], 0
+        for name, shape in FULL_SIZE_LAYOUT:
+            size = int(np.prod(shape))
+            manifest.append({"name": name, "shape": list(shape),
+                             "byte_offset": 8 * offset})
+            chunks.append(np.arange(offset, offset + size, dtype="<f8"))
+            offset += size
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "weights.bin").write_bytes(np.concatenate(chunks).tobytes())
+        model = GeoMatchModel(seed=None)
+        dn.load_weights(model.store, tmp_path)
+        for (name, shape), chunk in zip(FULL_SIZE_LAYOUT, chunks):
+            assert np.array_equal(model.store[name].data, chunk.reshape(shape))
+        save_model(model, tmp_path / "again")
+        assert (tmp_path / "again" / "weights.bin").read_bytes() == \
+            (tmp_path / "weights.bin").read_bytes()
+        assert json.loads((tmp_path / "again" / "manifest.json").read_text()) \
+            == manifest
 
 
 class TestTraining:

@@ -5,9 +5,13 @@ Gauss-Newton steps inside a trust region, Coleman-Li diagonal scaling from
 the distance to the active box bounds, and single reflection of steps that
 would cross a bound. Iterates stay strictly inside the box. Problem sizes
 here are tiny (a dozen unknowns), so subproblems are solved exactly through
-an SVD. A problem may supply its Jacobian; otherwise it comes from finite
-differences. Grasp IK supplies the analytic keypoint Jacobian, computed in
-the same forward-kinematics pass as the residual.
+an SVD; a step on the trust-region boundary takes its Levenberg-Marquardt
+parameter from Newton steps on the secular equation over that SVD (More,
+1978). The radius bounds the scaled step s = p / d and is updated from
+||s|| (Branch, Coleman & Li, 1999). A problem may supply its Jacobian;
+otherwise it comes from finite differences. Grasp IK supplies the analytic
+keypoint Jacobian, computed in the same forward-kinematics pass as the
+residual.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ _FTOL = 1e-8            # relative cost drop that counts as converged
 _XTOL = 1e-8            # step, relative to ||x||, that counts as small
 _GTOL = 1e-8            # scaled gradient that counts as converged
 _FD_STEP = 1e-7         # finite-difference step, relative to max(1, |q_j|)
+_SECULAR_STEPS = 50     # cap on Newton steps for the secular equation
 
 
 @dataclass
@@ -67,6 +72,11 @@ class TrfResult:
     # accepted iterates and costs, index 0 is the start point
     x_history: list = field(default_factory=list)
     cost_history: list = field(default_factory=list)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, the same bits as np.linalg.norm."""
+    return math.sqrt(v.dot(v))
 
 
 def _check_finite(r: np.ndarray, where: str) -> np.ndarray:
@@ -112,10 +122,21 @@ def _jacobian(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _secular(a2: np.ndarray, sv2: np.ndarray, lam: float) -> tuple[float, float]:
+    """||p(lam)||^2 = sum a^2 / (sv^2 + lam)^2 and sum a^2 / (sv^2 + lam)^3."""
+    w = 1.0 / (sv2 + lam)
+    t = a2 * w * w
+    return float(t.sum()), float(t.dot(w))
+
+
 def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
     """argmin ||J s + r|| subject to ||s|| <= radius, via SVD.
 
-    Returns (s, hit_boundary).
+    Returns (s, hit_boundary). On the boundary s = -(J^T J + lam I)^-1 J^T r,
+    with lam from Newton steps on the secular equation 1/radius - 1/||p(lam)||
+    over the SVD (More & Sorensen, 1983). 1/||p|| is concave in lam, so from
+    lam = 0, where ||p|| > radius, the iterates rise to the root without
+    overshooting it.
     """
     u, sv, vt = np.linalg.svd(jac, full_matrices=False)
     zeta = u.T @ r
@@ -123,38 +144,30 @@ def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
     coef = np.zeros_like(sv)
     coef[good] = zeta[good] / sv[good]
     s_gn = -vt.T @ coef
-    norm_gn = np.linalg.norm(s_gn)
-    if norm_gn <= radius:
+    if _norm(s_gn) <= radius:
         return s_gn, False
 
-    def step_norm(lam: float) -> float:
-        c = sv * zeta / (sv ** 2 + lam)
-        return float(np.linalg.norm(c))
-
-    lo, hi = 0.0, 1.0
-    g_norm = np.linalg.norm(jac.T @ r)
-    hi = max(g_norm / radius, 1e-12)
-    while step_norm(hi) > radius:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if step_norm(mid) > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+    a = sv * zeta
+    keep = a != 0       # a zero singular value adds nothing to p
+    a, sv2 = a[keep], sv[keep] ** 2
+    a2 = a * a
+    lam = 0.0
+    for _ in range(_SECULAR_STEPS):
+        norm2, slope = _secular(a2, sv2, lam)
+        norm = math.sqrt(norm2)
+        if norm - radius <= 1e-12 * radius:
             break
-    lam = hi
-    coef = sv * zeta / (sv ** 2 + lam)
+        lam += (norm - radius) / radius * norm2 / slope
+    coef = np.zeros_like(sv)
+    coef[keep] = a / (sv2 + lam)
     return -vt.T @ coef, True
 
 
 def _max_feasible_stride(x, p, lower, upper) -> tuple[float, np.ndarray]:
     """Largest tau with x + tau p inside the box, plus the hit mask."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        toward_hi = np.where(p > 0, (upper - x) / p, np.inf)
-        toward_lo = np.where(p < 0, (lower - x) / p, np.inf)
-    tau_all = np.minimum(toward_hi, toward_lo)
+    tau_all = np.full(x.shape, np.inf)
+    np.divide(upper - x, p, out=tau_all, where=p > 0)
+    np.divide(lower - x, p, out=tau_all, where=p < 0)
     tau = float(tau_all.min()) if tau_all.size else np.inf
     hit = tau_all <= tau * (1 + 1e-12)
     return tau, hit
@@ -192,8 +205,9 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
     result = TrfResult(x=x, residual_norm=math.sqrt(2 * cost), iterations=0,
                        status=STATUS_MAX_ITERATIONS,
                        x_history=[x.copy()], cost_history=[cost])
-    radius = max(1.0, float(np.linalg.norm(x)))
+    radius = max(1.0, _norm(x))
     jac = None      # recomputed only where x moved
+    up_finite, lo_finite = np.isfinite(upper), np.isfinite(lower)
 
     for it in range(1, max_iter + 1):
         result.iterations = it
@@ -202,11 +216,8 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
         grad = jac.T @ r
 
         # Coleman-Li scaling: distance to the bound the gradient pushes toward
-        v = np.ones_like(x)
-        neg = (grad < 0) & np.isfinite(upper)
-        pos = (grad > 0) & np.isfinite(lower)
-        v[neg] = upper[neg] - x[neg]
-        v[pos] = x[pos] - lower[pos]
+        v = np.where((grad < 0) & up_finite, upper - x, 1.0)
+        v = np.where((grad > 0) & lo_finite, x - lower, v)
         if np.max(np.abs(grad * v), initial=0.0) < _GTOL:
             result.status = STATUS_CONVERGED
             break
@@ -240,7 +251,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
                 add_candidate(stride * p + beta * reflected)
         # scaled steepest-descent fallback keeps progress available
         g_scaled = d * grad
-        gn = np.linalg.norm(g_scaled)
+        gn = _norm(g_scaled)
         if gn > 0:
             p_grad = -d * g_scaled * (radius / gn)
             tau_g, _ = _max_feasible_stride(x, p_grad, lower, upper)
@@ -258,7 +269,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
         actual = cost - cost_trial
         rho = actual / predicted if predicted > 0 else -1.0
 
-        step_norm = float(np.linalg.norm(p_best))
+        step_norm = _norm(p_best)
         if actual > 0:
             x, r, cost, jac = x_trial, r_trial, cost_trial, None
             result.x_history.append(x.copy())
@@ -269,14 +280,16 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
             if cost <= 1e-300:
                 result.status = STATUS_CONVERGED
                 break
-        if step_norm <= _XTOL * (_XTOL + float(np.linalg.norm(x))):
+        if step_norm <= _XTOL * (_XTOL + _norm(x)):
             result.status = STATUS_SMALL_STEP if actual <= 0 else STATUS_CONVERGED
             break
+        # the radius bounds the scaled step s = p / d, so it follows ||s||
+        # (Branch, Coleman & Li, 1999)
         if rho < 0.25:
-            radius = 0.25 * step_norm
+            radius = 0.25 * _norm(p_best / d)
         elif rho > 0.75:
-            radius = max(radius, 2.0 * step_norm)
-        if radius < 1e-14 * max(1.0, float(np.linalg.norm(x))):
+            radius = max(radius, 2.0 * _norm(p_best / d))
+        if radius < 1e-14 * max(1.0, _norm(x)):
             result.status = STATUS_SMALL_STEP
             break
 
@@ -339,7 +352,7 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     last = {"q": None}
 
     def at(q: np.ndarray) -> dict:
-        if last["q"] is None or not np.array_equal(q, last["q"]):
+        if last["q"] is None or not (q == last["q"]).all():
             kp, jac = keypoint_jacobian(ee, q)
             last.update(q=q.copy(), r=(kp - effective).reshape(-1), jac=jac)
         return last

@@ -79,7 +79,7 @@ def quat_to_matrix(q) -> np.ndarray:
 def axis_angle_to_matrix(w) -> np.ndarray:
     """Rodrigues formula; w is axis * angle."""
     w = np.asarray(w, dtype=np.float64).reshape(3)
-    theta = np.linalg.norm(w)
+    theta = math.sqrt(w.dot(w))
     if theta < 1e-12:
         k = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
         return np.eye(3) + k  # first-order expansion is exact to 1e-24 here
@@ -289,7 +289,10 @@ def _homogeneous(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _joint_motion(joint: Joint, value: float) -> np.ndarray:
     if joint.type == "revolute":
-        return _homogeneous(axis_angle_to_matrix(joint.axis * value), np.zeros(3))
+        m = np.zeros((4, 4))
+        m[:3, :3] = axis_angle_to_matrix(joint.axis * value)
+        m[3, 3] = 1.0
+        return m
     if joint.type == "prismatic":
         return _homogeneous(np.eye(3), joint.axis * value)
     return np.eye(4)
@@ -379,6 +382,11 @@ class EndEffectorModel:
         encoders (train, infer) read it."""
         return knn_graph(self.rest_cloud, self.knn_k)
 
+    @functools.cached_property
+    def on_path(self) -> np.ndarray:
+        """(keypoint, actuated joint) mask: the joint moves the keypoint."""
+        return np.array([self.chain._on_path[kp.link] for kp in self.keypoints])
+
     @property
     def keypoint_vertices(self) -> np.ndarray:
         return np.array([kp.vertex for kp in self.keypoints], dtype=np.int64)
@@ -397,9 +405,13 @@ def keypoint_positions(ee: EndEffectorModel, pose: Pose | np.ndarray) -> np.ndar
     return _keypoints(ee, forward_kinematics(ee.chain, pose))
 
 
+# component k of a x b is a[k1] b[k2] - a[k2] b[k1], as np.cross computes it
+_CROSS_K1, _CROSS_K2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _left_jacobian(w: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3) at w: exp([w + d]x) = exp([J_l(w) d]x) exp([w]x)."""
-    theta = float(np.linalg.norm(w))
+    theta = math.sqrt(w.dot(w))
     k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
     if theta < 1e-2:    # series; the closed forms lose digits to cancellation
         t2 = theta * theta
@@ -428,16 +440,18 @@ def keypoint_jacobian(ee: EndEffectorModel, q) -> tuple[np.ndarray, np.ndarray]:
     chain = ee.chain
     fk = forward_kinematics(chain, q)
     x = _keypoints(ee, fk)
-    cols = np.empty((N_KEYPOINTS, 6 + chain.dof, 3))    # [keypoint, column, xyz]
-    cols[:, :3] = np.eye(3)
-    cols[:, 3:6] = np.cross(_left_jacobian(q[3:6]).T[None], (x - q[:3])[:, None])
+    jac = np.empty((N_KEYPOINTS, 3, 6 + chain.dof))     # [keypoint, xyz, column]
+    jac[:, :, :3] = np.eye(3)
+    k1, k2 = _CROSS_K1, _CROSS_K2      # the cross products, written out
+    lj, y = _left_jacobian(q[3:6]), x - q[:3]
+    jac[:, :, 3:6] = lj[k1] * y[:, k2, None] - lj[k2] * y[:, k1, None]
     child = np.array([fk[j.child] for j in chain.actuated]).reshape(-1, 4, 4)
-    axes = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes)
-    swept = np.cross(axes[None], x[:, None] - child[None, :, :3, 3])
-    moving = np.where(chain._revolute[None, :, None], swept, axes[None])
-    on_path = np.array([chain._on_path[kp.link] for kp in ee.keypoints])
-    cols[:, 6:] = moving * on_path[:, :, None]
-    return x, cols.transpose(0, 2, 1).reshape(3 * N_KEYPOINTS, -1)
+    axes = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes).T   # [xyz, joint]
+    arm = x[:, :, None] - child[:, :3, 3].T[None]       # [keypoint, xyz, joint]
+    swept = axes[k1] * arm[:, k2] - axes[k2] * arm[:, k1]
+    moving = np.where(chain._revolute, swept, axes)
+    jac[:, :, 6:] = moving * ee.on_path[:, None, :]
+    return x, jac.reshape(3 * N_KEYPOINTS, -1)
 
 
 def pregrasp_targets(contacts, object_cloud: PointCloud,

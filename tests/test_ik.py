@@ -1,10 +1,14 @@
 """Bounded least-squares solver and grasp IK."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
-from geomatch import errors, kinematics
+from geomatch import errors, ik, kinematics
 from geomatch.geometry import PointCloud
 from geomatch.ik import (LeastSquaresProblem, STATUS_CONVERGED,
                          STATUS_MAX_ITERATIONS, STATUS_SMALL_STEP,
@@ -56,6 +60,65 @@ class TestNumericJacobian:
             numeric_jacobian(p, p.x0)
 
 
+def random_subproblem(rng, kind: str, m: int, n: int):
+    """A Jacobian of the given kind and a residual for it."""
+    if kind == "full":
+        jac = rng.normal(size=(m, n))
+    elif kind == "low-rank":     # rank k < min(m, n): tiny, nonzero singular values
+        k = int(rng.integers(0, min(m, n)))
+        jac = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+    elif kind == "zero-lines":   # zero columns and rows: exact zero singular values
+        jac = rng.normal(size=(m, n))
+        jac[:, rng.random(n) < 0.4] = 0.0
+        jac[rng.random(m) < 0.3] = 0.0
+    else:                        # singular values spread over 10 decades
+        u = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        sv = 10.0 ** rng.uniform(-6, 4, size=min(m, n))
+        jac = (u[:, :sv.size] * sv) @ v[:sv.size]
+    return jac, rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+
+
+class TestTrustRegionSubproblem:
+    @given(kind=st.sampled_from(["full", "low-rank", "zero-lines", "spread"]),
+           m=st.integers(1, 12), n=st.integers(1, 8),
+           scale=st.floats(0.01, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_against_dense_oracle(self, kind, m, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        jac, r = random_subproblem(rng, kind, m, n)
+        s_gn = -np.linalg.pinv(jac, rcond=1e-10) @ r     # minimum-norm Gauss-Newton
+        norm_gn = np.linalg.norm(s_gn)
+        if norm_gn == 0.0:
+            radius = scale
+        elif abs(scale - 1.0) < 1e-3:   # keep clear of the interior/boundary tie
+            radius = 2.0 * norm_gn
+        else:
+            radius = scale * norm_gn
+        calls = [0]
+        secular = ik._secular
+
+        def counted(*args):
+            calls[0] += 1
+            return secular(*args)
+
+        with mock.patch.object(ik, "_secular", counted):
+            s, on_boundary = ik._solve_tr_subproblem(jac, r, radius)
+        assert calls[0] <= 20
+        assert on_boundary == (norm_gn > radius)
+        if not on_boundary:
+            assert calls[0] == 0
+            assert np.allclose(s, s_gn, rtol=1e-8, atol=1e-10 * max(1.0, norm_gn))
+            return
+        assert abs(np.linalg.norm(s) - radius) <= 1e-10 * radius
+        # s = -(J^T J + lam I)^-1 J^T r for the lam that fits it best, lam >= 0
+        gram, g = jac.T @ jac, jac.T @ r
+        lam = -s @ (gram @ s + g) / (s @ s)
+        scale_g = np.linalg.norm(gram, 2) * radius + np.linalg.norm(g)
+        assert lam >= -1e-10 * scale_g / radius
+        assert np.linalg.norm(gram @ s + lam * s + g) <= 1e-9 * scale_g
+
+
 class TestSolveTrf:
     def test_linear_matches_normal_equations(self, rng_np):
         for _ in range(10):
@@ -102,6 +165,33 @@ class TestSolveTrf:
                 assert np.all(lo < x) and np.all(x < hi)
             costs = np.array(res.cost_history)
             assert np.all(np.diff(costs) <= 1e-15)
+
+    def test_radius_follows_scaled_step(self):
+        # in a +-1e3 box the Coleman-Li factor d is about 32, so a radius
+        # taken from the unscaled step p = d s grows after every rejection
+        # and no step is ever accepted from the classic start
+        p = LeastSquaresProblem(
+            residual=lambda q: np.array([1.0 - q[0], 10.0 * (q[1] - q[0] ** 2)]),
+            lower=np.full(2, -1e3), upper=np.full(2, 1e3), x0=np.array([-1.2, 1.0]))
+        res = solve_trf(p)
+        assert res.status == STATUS_CONVERGED
+        assert res.residual_norm < 1e-6
+        assert res.iterations <= 50
+
+    def test_matches_scipy_on_interior_linear_problems(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(n, 2 * n + 3))
+            a, b = rng.normal(size=(m, n)), rng.normal(size=m)
+            lo, hi = np.full(n, -1e3), np.full(n, 1e3)
+            assert np.abs(np.linalg.lstsq(a, b, rcond=None)[0]).max() < 1e3
+            x0 = rng.uniform(-1.0, 1.0, n)
+            ours = solve_trf(LeastSquaresProblem(
+                lambda q, a=a, b=b: a @ q - b, lo, hi, x0, jacobian=lambda q, a=a: a))
+            ref = least_squares(lambda q: a @ q - b, x0, jac=lambda q: a,
+                                bounds=(lo, hi), method="trf")
+            assert 0.5 * ours.residual_norm ** 2 <= ref.cost * (1 + 1e-6) + 1e-12
 
     def test_start_on_bound_nudged(self):
         p = LeastSquaresProblem(residual=lambda q: q - 0.5,

@@ -17,7 +17,8 @@ from geomatch.kinematics import (EndEffectorModel, Joint, KinematicChain,
                                  keypoint_positions, load_chain, load_ee_model,
                                  matrix_to_axis_angle, matrix_to_rot6d,
                                  pregrasp_targets, quat_to_matrix, rest_pose,
-                                 rot6d_to_matrix, rotation_between, save_chain)
+                                 rot6d_to_matrix, rotation_between, save_chain,
+                                 _left_jacobian)
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -321,6 +322,38 @@ class TestKeypointJacobian:
             upper=np.concatenate([np.full(6, 10.0), hi]), x0=q)
         assert jac.shape == (18, 6 + ee.chain.dof)
         assert np.abs(jac - numeric_jacobian(oracle, q)).max() < 1e-6
+
+    def test_same_bytes_as_cross_form(self, pincer, claw, rng_np):
+        # the cross products are written out; np.cross computes the same
+        # products and differences, so every byte (zero signs too) matches
+        def cross_form(ee, q):
+            chain = ee.chain
+            fk = forward_kinematics(chain, q)
+            x = np.array([fk[kp.link][:3, :3] @ kp.offset + fk[kp.link][:3, 3]
+                          for kp in ee.keypoints])
+            cols = np.empty((6, 6 + chain.dof, 3))
+            cols[:, :3] = np.eye(3)
+            cols[:, 3:6] = np.cross(_left_jacobian(q[3:6]).T[None],
+                                    (x - q[:3])[:, None])
+            child = np.array([fk[j.child] for j in chain.actuated])
+            axes = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes)
+            swept = np.cross(axes[None], x[:, None] - child[None, :, :3, 3])
+            moving = np.where(chain._revolute[None, :, None], swept, axes[None])
+            on_path = np.array([chain._on_path[kp.link] for kp in ee.keypoints])
+            cols[:, 6:] = moving * on_path[:, :, None]
+            return x, cols.transpose(0, 2, 1).reshape(18, -1)
+
+        for ee in (pincer, claw, MIXED_HAND):
+            lo, hi = ee.chain.joint_limits()
+            for _ in range(25):
+                q = np.concatenate([rng_np.normal(size=3) * 0.1,
+                                    rng_np.uniform(-math.pi, math.pi, 3),
+                                    rng_np.uniform(lo, hi)])
+                kp, jac = keypoint_jacobian(ee, q)
+                ref_kp, ref_jac = cross_form(ee, q)
+                assert kp.tobytes() == ref_kp.tobytes()
+                assert jac.shape == ref_jac.shape
+                assert jac.tobytes() == ref_jac.tobytes()
 
     def test_joint_columns_vanish_off_path(self):
         q = np.concatenate([np.zeros(6), rest_pose(MIXED_HAND.chain).theta])

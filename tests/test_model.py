@@ -233,19 +233,24 @@ class TestTotalLoss:
         dn.backward(loss)
         grads = {name: p.grad.copy() for name, p in model.store.items()}
         model.store.zero_grad()
-        # spot-check three parameters against central differences
+        # spot-check three parameters against central differences. The loss
+        # is ~354, so rounding moves (up - down) / (2 eps) by ~1e-16 * 354 /
+        # eps: ~2e-8 at eps = 1e-6, a 0.3% error on entries of ~7e-6. At
+        # eps = 1e-4 rounding gives ~4e-10 and the O(eps^2) truncation error
+        # stays far below rel 1e-4 too.
+        eps = 1e-4
         for name in ("obj_enc.w0", "grip_proj.w", "ar3.w2"):
             p = model.store[name]
             flat = p.data.reshape(-1)
             idxs = rng_np.choice(flat.size, size=min(6, flat.size), replace=False)
             for i in idxs:
                 old = flat[i]
-                flat[i] = old + 1e-6
+                flat[i] = old + eps
                 up = model.total_loss(s)[0].item()
-                flat[i] = old - 1e-6
+                flat[i] = old - eps
                 down = model.total_loss(s)[0].item()
                 flat[i] = old
-                fd = (up - down) / 2e-6
+                fd = (up - down) / (2 * eps)
                 assert grads[name].reshape(-1)[i] == pytest.approx(
                     fd, rel=1e-4, abs=1e-9)
 

@@ -2,6 +2,8 @@
 
 Everything is 64-bit floats. The graph is built eagerly: each op returns a
 Tensor holding its parents and a closure that routes the upstream gradient.
+A closure owns the gradient it is handed and may write to it, so no
+closure hands one array to two parents.
 Only the op set needed by the grasp model exists. Every network layer is one
 `dense` op (matmul, bias row and ReLU on one tape node); a GCN layer feeds it
 the product `spmm(A_hat, h)`. No other op broadcasts.
@@ -37,9 +39,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -147,7 +146,7 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
 
     def back(g):
         if relu:
-            g = g * (out > 0)
+            np.multiply(g, out > 0, out=g)
         g_sum = g.sum(axis=0)
         g_w = np.empty_like(w.data)
         grads = [(w, g_w), (b, g_sum)]
@@ -181,7 +180,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"add {a.data.shape} + {b.data.shape}")
 
     def back(g):
-        return ((a, g), (b, g))
+        return ((a, g), (b, g.copy()))
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=back)
 

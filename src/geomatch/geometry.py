@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_KNN_K = 8           # neighbours per vertex in the geometry graph
 DEFAULT_NORMAL_NEIGHBORS = 8
+_KNN_BLOCK_ROWS = 128       # a (128, S) distance block: 2 MB at S = 2048
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -138,24 +139,32 @@ def nearest_vertices(points, queries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
-    """k nearest neighbours per point, ties broken by lower index."""
+    """k nearest neighbours per point, ties broken by lower index.
+
+    Works through blocks of rows, so the distance matrix is never held
+    whole; each row's result depends on that row's distances alone.
+    """
     s = points.shape[0]
-    d2 = np.zeros((s, s))
-    for axis in range(3):       # same sums as over an (S, S, 3) difference
-        diff = points[:, None, axis] - points[None, :, axis]
-        diff *= diff
-        d2 += diff
-    np.fill_diagonal(d2, np.inf)
-    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dist = np.take_along_axis(d2, near, axis=1)
-    near = np.take_along_axis(near, np.lexsort((near, dist), axis=1), axis=1)
-    # the partition picks an arbitrary subset of the points tied at the k-th
-    # distance; rows with such a tie are redone by a stable sort, which
-    # keeps the lower index first among equal distances
-    kth = dist.max(axis=1)
-    tied = (d2 == kth[:, None]).sum(axis=1) > (dist == kth[:, None]).sum(axis=1)
-    if tied.any():
-        near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    near = np.empty((s, k), dtype=np.int64)
+    for a in range(0, s, _KNN_BLOCK_ROWS):
+        rows = points[a:a + _KNN_BLOCK_ROWS]
+        d2 = np.zeros((rows.shape[0], s))
+        for axis in range(3):       # same sums as over an (S, S, 3) difference
+            diff = rows[:, None, axis] - points[None, :, axis]
+            diff *= diff
+            d2 += diff
+        d2[np.arange(rows.shape[0]), np.arange(a, a + rows.shape[0])] = np.inf
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        dist = np.take_along_axis(d2, part, axis=1)
+        part = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+        # the partition picks an arbitrary subset of the points tied at the
+        # k-th distance; rows with such a tie are redone by a stable sort,
+        # which keeps the lower index first among equal distances
+        kth = dist.max(axis=1)
+        tied = (d2 == kth[:, None]).sum(axis=1) > (dist == kth[:, None]).sum(axis=1)
+        if tied.any():
+            part[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        near[a:a + rows.shape[0]] = part
     return near
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import write_jsonl
 from .errors import EmptyScores, IndexOutOfRange
 from .geometry import GeometryGraph
 from .kinematics import EndEffectorModel, N_KEYPOINTS
@@ -61,22 +61,21 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
             embeddings=None) -> GraspProposal:
     """Greedy head-by-head contact prediction starting from vertex c0.
 
-    `embeddings` is the (v_obj, v_grip) pair from `model.encode` on these
-    graphs; without it the graphs are encoded here.
+    `embeddings` is the (v_obj, v_kp) pair from `model.encode` on these
+    graphs and keypoints; without it they are encoded here.
     """
     pts = object_graph.cloud.points
     if not 0 <= c0 < pts.shape[0]:
         raise IndexOutOfRange(f"c0={c0} outside object graph")
     if embeddings is None:
-        embeddings = model.encode(object_graph, ee.rest_graph)
-    v_obj, v_grip = embeddings
-    kp_vertices = ee.keypoint_vertices
-    scores = model.score_map(v_obj, v_grip, kp_vertices).data
+        embeddings = model.encode(object_graph, ee.rest_graph,
+                                  ee.keypoint_vertices)
+    v_obj, v_kp = embeddings
+    scores = model.score_map(v_obj, v_kp).data
     contacts = [int(c0)]
     total = float(scores[c0, 0])
     for n in range(1, model.config.n_keypoints):
-        logits = model.ar_logits(n, v_obj, v_grip, int(kp_vertices[n]),
-                                 contacts, pts).data
+        logits = model.ar_logits(n, v_obj, v_kp, contacts, pts).data
         c_n = int(np.argmax(logits))   # argmax takes the lowest index on ties
         contacts.append(c_n)
         total += float(logits[c_n])
@@ -90,8 +89,8 @@ def propose_grasps(model: GeoMatchModel, object_graph: GeometryGraph,
                    ee: EndEffectorModel, ranks=DEFAULT_RANKS,
                    object_id: str = "") -> list[GraspProposal]:
     """One proposal per requested keypoint-0 rank, from one encoder pass."""
-    embeddings = model.encode(object_graph, ee.rest_graph)
-    scores = model.score_map(*embeddings, ee.keypoint_vertices).data
+    embeddings = model.encode(object_graph, ee.rest_graph, ee.keypoint_vertices)
+    scores = model.score_map(*embeddings).data
     seeds = sample_keypoint0(scores[:, 0], ranks)
     return [replace(rollout(model, object_graph, ee, c0, int(rank), embeddings),
                     object_id=object_id)
@@ -120,7 +119,3 @@ def proposal_from_dict(doc: dict) -> GraspProposal:
 
 def save_proposals(proposals, path) -> None:
     write_jsonl(path, map(proposal_to_dict, proposals))
-
-
-def load_proposals(path) -> list[GraspProposal]:
-    return read_jsonl(path, proposal_from_dict)

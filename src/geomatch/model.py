@@ -122,40 +122,59 @@ class GeoMatchModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def _encode_one(self, prefix: str, graph: GeometryGraph) -> dn.Tensor:
-        if graph.normalized_adjacency is None:
+    def _encode_one(self, prefix: str, graph: GeometryGraph,
+                    keep=None) -> dn.Tensor:
+        """Projected embeddings of the sorted unique vertices `keep`, or of
+        every vertex without it. With `keep`, each layer takes its input
+        only on the closed neighbourhood of the rows it outputs (A_hat's
+        padded slots hold the self-loop): one hop more per layer inward."""
+        adj = graph.normalized_adjacency
+        if adj is None:
             raise SchemaError("graph must carry a normalized adjacency")
         pts = graph.cloud.points
         centered = pts - pts.mean(axis=0)
         scale = float(np.sqrt((centered ** 2).mean()))
         if scale <= 0:
             raise SchemaError("degenerate cloud: zero spatial extent")
-        h = dn.Tensor(centered / scale)
-        for i in range(self._n_enc_layers):
-            h = dn.dense(dn.spmm(graph.normalized_adjacency, h),
+        x = centered / scale
+        blocks = [adj] * self._n_enc_layers
+        if keep is not None:
+            rows = [keep]       # rows[i + 1]: what layer i outputs from rows[i]
+            for _ in range(self._n_enc_layers):
+                rows.insert(0, np.unique(adj.nbr[rows[0]]))
+            blocks = [adj.block(out, inp) for inp, out in zip(rows, rows[1:])]
+            x = x[rows[0]]
+        h = dn.Tensor(x)
+        for i, block in enumerate(blocks):
+            h = dn.dense(dn.spmm(block, h),
                          self.store[f"{prefix}_enc.w{i}"],
                          self.store[f"{prefix}_enc.b{i}"])
         return dn.matmul(h, self.store[f"{prefix}_proj.w"])
 
-    def encode(self, object_graph: GeometryGraph,
-               gripper_graph: GeometryGraph) -> tuple[dn.Tensor, dn.Tensor]:
-        """Projected per-vertex embeddings (S_O x p, S_G x p)."""
-        return (self._encode_one("obj", object_graph),
-                self._encode_one("grip", gripper_graph))
+    def encode(self, object_graph: GeometryGraph, gripper_graph: GeometryGraph,
+               keypoint_vertices) -> tuple[dn.Tensor, dn.Tensor]:
+        """Projected embeddings of every object vertex (S_O x p) and of the
+        gripper's keypoint vertices (n_keypoints x p, in keypoint order).
 
-    def score_map(self, v_obj: dn.Tensor, v_grip: dn.Tensor,
-                  keypoint_vertices) -> dn.Tensor:
-        """(S_O, 6) dot-product contact scores."""
-        kp = np.asarray(keypoint_vertices, dtype=np.int64)
-        if kp.size and kp.max() >= v_grip.data.shape[0]:
+        The gripper encoder runs each layer only on the rows that the
+        keypoint embeddings depend on.
+        """
+        kp = np.asarray(keypoint_vertices, dtype=np.int64).reshape(-1)
+        if kp.size and (kp.min() < 0 or kp.max() >= gripper_graph.size):
             raise IndexOutOfRange("keypoint vertex outside gripper graph")
-        emb = dn.gather_rows(v_grip, kp)
-        return dn.matmul(v_obj, dn.transpose(emb))
+        keep = np.unique(kp)
+        v_keep = self._encode_one("grip", gripper_graph, keep)
+        return (self._encode_one("obj", object_graph),
+                dn.gather_rows(v_keep, np.searchsorted(keep, kp)))
 
-    def ar_logits(self, n: int, v_obj: dn.Tensor, v_grip: dn.Tensor,
-                  keypoint_vertex: int, prev_contacts,
-                  object_points: np.ndarray) -> dn.Tensor:
-        """Per-object-vertex logit for keypoint n given contacts 0..n-1."""
+    def score_map(self, v_obj: dn.Tensor, v_kp: dn.Tensor) -> dn.Tensor:
+        """(S_O, n_keypoints) dot-product contact scores."""
+        return dn.matmul(v_obj, dn.transpose(v_kp))
+
+    def ar_logits(self, n: int, v_obj: dn.Tensor, v_kp: dn.Tensor,
+                  prev_contacts, object_points: np.ndarray) -> dn.Tensor:
+        """Per-object-vertex logit for keypoint n given contacts 0..n-1;
+        `v_kp` holds the keypoint embeddings from `encode`."""
         if not 1 <= n < self.config.n_keypoints:
             raise IndexOutOfRange(f"autoregressive head index {n}")
         prev = np.asarray(prev_contacts, dtype=np.int64).reshape(-1)
@@ -172,7 +191,7 @@ class GeoMatchModel:
                 object_points - object_points[c], axis=1) / scale
         # the first layer's input is [object | keypoint | distances]; the
         # keypoint's one embedding row broadcasts over the S vertices
-        h = [v_obj, dn.gather_rows(v_grip, [keypoint_vertex]), dists]
+        h = [v_obj, dn.gather_rows(v_kp, [n]), dists]
         last = self._n_ar_layers - 1
         for i in range(self._n_ar_layers):
             h = dn.dense(h, self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
@@ -191,9 +210,9 @@ class GeoMatchModel:
         per-keypoint mean BCE terms; the heads see the ground-truth previous
         contacts (teacher forcing), never their own predictions.
         """
-        v_obj, v_grip = self.encode(sample.object_graph, sample.ee.rest_graph)
-        kp_vertices = sample.ee.keypoint_vertices
-        scores = self.score_map(v_obj, v_grip, kp_vertices)
+        v_obj, v_kp = self.encode(sample.object_graph, sample.ee.rest_graph,
+                                  sample.ee.keypoint_vertices)
+        scores = self.score_map(v_obj, v_kp)
         co = sample.maps.co
 
         loss_f = None
@@ -204,8 +223,7 @@ class GeoMatchModel:
         pts = sample.object_graph.cloud.points
         loss_m = None
         for n in range(1, self.config.n_keypoints):
-            logits = self.ar_logits(n, v_obj, v_grip, int(kp_vertices[n]),
-                                    sample.gt_contacts[:n], pts)
+            logits = self.ar_logits(n, v_obj, v_kp, sample.gt_contacts[:n], pts)
             term = dn.bce_with_pos_weight(logits, co[:, n], lambda_b)
             loss_m = term if loss_m is None else loss_m + term
 

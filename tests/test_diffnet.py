@@ -124,6 +124,21 @@ class TestBasicOps:
         assert a.grad == pytest.approx(0.5)
         assert b.grad == pytest.approx(2.0)
 
+    def test_add_of_two_relu_layers(self, rng_np):
+        # both ReLU layers mask their upstream gradient in place, so each
+        # parent of the add must get its own array
+        # opposite weights: each layer keeps what the other clips
+        x = dn.Tensor(rng_np.normal(size=(8, 3)))
+        w1 = dn.Tensor(rng_np.normal(size=(3, 6)), requires_grad=True)
+        w2 = dn.Tensor(-w1.data, requires_grad=True)
+        b1, b2 = (dn.Tensor(0.1 * rng_np.normal(size=6), requires_grad=True)
+                  for _ in range(2))
+
+        def fn():
+            return dn.tsum(dn.add(dn.dense(x, w1, b1), dn.dense(x, w2, b2)))
+
+        check_grads(fn, [w1, b1, w2, b2])
+
     def test_reused_node_accumulates(self):
         x = dn.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         y = dn.add(x, x)

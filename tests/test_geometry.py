@@ -32,6 +32,27 @@ def stable_argsort_knn(points, k):
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+def full_matrix_knn(points, k):
+    """The k-NN build over the whole S x S distance matrix at once: the
+    same per-axis sums, partition, sort and tie repair as the row-blocked
+    build in geometry, which must give the same array."""
+    s = points.shape[0]
+    d2 = np.zeros((s, s))
+    for axis in range(3):
+        diff = points[:, None, axis] - points[None, :, axis]
+        diff *= diff
+        d2 += diff
+    np.fill_diagonal(d2, np.inf)
+    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, near, axis=1)
+    near = np.take_along_axis(near, np.lexsort((near, dist), axis=1), axis=1)
+    kth = dist.max(axis=1)
+    tied = (d2 == kth[:, None]).sum(axis=1) > (dist == kth[:, None]).sum(axis=1)
+    if tied.any():
+        near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return near
+
+
 def set_based_adjacency(edges, s):
     """A_hat from a Python set of symmetrized edges plus self-loops."""
     sym = {(i, i) for i in range(s)}
@@ -198,6 +219,17 @@ class TestKnnGraph:
         want = stable_argsort_knn(pts, k)
         assert np.array_equal(graph.edges[:, 1].reshape(s, k), want)
         assert np.array_equal(graph.edges[:, 0], np.repeat(np.arange(s), k))
+
+
+    @pytest.mark.parametrize("s", [127, 128, 129, 255, 256, 257, 300])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_row_blocks_match_full_matrix(self, rng_np, s, lattice):
+        # sizes on either side of the 128-row block edges; lattice clouds
+        # put ties at the k-th distance
+        for k in (1, 6, 8):
+            pts = lattice_cloud(rng_np, s) if lattice else rng_np.normal(size=(s, 3))
+            assert np.array_equal(geometry._knn_indices(pts, k),
+                                  full_matrix_knn(pts, k))
 
 
 class TestNearestVertices:

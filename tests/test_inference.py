@@ -6,7 +6,8 @@ import pytest
 from geomatch import errors
 from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.geometry import GeometryGraph, PointCloud, normalize_adjacency
-from geomatch.inference import (load_proposals, propose_grasps, rollout,
+from geomatch.artifacts import read_jsonl
+from geomatch.inference import (propose_grasps, proposal_from_dict, rollout,
                                 sample_keypoint0, save_proposals)
 from geomatch.model import GeoMatchModel, ModelConfig
 
@@ -72,12 +73,11 @@ class TestRollout:
         model, samples = small_world
         s = samples[0]
         prop = rollout(model, s.object_graph, s.ee, 5)
-        v_o, v_g = model.encode(s.object_graph, s.ee.rest_graph)
-        kp = s.ee.keypoint_vertices
+        v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
+                                 s.ee.keypoint_vertices)
         pts = s.object_graph.cloud.points
         for n in range(1, 6):
-            logits = model.ar_logits(n, v_o, v_g, int(kp[n]),
-                                     prop.contacts[:n], pts).data
+            logits = model.ar_logits(n, v_o, v_kp, prop.contacts[:n], pts).data
             assert prop.contacts[n] == int(np.argmax(logits))
 
     def test_out_of_range_c0(self, small_world):
@@ -101,7 +101,7 @@ class TestProposeGrasps:
         s = samples[0]
         encode, calls = model.encode, []
         monkeypatch.setattr(model, "encode",
-                            lambda *graphs: calls.append(graphs) or encode(*graphs))
+                            lambda *args: calls.append(args) or encode(*args))
         props = propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11))
         assert len(calls) == 1
         for p in props:     # rollout alone encodes for itself, same result
@@ -114,8 +114,8 @@ class TestProposeGrasps:
     def test_single_rank_best_chain(self, small_world):
         model, samples = small_world
         s = samples[0]
-        v_o, v_g = model.encode(s.object_graph, s.ee.rest_graph)
-        scores = model.score_map(v_o, v_g, s.ee.keypoint_vertices).data
+        scores = model.score_map(*model.encode(
+            s.object_graph, s.ee.rest_graph, s.ee.keypoint_vertices)).data
         best = int(np.lexsort((np.arange(scores.shape[0]), -scores[:, 0]))[0])
         props = propose_grasps(model, s.object_graph, s.ee, ranks=(0,))
         assert props[0].contacts[0] == best
@@ -144,7 +144,7 @@ class TestProposeGrasps:
                                object_id="sph")
         path = tmp_path / "proposals.jsonl"
         save_proposals(props, path)
-        back = load_proposals(path)
+        back = read_jsonl(path, proposal_from_dict)
         assert len(back) == 2
         for a, b in zip(props, back):
             assert np.array_equal(a.contacts, b.contacts)

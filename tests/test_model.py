@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomatch import diffnet as dn
 from geomatch import errors
@@ -73,9 +74,10 @@ class TestEncode:
     def test_output_shapes(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
         s = tiny_sample(rng_np, ee=tiny_ee)
-        v_o, v_g = model.encode(s.object_graph, s.ee.rest_graph)
+        v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
+                                 s.ee.keypoint_vertices)
         assert v_o.data.shape == (12, 4)
-        assert v_g.data.shape == (10, 4)
+        assert v_kp.data.shape == (6, 4)
 
     def test_permutation_equivariance(self, rng_np, tiny_ee):
         from geomatch.geometry import GeometryGraph, normalize_adjacency
@@ -89,8 +91,9 @@ class TestEncode:
                                    inv[graph.edges[:, 1]]], axis=1)
         permuted = normalize_adjacency(GeometryGraph(
             cloud=permuted_cloud, edges=permuted_edges, knn_k=graph.knn_k))
-        v_base, _ = model.encode(graph, s.ee.rest_graph)
-        v_perm, _ = model.encode(permuted, s.ee.rest_graph)
+        kp = s.ee.keypoint_vertices
+        v_base, _ = model.encode(graph, s.ee.rest_graph, kp)
+        v_perm, _ = model.encode(permuted, s.ee.rest_graph, kp)
         assert np.allclose(v_perm.data, v_base.data[perm], atol=1e-9)
 
     def test_requires_normalized_adjacency(self, rng_np, tiny_ee):
@@ -98,24 +101,97 @@ class TestEncode:
         model = GeoMatchModel(TINY, seed=0)
         raw = build_knn_graph(PointCloud(rng_np.normal(size=(12, 3))), 3)
         with pytest.raises(errors.SchemaError):
-            model.encode(raw, tiny_ee.rest_graph)
+            model.encode(raw, tiny_ee.rest_graph, tiny_ee.keypoint_vertices)
+
+
+def full_graph_keypoint_rows(model, graph, kp):
+    """The gripper encoder run on every vertex, then the keypoint rows: the
+    reference for the receptive-field path in `encode`."""
+    pts = graph.cloud.points
+    centered = pts - pts.mean(axis=0)
+    h = dn.Tensor(centered / np.sqrt((centered ** 2).mean()))
+    for i in range(len(model.config.gcn_hidden) + 1):
+        h = dn.dense(dn.spmm(graph.normalized_adjacency, h),
+                     model.store[f"grip_enc.w{i}"], model.store[f"grip_enc.b{i}"])
+    return dn.gather_rows(dn.matmul(h, model.store["grip_proj.w"]), kp)
+
+
+class TestKeypointReceptiveField:
+    MID = ModelConfig(gcn_hidden=(16, 16, 16), gcn_out=24, proj_dim=8,
+                      ar_hidden=(4, 4, 4))
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(8, 80), st.integers(1, 8),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_graph(self, seed, s, k, adjacent):
+        # small clouds with large k put the whole graph in the receptive
+        # field; a walk along edges makes neighbouring (or equal) keypoints
+        rng = np.random.default_rng(seed)
+        k = min(k, s - 1)
+        grip = knn_graph(PointCloud(rng.normal(size=(s, 3))), k)
+        if adjacent:
+            nbrs = grip.edges[:, 1].reshape(s, k)
+            kp = [int(rng.integers(s))]
+            for _ in range(5):
+                kp.append(int(nbrs[kp[-1], rng.integers(k)]))
+            kp = np.array(kp)
+        else:
+            kp = rng.integers(0, s, size=6)
+        model = GeoMatchModel(self.MID, seed=int(seed % 1000))
+        obj = knn_graph(PointCloud(rng.normal(size=(12, 3))), 3)
+        proj = dn.Tensor(rng.normal(size=(self.MID.proj_dim, 3)))
+
+        def grip_grads(v_kp):
+            dn.backward(dn.tsum(dn.square(dn.matmul(v_kp, proj))))
+            grads = {n: p.grad for n, p in model.store.items()
+                     if p.grad is not None}
+            model.store.zero_grad()
+            return grads
+
+        _, v_kp = model.encode(obj, grip, kp)
+        got = grip_grads(v_kp)
+        ref = full_graph_keypoint_rows(model, grip, kp)
+        want = grip_grads(ref)
+        # the products run over fewer rows, so BLAS may round differently
+        np.testing.assert_allclose(v_kp.data, ref.data, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref.data).max())
+        assert sorted(got) == sorted(want) == sorted(
+            n for n in model.store.names() if n.startswith("grip_"))
+        for name, g in want.items():
+            np.testing.assert_allclose(got[name], g, rtol=1e-12,
+                                       atol=1e-12 * np.abs(g).max())
+
+    def test_keypoint_outside_gripper_graph(self, rng_np, tiny_ee):
+        from types import SimpleNamespace
+        model = GeoMatchModel(TINY, seed=0)
+        s = tiny_sample(rng_np, ee=tiny_ee)
+        for bad in (10, -1):
+            kp = np.array([0, 1, 2, 3, 4, bad])
+            with pytest.raises(errors.IndexOutOfRange):
+                model.encode(s.object_graph, tiny_ee.rest_graph, kp)
+            s.ee = SimpleNamespace(rest_graph=tiny_ee.rest_graph,
+                                   keypoint_vertices=kp)
+            with pytest.raises(errors.IndexOutOfRange):
+                model.total_loss(s)
 
 
 class TestScoreMap:
     def test_hand_case(self):
         model = GeoMatchModel(TINY, seed=0)
         v_o = dn.Tensor(np.array([[1.0, 0, 0, 0], [0, 2.0, 0, 0]]))
-        v_g = dn.Tensor(np.array([[3.0, 4.0, 0, 0], [0.0, 0, 0, 0]]))
-        scores = model.score_map(v_o, v_g, np.zeros(6, dtype=int))
+        v_kp = dn.Tensor(np.array([[3.0, 4.0, 0, 0]] + [[0.0, 0, 0, 0]] * 5))
+        scores = model.score_map(v_o, v_kp)
+        assert scores.data.shape == (2, 6)
         assert np.allclose(scores.data[:, 0], [3.0, 8.0])
+        assert np.array_equal(scores.data[:, 1:], np.zeros((2, 5)))
 
     def test_bilinear_scaling(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
         s = tiny_sample(rng_np, ee=tiny_ee)
-        v_o, v_g = model.encode(s.object_graph, s.ee.rest_graph)
-        kp = s.ee.keypoint_vertices
-        base = model.score_map(v_o, v_g, kp).data
-        scaled = model.score_map(dn.Tensor(3.0 * v_o.data), v_g, kp).data
+        v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
+                                 s.ee.keypoint_vertices)
+        base = model.score_map(v_o, v_kp).data
+        scaled = model.score_map(dn.Tensor(3.0 * v_o.data), v_kp).data
         assert np.allclose(scaled, 3.0 * base, atol=1e-12)
 
 
@@ -123,17 +199,18 @@ class TestArLogits:
     def test_distance_padding(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
         s = tiny_sample(rng_np, ee=tiny_ee)
-        v_o, v_g = model.encode(s.object_graph, s.ee.rest_graph)
+        v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
+                                 s.ee.keypoint_vertices)
         # n=1: one real distance slot + 4 zero slots; verified by comparing
         # against a head evaluated on manually built features
         pts = s.object_graph.cloud.points
-        logits = model.ar_logits(1, v_o, v_g, 0, [2], pts)
+        logits = model.ar_logits(1, v_o, v_kp, [2], pts)
         assert logits.data.shape == (12,)
         centered = pts - pts.mean(axis=0)
         scale = np.sqrt((centered ** 2).mean())
         dists = np.zeros((12, 5))
         dists[:, 0] = np.linalg.norm(pts - pts[2], axis=1) / scale
-        feats = np.concatenate([v_o.data, np.tile(v_g.data[0], (12, 1)), dists],
+        feats = np.concatenate([v_o.data, np.tile(v_kp.data[1], (12, 1)), dists],
                                axis=1)
         for i in range(4):
             feats = feats @ model.store[f"ar1.w{i}"].data + model.store[f"ar1.b{i}"].data
@@ -144,9 +221,10 @@ class TestArLogits:
     def test_prefix_length_enforced(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
         s = tiny_sample(rng_np, ee=tiny_ee)
-        v_o, v_g = model.encode(s.object_graph, s.ee.rest_graph)
+        v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
+                                 s.ee.keypoint_vertices)
         with pytest.raises(errors.SchemaError):
-            model.ar_logits(2, v_o, v_g, 0, [1], s.object_graph.cloud.points)
+            model.ar_logits(2, v_o, v_kp, [1], s.object_graph.cloud.points)
 
     def test_zero_distance_at_prev_contact(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
@@ -217,9 +295,10 @@ class TestTotalLoss:
         head_layers = 5 * (len(TINY.ar_hidden) + 1)
         assert ops["spmm"] == gcn_layers
         assert ops["dense"] == gcn_layers + head_layers
-        # plus 2 projections; score map gather, transpose and matmul; column
-        # and BCE per keypoint; per head the keypoint's one-row gather (its
-        # first dense layer takes the parts unconcatenated), column and BCE;
+        # plus 2 projections; the keypoint rows' gather, score map transpose
+        # and matmul; column and BCE per keypoint; per head the keypoint's
+        # one-row gather (its first dense layer takes the parts
+        # unconcatenated), column and BCE;
         # 9 adds of loss terms; alpha * loss_f + beta * loss_m
         assert ops["gather_rows"] == 1 + 5
         assert "concat_cols" not in ops
@@ -348,8 +427,8 @@ class TestTraining:
         s = tiny_sample(rng_np, ee=tiny_ee)
         save_model(model, tmp_path / "w")
         back = load_model(tmp_path / "w")
-        a, _ = model.encode(s.object_graph, s.ee.rest_graph)
-        b, _ = back.encode(s.object_graph, s.ee.rest_graph)
+        a, _ = model.encode(s.object_graph, s.ee.rest_graph, s.ee.keypoint_vertices)
+        b, _ = back.encode(s.object_graph, s.ee.rest_graph, s.ee.keypoint_vertices)
         assert np.array_equal(a.data, b.data)
 
 
@@ -368,14 +447,16 @@ class TestDeterminism:
         s = tiny_sample(rng_np, ee=tiny_ee)
         a = GeoMatchModel(TINY, seed=8)
         b = GeoMatchModel(TINY, seed=8)
-        va, _ = a.encode(s.object_graph, s.ee.rest_graph)
-        vb, _ = b.encode(s.object_graph, s.ee.rest_graph)
+        kp = s.ee.keypoint_vertices
+        va, _ = a.encode(s.object_graph, s.ee.rest_graph, kp)
+        vb, _ = b.encode(s.object_graph, s.ee.rest_graph, kp)
         assert np.array_equal(va.data, vb.data)
 
     def test_different_seed_differs(self, rng_np, tiny_ee):
         s = tiny_sample(rng_np, ee=tiny_ee)
         a = GeoMatchModel(TINY, seed=8)
         b = GeoMatchModel(TINY, seed=9)
-        va, _ = a.encode(s.object_graph, s.ee.rest_graph)
-        vb, _ = b.encode(s.object_graph, s.ee.rest_graph)
+        kp = s.ee.keypoint_vertices
+        va, _ = a.encode(s.object_graph, s.ee.rest_graph, kp)
+        vb, _ = b.encode(s.object_graph, s.ee.rest_graph, kp)
         assert not np.array_equal(va.data, vb.data)

@@ -1,4 +1,5 @@
-"""The symmetric padded-neighbour adjacency operator against dense products."""
+"""The padded-neighbour adjacency operator and its row blocks against dense
+products."""
 
 import numpy as np
 import pytest
@@ -49,6 +50,51 @@ class TestProducts:
             adj.matmul(np.zeros((3, 2)))
         with pytest.raises(errors.ShapeMismatch):
             adj.rmatmul(np.zeros(2))
+
+
+class TestBlock:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 300), st.integers(1, 8),
+           st.sampled_from([1, 3, 256]))
+    @settings(max_examples=30, deadline=None)
+    def test_closed_neighbourhood_rows(self, seed, s, k, f):
+        # cols hold every column of the kept rows: the block's product is
+        # those rows of the full product, bit for bit
+        rng = np.random.default_rng(seed)
+        adj = knn_graph(PointCloud(rng.normal(size=(s, 3))), k).normalized_adjacency
+        rows = np.unique(rng.integers(0, s, size=int(rng.integers(1, 8))))
+        cols = np.unique(adj.nbr[rows])
+        block = adj.block(rows, cols)
+        h = rng.normal(size=(s, f))
+        assert block.shape == (rows.size, cols.size)
+        assert block.matmul(h[cols]).tobytes() == adj.matmul(h)[rows].tobytes()
+        g = rng.normal(size=(rows.size, f))
+        sub = adj.to_dense()[rows][:, cols]
+        assert np.allclose(block.rmatmul(g), sub.T @ g, rtol=1e-12, atol=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 100), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_any_subsets(self, seed, s, k):
+        # columns outside `cols` drop out with weight 0
+        rng = np.random.default_rng(seed)
+        adj = knn_graph(PointCloud(rng.normal(size=(s, 3))), k).normalized_adjacency
+        rows = np.unique(rng.integers(0, s, size=int(rng.integers(1, s))))
+        cols = np.unique(rng.integers(0, s, size=int(rng.integers(1, s))))
+        block = adj.block(rows, cols)
+        sub = adj.to_dense()[rows][:, cols]
+        assert np.array_equal(block.to_dense(), sub)
+        h = rng.normal(size=(cols.size, 3))
+        g = rng.normal(size=(rows.size, 3))
+        assert np.allclose(block.matmul(h), sub @ h, rtol=1e-12, atol=1e-12)
+        assert np.allclose(block.rmatmul(g), sub.T @ g, rtol=1e-12, atol=1e-12)
+
+    def test_shapes_checked(self):
+        adj = knn_graph(PointCloud(np.random.default_rng(0).normal(size=(20, 3))),
+                        3).normalized_adjacency
+        block = adj.block(np.array([2, 5]), np.arange(10))
+        with pytest.raises(errors.ShapeMismatch):
+            block.matmul(np.zeros((2, 4)))
+        with pytest.raises(errors.ShapeMismatch):
+            block.rmatmul(np.zeros((10, 4)))
 
 
 class TestConstruction:

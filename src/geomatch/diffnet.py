@@ -249,34 +249,6 @@ def column(x: Tensor, j: int) -> Tensor:
     return Tensor(x.data[:, j], _parents=(x,), _backward=back)
 
 
-def tsum(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def back(g):
-        return ((x, np.full_like(x.data, float(g))),)
-
-    return Tensor(x.data.sum(), _parents=(x,), _backward=back)
-
-
-def tmean(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-
-    def back(g):
-        return ((x, np.full_like(x.data, float(g) / n)),)
-
-    return Tensor(x.data.mean(), _parents=(x,), _backward=back)
-
-
-def square(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def back(g):
-        return ((x, g * 2.0 * x.data),)
-
-    return Tensor(x.data ** 2, _parents=(x,), _backward=back)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InfeasibleStart, NonFiniteResidual, SchemaError
 from .geometry import PointCloud
-from .kinematics import (EndEffectorModel, Pose, PREGRASP_OFFSET,
-                         axis_angle_to_matrix, heuristic_init_pose,
+from .kinematics import (EndEffectorModel, N_KEYPOINTS, Pose, PREGRASP_OFFSET,
+                         _norm, axis_angle_to_matrix, heuristic_init_pose,
                          keypoint_jacobian, keypoint_positions,
                          matrix_to_axis_angle, matrix_to_rot6d,
                          pregrasp_targets)
@@ -74,11 +74,6 @@ class TrfResult:
     cost_history: list = field(default_factory=list)
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, the same bits as np.linalg.norm."""
-    return math.sqrt(v.dot(v))
-
-
 def _check_finite(r: np.ndarray, where: str) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64).reshape(-1)
     if not np.isfinite(r).all():
@@ -87,7 +82,8 @@ def _check_finite(r: np.ndarray, where: str) -> np.ndarray:
 
 
 def numeric_jacobian(problem: LeastSquaresProblem, q: np.ndarray) -> np.ndarray:
-    """Finite-difference Jacobian: central inside, one-sided at a bound."""
+    """Finite-difference Jacobian: central inside, one-sided at a bound;
+    every probe stays in the box."""
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     r0 = _check_finite(problem.residual(q), "at the expansion point")
     jac = np.empty((r0.size, q.size))
@@ -95,19 +91,22 @@ def numeric_jacobian(problem: LeastSquaresProblem, q: np.ndarray) -> np.ndarray:
         h = _FD_STEP * max(1.0, abs(q[j]))
         hi_ok = q[j] + h <= problem.upper[j]
         lo_ok = q[j] - h >= problem.lower[j]
+        if not (hi_ok or lo_ok):
+            # no room for h on either side: one-sided toward the side with
+            # more room, the step cut to fit
+            hi_ok = problem.upper[j] - q[j] >= q[j] - problem.lower[j]
+            h = problem.upper[j] - q[j] if hi_ok else q[j] - problem.lower[j]
         qp, qm = q.copy(), q.copy()
+        qp[j] = min(q[j] + h, problem.upper[j])
+        qm[j] = max(q[j] - h, problem.lower[j])
         if hi_ok and lo_ok:
-            qp[j] += h
-            qm[j] -= h
             rp = _check_finite(problem.residual(qp), f"probing +{j}")
             rm = _check_finite(problem.residual(qm), f"probing -{j}")
             jac[:, j] = (rp - rm) / (2.0 * h)
         elif hi_ok:
-            qp[j] += h
             rp = _check_finite(problem.residual(qp), f"probing +{j}")
             jac[:, j] = (rp - r0) / h
         else:
-            qm[j] -= h
             rm = _check_finite(problem.residual(qm), f"probing -{j}")
             jac[:, j] = (r0 - rm) / h
     return jac
@@ -126,7 +125,7 @@ def _secular(a2: np.ndarray, sv2: np.ndarray, lam: float) -> tuple[float, float]
     """||p(lam)||^2 = sum a^2 / (sv^2 + lam)^2 and sum a^2 / (sv^2 + lam)^3."""
     w = 1.0 / (sv2 + lam)
     t = a2 * w * w
-    return float(t.sum()), float(t.dot(w))
+    return float(np.add.reduce(t)), float(t.dot(w))
 
 
 def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
@@ -139,18 +138,15 @@ def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
     overshooting it.
     """
     u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    zeta = u.T @ r
-    good = sv > max(sv[0] if sv.size else 0.0, 1.0) * 1e-14
-    coef = np.zeros_like(sv)
-    coef[good] = zeta[good] / sv[good]
-    s_gn = -vt.T @ coef
+    sv, zeta = sv.tolist(), (u.T @ r).tolist()
+    cut = max(sv[0] if sv else 0.0, 1.0) * 1e-14
+    s_gn = -vt.T @ [z / s if s > cut else 0.0 for z, s in zip(zeta, sv)]
     if _norm(s_gn) <= radius:
         return s_gn, False
 
-    a = sv * zeta
-    keep = a != 0       # a zero singular value adds nothing to p
-    a, sv2 = a[keep], sv[keep] ** 2
-    a2 = a * a
+    a = [s * z for s, z in zip(sv, zeta)]
+    # a term with a = 0 adds nothing to p
+    a2, sv2 = np.array([(c * c, s * s) for c, s in zip(a, sv) if c]).reshape(-1, 2).T
     lam = 0.0
     for _ in range(_SECULAR_STEPS):
         norm2, slope = _secular(a2, sv2, lam)
@@ -158,19 +154,16 @@ def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
         if norm - radius <= 1e-12 * radius:
             break
         lam += (norm - radius) / radius * norm2 / slope
-    coef = np.zeros_like(sv)
-    coef[keep] = a / (sv2 + lam)
+    coef = [c / (s * s + lam) if c else 0.0 for c, s in zip(a, sv)]
     return -vt.T @ coef, True
 
 
-def _max_feasible_stride(x, p, lower, upper) -> tuple[float, np.ndarray]:
-    """Largest tau with x + tau p inside the box, plus the hit mask."""
-    tau_all = np.full(x.shape, np.inf)
-    np.divide(upper - x, p, out=tau_all, where=p > 0)
-    np.divide(lower - x, p, out=tau_all, where=p < 0)
-    tau = float(tau_all.min()) if tau_all.size else np.inf
-    hit = tau_all <= tau * (1 + 1e-12)
-    return tau, hit
+def _max_feasible_stride(x, p, lower, upper) -> tuple[float, list]:
+    """Largest tau with x + tau p inside the box, plus the hit mask, on lists."""
+    taus = [(hi - xi) / pi if pi > 0 else (lo - xi) / pi if pi < 0 else math.inf
+            for xi, pi, lo, hi in zip(x, p, lower, upper)]
+    tau = min(taus, default=math.inf)
+    return tau, [t <= tau * (1 + 1e-12) for t in taus]
 
 
 def _clip_strict(x, lower, upper):
@@ -207,7 +200,10 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
                        x_history=[x.copy()], cost_history=[cost])
     radius = max(1.0, _norm(x))
     jac = None      # recomputed only where x moved
-    up_finite, lo_finite = np.isfinite(upper), np.isfinite(lower)
+    # componentwise work runs on lists: on a dozen unknowns Python floats
+    # cost less than numpy calls, and each operation gives the same bits
+    lo_l, up_l = lower.tolist(), upper.tolist()
+    box = list(zip(lo_l, up_l, map(math.isfinite, lo_l), map(math.isfinite, up_l)))
 
     for it in range(1, max_iter + 1):
         result.iterations = it
@@ -216,54 +212,56 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
         grad = jac.T @ r
 
         # Coleman-Li scaling: distance to the bound the gradient pushes toward
-        v = np.where((grad < 0) & up_finite, upper - x, 1.0)
-        v = np.where((grad > 0) & lo_finite, x - lower, v)
-        if np.max(np.abs(grad * v), initial=0.0) < _GTOL:
+        x_l, g_l = x.tolist(), grad.tolist()
+        v = [hi - xi if g < 0 and has_hi else xi - lo if g > 0 and has_lo else 1.0
+             for xi, g, (lo, hi, has_lo, has_hi) in zip(x_l, g_l, box)]
+        if max((abs(g * c) for g, c in zip(g_l, v)), default=0.0) < _GTOL:
             result.status = STATUS_CONVERGED
             break
         d = np.sqrt(v)
-
-        jac_scaled = jac * d[None, :]
-        s, _ = _solve_tr_subproblem(jac_scaled, r, radius)
+        s, _ = _solve_tr_subproblem(jac * d, r, radius)
         p = d * s
 
-        candidates = []
-
-        def add_candidate(step_vec):
-            trial = x + step_vec
-            if ((lower < trial) & (trial < upper)).all():
-                model_cost = 0.5 * float(np.sum((jac @ step_vec + r) ** 2))
-                candidates.append((model_cost, step_vec))
-
-        tau, hit = _max_feasible_stride(x, p, lower, upper)
+        # candidate steps: p, stepped back from the box if it leaves it, and
+        # reflected off the bound it crosses
+        p_l = p.tolist()
+        tau, hit = _max_feasible_stride(x_l, p_l, lo_l, up_l)
         if tau >= 1.0:
-            add_candidate(p)
+            steps = [p_l]
         else:
-            stride = _INTERIOR * tau
-            add_candidate(stride * p)
+            stride = [_INTERIOR * tau * c for c in p_l]
+            steps = [stride]
             # reflect the crossing components once, then clip
-            reflected = p.copy()
-            reflected[hit] = -reflected[hit]
-            x_wall = x + stride * p
-            tau2, _ = _max_feasible_stride(x_wall, reflected, lower, upper)
+            reflected = [-c if h else c for c, h in zip(p_l, hit)]
+            wall = [a + b for a, b in zip(x_l, stride)]
+            tau2, _ = _max_feasible_stride(wall, reflected, lo_l, up_l)
             beta = min(1.0 - tau, _INTERIOR * tau2)
             if beta > 0:
-                add_candidate(stride * p + beta * reflected)
+                steps.append([a + beta * b for a, b in zip(stride, reflected)])
         # scaled steepest-descent fallback keeps progress available
         g_scaled = d * grad
         gn = _norm(g_scaled)
         if gn > 0:
-            p_grad = -d * g_scaled * (radius / gn)
-            tau_g, _ = _max_feasible_stride(x, p_grad, lower, upper)
-            add_candidate(min(1.0, _INTERIOR * tau_g) * p_grad)
+            scale = radius / gn
+            p_grad = [-a * b * scale for a, b in zip(d.tolist(), g_scaled.tolist())]
+            tau_g, _ = _max_feasible_stride(x_l, p_grad, lo_l, up_l)
+            steps.append([min(1.0, _INTERIOR * tau_g) * c for c in p_grad])
 
-        if not candidates:
+        # the least model cost wins among the candidates strictly inside the
+        # box, the first on a tie; each row's jac @ step and sum of squares
+        # are those of a single step
+        steps = np.array(steps)
+        trials = x + steps
+        model = np.add.reduce(((jac @ steps[:, :, None])[:, :, 0] + r) ** 2, axis=1)
+        by_cost = sorted(range(len(steps)), key=model.tolist().__getitem__)
+        best = next((i for i in by_cost if all(
+            lo < c < hi for lo, c, hi in zip(lo_l, trials[i].tolist(), up_l))), None)
+        if best is None:
             result.status = STATUS_SMALL_STEP
             break
-        model_cost, p_best = min(candidates, key=lambda c: c[0])
-        predicted = cost - model_cost
+        predicted = cost - 0.5 * float(model[best])
+        p_best, x_trial = steps[best], trials[best]
 
-        x_trial = x + p_best
         r_trial = _check_finite(problem.residual(x_trial), "at a trial point")
         cost_trial = 0.5 * float(r_trial @ r_trial)
         actual = cost - cost_trial
@@ -329,7 +327,9 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     the object normals (pass offset=0 to aim at the contacts directly). The
     start point is the palm-alignment heuristic, so the cloud is required.
     """
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (N_KEYPOINTS, 3):
+        raise SchemaError(f"targets must be ({N_KEYPOINTS}, 3), got {targets.shape}")
     if not np.isfinite(targets).all():
         raise SchemaError("targets must be finite")
     if object_cloud is None:
@@ -352,9 +352,9 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     last = {"q": None}
 
     def at(q: np.ndarray) -> dict:
-        if last["q"] is None or not (q == last["q"]).all():
+        if q.tobytes() != last["q"]:
             kp, jac = keypoint_jacobian(ee, q)
-            last.update(q=q.copy(), r=(kp - effective).reshape(-1), jac=jac)
+            last.update(q=q.tobytes(), r=(kp - effective).reshape(-1), jac=jac)
         return last
 
     problem = LeastSquaresProblem(residual=lambda q: at(q)["r"],

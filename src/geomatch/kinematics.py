@@ -29,6 +29,8 @@ HEURISTIC_STANDOFF = 0.02   # palm standoff of the initial IK guess, meters
 
 N_KEYPOINTS = 6
 
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
+
 
 # ---------------------------------------------------------------------------
 # rotations
@@ -38,23 +40,33 @@ def rot6d_to_matrix(r6) -> np.ndarray:
     """Gram-Schmidt decode of the 6D rotation representation."""
     r6 = np.asarray(r6, dtype=np.float64).reshape(6)
     a1, a2 = r6[:3], r6[3:]
-    n1 = np.linalg.norm(a1)
+    n1 = _norm(a1)
     if n1 <= 1e-12:
         raise DegenerateInput("first 3-vector is (near) zero")
     c1 = a1 / n1
-    residual = a2 - np.dot(c1, a2) * c1
-    n2 = np.linalg.norm(residual)
+    residual = a2 - c1.dot(a2) * c1
+    n2 = _norm(residual)
     if n2 <= 1e-12:
         raise DegenerateInput("second 3-vector is (near) parallel to the first")
     c2 = residual / n2
-    c3 = np.cross(c1, c2)
-    return np.stack([c1, c2, c3], axis=1)
+    return np.array(list(zip(c1.tolist(), c2.tolist(), _cross(c1, c2))))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, the same bits as np.linalg.norm."""
+    return math.sqrt(v.dot(v))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> list:
+    """a x b for 3-vectors, with np.cross's products and differences."""
+    (x1, y1, z1), (x2, y2, z2) = a.tolist(), b.tolist()
+    return [y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]
 
 
 def matrix_to_rot6d(rot) -> np.ndarray:
     """First two columns of a rotation matrix, concatenated."""
     rot = np.asarray(rot, dtype=np.float64).reshape(3, 3)
-    if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-6:
+    if np.abs(rot.T @ rot - _EYE3).max() > 1e-6:
         raise NotARotation("matrix is not orthonormal within 1e-6")
     return np.concatenate([rot[:, 0], rot[:, 1]])
 
@@ -76,18 +88,26 @@ def quat_to_matrix(q) -> np.ndarray:
     ])
 
 
+def _rotations(w: np.ndarray) -> np.ndarray:
+    """Rodrigues formula for each row of w (n, 3), axis * angle.
+
+    Each matrix has the bits of np.eye(3) + sin(t) * k + (1 - cos(t)) * (k @ k)
+    with k = [w / t]x, and np.vecdot takes each row's w.dot(w) as that dot
+    product. Below t = 1e-12 the first-order expansion I + [w]x is exact to
+    1e-24; coefficients 1 and 0 give it with its bits.
+    """
+    m = np.array([(a, b, 0.0, -z, y, z, 0.0, -x, -y, x, 0.0) for a, b, x, y, z in (
+        (1.0, 0.0, x, y, z) if t < 1e-12 else
+        (math.sin(t), 1 - math.cos(t), x / t, y / t, z / t)
+        for (x, y, z), t in zip(w.tolist(), map(math.sqrt, np.vecdot(w, w).tolist())))])
+    m = m.reshape(-1, 11)
+    k = m[:, 2:].reshape(-1, 3, 3)
+    return _EYE3 + m[:, :1, None] * k + m[:, 1:2, None] * (k @ k)
+
+
 def axis_angle_to_matrix(w) -> np.ndarray:
     """Rodrigues formula; w is axis * angle."""
-    w = np.asarray(w, dtype=np.float64).reshape(3)
-    theta = math.sqrt(w.dot(w))
-    if theta < 1e-12:
-        k = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
-        return np.eye(3) + k  # first-order expansion is exact to 1e-24 here
-    axis = w / theta
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return np.eye(3) + math.sin(theta) * k + (1 - math.cos(theta)) * (k @ k)
+    return _rotations(np.asarray(w, dtype=np.float64).reshape(1, 3))[0]
 
 
 def matrix_to_axis_angle(rot) -> np.ndarray:
@@ -121,7 +141,7 @@ def matrix_to_axis_angle(rot) -> np.ndarray:
     if w < 0:
         w, x, y, z = -w, -x, -y, -z
     v = np.array([x, y, z])
-    vn = np.linalg.norm(v)
+    vn = _norm(v)
     if vn < 1e-12:
         return np.zeros(3)
     angle = 2.0 * math.atan2(vn, w)
@@ -136,11 +156,11 @@ def rotation_between(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    c = float(np.dot(a, b))
-    axis = np.cross(a, b)
-    s = np.linalg.norm(axis)
+    a = a / _norm(a)
+    b = b / _norm(b)
+    c = float(a.dot(b))
+    axis = np.array(_cross(a, b))
+    s = _norm(axis)
     if c > 1.0 - 1e-12 and s < 1e-12:
         return np.eye(3)
     if c < -1.0 + 1e-9:
@@ -214,31 +234,38 @@ class KinematicChain:
                 raise SchemaError(f"link {l.name} has no driving joint")
             if j.parent != l.parent:
                 raise SchemaError(f"joint {j.name} disagrees with link tree")
-        # parents-before-children traversal order, also detects cycles
-        order, seen = [], {self.root}
+        # parents-before-children traversal order, one tree level at a time;
+        # also detects cycles
+        order, seen, widths = [], {self.root}, []
         pending = [l.name for l in self.links if l.parent is not None]
         while pending:
-            progressed = False
-            rest = []
-            for name in pending:
-                if self.links[self._index[name]].parent in seen:
-                    order.append(name)
-                    seen.add(name)
-                    progressed = True
-                else:
-                    rest.append(name)
-            if not progressed:
+            level = [name for name in pending if self.link(name).parent in seen]
+            if not level:
                 raise SchemaError("link graph is not a tree")
-            pending = rest
+            order, widths = order + level, widths + [len(level)]
+            seen.update(level)
+            pending = [name for name in pending if name not in seen]
         self._order = [self.root] + order
         self.actuated = [j for j in self.joints if j.type != "fixed"]
-        # constant per link: its origin transform, and which actuated joints
-        # lie on its path from the root
-        self._origins = {l.name: _homogeneous(quat_to_matrix(l.origin_q), l.origin_t)
-                         for l in self.links}
+        # constant per link, in FK slots of traversal order: its origin
+        # transform, and which actuated joints lie on its path from the root
+        self._slot = {name: i for i, name in enumerate(self._order)}
+        self._origins = np.array([_homogeneous(quat_to_matrix(l.origin_q), l.origin_t)
+                                  for l in map(self.link, self._order)])
+        # each level: its run of slots, its parents' slots and its origins
+        parent = np.array([self._slot[self.link(name).parent] for name in order])
+        ends = np.cumsum([1] + widths).tolist()
+        self._levels = [(a, b, parent[a - 1:b - 1], self._origins[a:b])
+                        for a, b in zip(ends, ends[1:])]
         self._axes = np.array([j.axis for j in self.actuated]).reshape(-1, 3)
         self._revolute = np.array([j.type == "revolute" for j in self.actuated],
                                   dtype=bool)
+        # FK's motion stack holds the root pose in slot 0, then each joint's
+        # motion in its child's slot
+        self._joint_slots = np.array([self._slot[j.child] for j in self.actuated],
+                                     dtype=np.int64)
+        self._turned = np.concatenate([[0], self._joint_slots[self._revolute]])
+        self._slid = self._joint_slots[~self._revolute]
         column = {j.child: i for i, j in enumerate(self.actuated)}
         self._on_path = {self.root: np.zeros(self.dof, dtype=bool)}
         for name in order:
@@ -273,7 +300,7 @@ class Pose:
         object.__setattr__(self, "theta",
                            np.asarray(self.theta, dtype=np.float64).reshape(-1))
         rot = rot6d_to_matrix(self.r6)   # raises DegenerateInput if invalid
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
+        if np.abs(rot.T @ rot - _EYE3).max() > 1e-9:
             raise NotARotation("decoded rotation fails orthonormality at 1e-9")
 
     def root_matrix(self) -> np.ndarray:
@@ -287,46 +314,49 @@ def _homogeneous(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
     return m
 
 
-def _joint_motion(joint: Joint, value: float) -> np.ndarray:
-    if joint.type == "revolute":
-        m = np.zeros((4, 4))
-        m[:3, :3] = axis_angle_to_matrix(joint.axis * value)
-        m[3, 3] = 1.0
-        return m
-    if joint.type == "prismatic":
-        return _homogeneous(np.eye(3), joint.axis * value)
-    return np.eye(4)
+class LinkFrames(dict):
+    """World 4x4 transform per link name; `stack` holds them in FK slot order."""
+
+    def __init__(self, chain: KinematicChain, stack: np.ndarray):
+        super().__init__(zip(chain._order, stack))
+        self.stack = stack
 
 
-def forward_kinematics(chain: KinematicChain,
-                       pose: Pose | np.ndarray) -> dict[str, np.ndarray]:
+def forward_kinematics(chain: KinematicChain, pose: Pose | np.ndarray) -> LinkFrames:
     """World 4x4 transform per link, at a Pose or a pose vector (t, w, theta).
 
-    Composition per non-root link: T_parent @ origin(link) @ motion(joint).
-    Joint values outside limits by more than 1e-9 raise LimitViolation.
+    Composition per non-root link: T_parent @ origin(link) @ motion(joint),
+    one tree level at a time. Joint values outside limits by more than 1e-9
+    raise LimitViolation.
     """
-    if isinstance(pose, Pose):
-        rot, t, theta = pose.root_matrix(), pose.t, pose.theta
-    else:
-        q = np.asarray(pose, dtype=np.float64).reshape(-1)
-        rot, t, theta = axis_angle_to_matrix(q[3:6]), q[:3], q[6:]
+    q = None if isinstance(pose, Pose) else np.asarray(pose, dtype=float).reshape(-1)
+    t, theta = (pose.t, pose.theta) if q is None else (q[:3], q[6:])
     if theta.size != chain.dof:
         raise SchemaError(
             f"theta has {theta.size} values, chain has {chain.dof} joints")
-    values = {}
-    for j, value in zip(chain.actuated, theta):
+    for j, value in zip(chain.actuated, theta.tolist()):
         lo, hi = j.limits
         if value < lo - 1e-9 or value > hi + 1e-9:
             raise LimitViolation(
                 f"joint {j.name}: value {value:.6g} outside [{lo:.6g}, {hi:.6g}]")
-        values[j.name] = float(value)
-    transforms = {chain.root: _homogeneous(rot, t) @ chain._origins[chain.root]}
-    for name in chain._order[1:]:
-        joint = chain._joint_by_child[name]
-        motion = _joint_motion(joint, values.get(joint.name, 0.0))
-        transforms[name] = (transforms[chain.link(name).parent]
-                            @ chain._origins[name] @ motion)
-    return transforms
+    # axis * value per joint: a rotation vector or a translation
+    w = chain._axes * theta[:, None]
+    rev = chain._revolute
+    if q is None:
+        rots = np.concatenate([pose.root_matrix()[None], _rotations(w[rev])])
+    else:
+        rots = _rotations(np.concatenate([q[None, 3:6], w[rev]]))
+    motion = np.empty_like(chain._origins)
+    motion[:] = _EYE4
+    motion[chain._turned, :3, :3] = rots
+    motion[0, :3, 3] = t
+    if chain._slid.size:
+        motion[chain._slid, :3, 3] = w[~rev]
+    frames = np.empty_like(motion)
+    frames[0] = motion[0] @ chain._origins[0]
+    for a, b, parents, origins in chain._levels:
+        frames[a:b] = frames[parents] @ origins @ motion[a:b]
+    return LinkFrames(chain, frames)
 
 
 def rest_pose(chain: KinematicChain) -> Pose:
@@ -383,36 +413,47 @@ class EndEffectorModel:
         return knn_graph(self.rest_cloud, self.knn_k)
 
     @functools.cached_property
-    def on_path(self) -> np.ndarray:
-        """(keypoint, actuated joint) mask: the joint moves the keypoint."""
-        return np.array([self.chain._on_path[kp.link] for kp in self.keypoints])
+    def _keypoint_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """FK slot of each keypoint's link, the offsets as columns (6, 3, 1)
+        and the (6, 1, dof) mask of the joints that move each keypoint."""
+        return (np.array([self.chain._slot[kp.link] for kp in self.keypoints]),
+                np.array([kp.offset for kp in self.keypoints]).reshape(-1, 3, 1),
+                np.array([[self.chain._on_path[kp.link]] for kp in self.keypoints]))
+
+    @functools.cached_property
+    def _rest_palm(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Joint values, palm normal and palm point at the rest pose."""
+        rest = rest_pose(self.chain)
+        m = forward_kinematics(self.chain, rest)[self.palm.link]
+        return (rest.theta, m[:3, :3] @ self.palm.normal,
+                m[:3, :3] @ self.palm.point + m[:3, 3])
 
     @property
     def keypoint_vertices(self) -> np.ndarray:
         return np.array([kp.vertex for kp in self.keypoints], dtype=np.int64)
 
 
-def _keypoints(ee: EndEffectorModel, fk: dict[str, np.ndarray]) -> np.ndarray:
-    out = np.empty((N_KEYPOINTS, 3))
-    for i, kp in enumerate(ee.keypoints):
-        m = fk[kp.link]
-        out[i] = m[:3, :3] @ kp.offset + m[:3, 3]
-    return out
+def _keypoints(ee: EndEffectorModel, frames: np.ndarray) -> np.ndarray:
+    """Keypoints (6, 3) from an FK stack; the (3, 3) @ (3, 1) products are
+    the matrix-vector products of m[:3, :3] @ offset."""
+    slots, offsets, _ = ee._keypoint_frames
+    m = frames[slots]
+    return (m[:, :3, :3] @ offsets)[:, :, 0] + m[:, :3, 3]
 
 
 def keypoint_positions(ee: EndEffectorModel, pose: Pose | np.ndarray) -> np.ndarray:
     """World coordinates of the 6 keypoints at the given pose, (6, 3)."""
-    return _keypoints(ee, forward_kinematics(ee.chain, pose))
+    return _keypoints(ee, forward_kinematics(ee.chain, pose).stack)
 
 
-# component k of a x b is a[k1] b[k2] - a[k2] b[k1], as np.cross computes it
-_CROSS_K1, _CROSS_K2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+# component k of a x b is a[k1] b[k2] - a[k2] b[k1], as np.cross computes
+# it: k1 for k = 0, 1, 2 and then k2, and the same halves swapped
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
 def _left_jacobian(w: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3) at w: exp([w + d]x) = exp([J_l(w) d]x) exp([w]x)."""
     theta = math.sqrt(w.dot(w))
-    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
     if theta < 1e-2:    # series; the closed forms lose digits to cancellation
         t2 = theta * theta
         a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
@@ -420,7 +461,9 @@ def _left_jacobian(w: np.ndarray) -> np.ndarray:
     else:
         a = (1.0 - math.cos(theta)) / (theta * theta)
         b = (theta - math.sin(theta)) / theta ** 3
-    return np.eye(3) + a * k + b * (k @ k)
+    x, y, z = w.tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def keypoint_jacobian(ee: EndEffectorModel, q) -> tuple[np.ndarray, np.ndarray]:
@@ -438,19 +481,24 @@ def keypoint_jacobian(ee: EndEffectorModel, q) -> tuple[np.ndarray, np.ndarray]:
     """
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     chain = ee.chain
-    fk = forward_kinematics(chain, q)
-    x = _keypoints(ee, fk)
+    frames = forward_kinematics(chain, q).stack
+    x = _keypoints(ee, frames)
+    child = frames[chain._joint_slots]
+    # per column from 3 on: an axis, and the point x turns about; w's
+    # columns are J_l(w)'s columns about t, the joints' R_child @ axis about o
+    axes = np.concatenate([_left_jacobian(q[3:6]), np.einsum(
+        "jkl,jl->jk", child[:, :3, :3], chain._axes).T], axis=1)    # [xyz, column]
+    pivots = np.concatenate([q[:3, None].repeat(3, axis=1), child[:, :3, 3].T], axis=1)
+    arm = x[:, :, None] - pivots                        # [keypoint, xyz, column]
+    # axis x arm, the cross products written out as np.cross computes them
+    a, b = axes.take(_CROSS_A, axis=0), arm.take(_CROSS_B, axis=1)
+    swept = a[:3] * b[:, :3] - a[3:] * b[:, 3:]
     jac = np.empty((N_KEYPOINTS, 3, 6 + chain.dof))     # [keypoint, xyz, column]
-    jac[:, :, :3] = np.eye(3)
-    k1, k2 = _CROSS_K1, _CROSS_K2      # the cross products, written out
-    lj, y = _left_jacobian(q[3:6]), x - q[:3]
-    jac[:, :, 3:6] = lj[k1] * y[:, k2, None] - lj[k2] * y[:, k1, None]
-    child = np.array([fk[j.child] for j in chain.actuated]).reshape(-1, 4, 4)
-    axes = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes).T   # [xyz, joint]
-    arm = x[:, :, None] - child[:, :3, 3].T[None]       # [keypoint, xyz, joint]
-    swept = axes[k1] * arm[:, k2] - axes[k2] * arm[:, k1]
-    moving = np.where(chain._revolute, swept, axes)
-    jac[:, :, 6:] = moving * ee.on_path[:, None, :]
+    jac[:, :, :3] = _EYE3
+    jac[:, :, 3:] = swept
+    if chain._slid.size:    # a prismatic joint's column is its axis
+        jac[:, :, 6:] = np.where(chain._revolute, swept[:, :, 3:], axes[:, 3:])
+    jac[:, :, 6:] *= ee._keypoint_frames[2]
     return x, jac.reshape(3 * N_KEYPOINTS, -1)
 
 
@@ -480,15 +528,10 @@ def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
     vertex = object_cloud.points[idx]
     obj_normal = object_cloud.normals[idx]
 
-    rest = rest_pose(ee.chain)
-    fk = forward_kinematics(ee.chain, rest)
-    palm_m = fk[ee.palm.link]
-    palm_normal_rest = palm_m[:3, :3] @ ee.palm.normal
-    palm_point_rest = palm_m[:3, :3] @ ee.palm.point + palm_m[:3, 3]
-
+    theta, palm_normal_rest, palm_point_rest = ee._rest_palm
     rot = rotation_between(palm_normal_rest, -obj_normal)
     t = vertex + HEURISTIC_STANDOFF * obj_normal - rot @ palm_point_rest
-    return Pose(t=t, r6=matrix_to_rot6d(rot), theta=rest.theta.copy())
+    return Pose(t=t, r6=matrix_to_rot6d(rot), theta=theta.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from geomatch import errors
 from geomatch.geometry import PointCloud, knn_graph
 from geomatch.rng import Rng
 from geomatch.sparse import SparseCOO
+from losses import scalar_loss
 
 
 def finite_diff_grad(fn, tensor, eps=1e-6):
@@ -53,12 +54,12 @@ def head(x, layers):
 class TestBasicOps:
     def test_sum_grad_ones(self):
         x = dn.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        dn.backward(dn.tsum(x))
+        dn.backward(scalar_loss(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_sum_analytic(self):
         x = dn.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        dn.backward(dn.tsum(dn.square(x)))
+        dn.backward(scalar_loss(x, square=True))
         assert np.allclose(x.grad, [2.0, 4.0])
 
     def test_matmul_hand_case(self):
@@ -81,7 +82,7 @@ class TestBasicOps:
             c = dn.Tensor(rng_np.normal(size=5), requires_grad=True)
 
             def fn():
-                return dn.tmean(dn.square(dn.dense(a, b, c)))
+                return scalar_loss(dn.dense(a, b, c), square=True, mean=True)
 
             check_grads(fn, [a, b, c])
             a.grad = b.grad = c.grad = None
@@ -94,7 +95,7 @@ class TestBasicOps:
         def fn():
             g = dn.gather_rows(x, idx)
             cat = dn.concat_cols([g, dn.Tensor(const)])
-            return dn.tmean(dn.square(dn.column(cat, 1)))
+            return scalar_loss(dn.column(cat, 1), square=True, mean=True)
 
         check_grads(fn, [x])
 
@@ -102,7 +103,7 @@ class TestBasicOps:
         x = dn.Tensor(rng_np.normal(size=(3, 4)), requires_grad=True)
 
         def fn():
-            return dn.tsum(dn.square(dn.matmul(dn.transpose(x), x)))
+            return scalar_loss(dn.matmul(dn.transpose(x), x), square=True)
 
         check_grads(fn, [x])
 
@@ -111,7 +112,7 @@ class TestBasicOps:
         h = dn.Tensor(rng_np.normal(size=(6, 3)), requires_grad=True)
 
         def fn():
-            return dn.tmean(dn.square(dn.spmm(sp, h)))
+            return scalar_loss(dn.spmm(sp, h), square=True, mean=True)
 
         check_grads(fn, [h])
 
@@ -135,14 +136,14 @@ class TestBasicOps:
                   for _ in range(2))
 
         def fn():
-            return dn.tsum(dn.add(dn.dense(x, w1, b1), dn.dense(x, w2, b2)))
+            return scalar_loss(dn.add(dn.dense(x, w1, b1), dn.dense(x, w2, b2)))
 
         check_grads(fn, [w1, b1, w2, b2])
 
     def test_reused_node_accumulates(self):
         x = dn.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         y = dn.add(x, x)
-        dn.backward(dn.tsum(y))
+        dn.backward(scalar_loss(y))
         assert np.allclose(x.grad, [2.0, 2.0])
 
 
@@ -200,7 +201,8 @@ class TestDense:
         offset = dn.Tensor(rng.normal(size=(rows, fan_out)))
 
         def fn():
-            return dn.tmean(dn.square(dn.dense(x, w, b, relu=relu) + offset))
+            return scalar_loss(dn.dense(x, w, b, relu=relu) + offset,
+                               square=True, mean=True)
 
         check_grads(fn, [x, w, b] if x_grad else [w, b])
         if not x_grad:
@@ -274,8 +276,8 @@ class TestDenseParts:
         offset = dn.Tensor(rng.normal(size=(rows, 3)))
 
         def fn():
-            return dn.tmean(dn.square(dn.dense([x, row, const], w, b, relu=relu)
-                                      + offset))
+            return scalar_loss(dn.dense([x, row, const], w, b, relu=relu) + offset,
+                               square=True, mean=True)
 
         check_grads(fn, [x, row, w, b])
         assert const.grad is None

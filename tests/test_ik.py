@@ -1,5 +1,6 @@
 """Bounded least-squares solver and grasp IK."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,8 @@ from geomatch.geometry import PointCloud
 from geomatch.ik import (LeastSquaresProblem, STATUS_CONVERGED,
                          STATUS_MAX_ITERATIONS, STATUS_SMALL_STEP,
                          numeric_jacobian, solve_ik, solve_trf)
-from geomatch.kinematics import Pose, keypoint_positions, matrix_to_rot6d
+from geomatch.kinematics import (PREGRASP_OFFSET, Pose, keypoint_positions,
+                                 matrix_to_rot6d)
 from geomatch.rng import Rng
 
 
@@ -58,6 +60,23 @@ class TestNumericJacobian:
         p = unbounded(lambda q: np.array([np.nan]), [0.0])
         with pytest.raises(errors.NonFiniteResidual):
             numeric_jacobian(p, p.x0)
+
+    @pytest.mark.parametrize("q", [2.5e-8, 1e-8, 4.9e-8, 0.0, 5e-8])
+    def test_probes_stay_in_a_box_narrower_than_the_step(self, q):
+        # the step is 1e-7: neither side of [0, 5e-8] has room for it, so the
+        # difference is one-sided toward the wider side, the step cut to fit
+        probes = []
+
+        def fn(v):
+            probes.append(v[0])
+            return np.array([v[0] ** 2 + 3.0 * v[0]])
+
+        p = LeastSquaresProblem(residual=fn, lower=np.array([0.0]),
+                                upper=np.array([5e-8]), x0=np.array([q]))
+        jac = numeric_jacobian(p, np.array([q]))
+        assert all(0.0 <= v <= 5e-8 for v in probes)
+        assert len(set(probes)) == 2
+        assert jac[0, 0] == pytest.approx(2.0 * q + 3.0, abs=1e-7)
 
 
 def random_subproblem(rng, kind: str, m: int, n: int):
@@ -303,3 +322,83 @@ class TestSolveIk:
     def test_offset_requires_cloud(self, pincer):
         with pytest.raises(errors.SchemaError):
             solve_ik(pincer, np.zeros((6, 3)), None, offset=0.005)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3), (7, 3), (18,), (6, 2)])
+    def test_targets_must_be_one_per_keypoint(self, pincer, shape):
+        # a single row would broadcast against all six keypoints
+        targets = keypoint_positions(pincer, self.random_reachable_pose(pincer, Rng(9)))
+        with pytest.raises(errors.SchemaError, match="targets"):
+            solve_ik(pincer, np.resize(targets, shape), self.synthetic_object(targets))
+
+
+def solution_digest(res) -> str:
+    """sha256 of a solve's pose vector (t, r6, theta), its per-keypoint
+    misses and its residual norm."""
+    pose = res.pose
+    parts = (pose.t, pose.r6, pose.theta, res.per_keypoint, [res.residual_norm])
+    return hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in parts)).hexdigest()
+
+
+def pinned_solves(pincer, claw):
+    """(name, ee, targets, cloud, offset, max_iter) of the pinned IK solves:
+    reachable targets for each gripper at both offsets, a start on the
+    rotation bound and solves cut off by max_iter."""
+    helper, rng, out = TestSolveIk(), Rng(4242), []
+    for ee in (pincer, claw):
+        for offset in (0.0, PREGRASP_OFFSET):
+            for i in range(2):
+                targets = keypoint_positions(ee, helper.random_reachable_pose(ee, rng))
+                out.append((f"{ee.name}-{offset}-{i}", ee, targets,
+                            helper.synthetic_object(targets), offset, 100))
+        targets = keypoint_positions(ee, helper.random_reachable_pose(ee, rng))
+        # every normal along the rest palm normal: the heuristic start turns
+        # the palm by pi about x, onto the axis-angle bound
+        flipped = PointCloud(targets, np.tile([0.0, 0.0, 1.0], (6, 1)))
+        out.append((f"{ee.name}-bound", ee, targets, flipped, 0.0, 100))
+        out.append((f"{ee.name}-cut", ee, targets, helper.synthetic_object(targets),
+                    0.0, 3))
+    return out
+
+
+# status, iterations and solution_digest of each pinned solve; the digests
+# are of one build (numpy 2.4, OpenBLAS 0.3.31, x86-64 with FMA), and
+# another BLAS may round differently
+PINNED_SOLVES = {
+    "pincer-0.0-0": (STATUS_CONVERGED, 7,
+        "6a09f8e52a97c50424333e1657183216e296ed5db58891a5a3d54250c80a80f6"),
+    "pincer-0.0-1": (STATUS_CONVERGED, 10,
+        "b105f35bb15b3f0b4562e244e3bc397cd2a3832054903b55ed3230adb9d82e4c"),
+    "pincer-0.005-0": (STATUS_CONVERGED, 9,
+        "f8f03bbb4406f9d57cda8fcb9821bbe08d52e5657153bd871d5b84375ba9a4c0"),
+    "pincer-0.005-1": (STATUS_CONVERGED, 7,
+        "8e91db985203794d4fdbb8b0260d911671216709ba86292d44bbfae22179ed1b"),
+    "pincer-bound": (STATUS_CONVERGED, 11,
+        "b2376e5cac11756e163fffd9819b714b2f85172f1bdcdd2b89d8398f8ac31a6f"),
+    "pincer-cut": (STATUS_MAX_ITERATIONS, 3,
+        "457ae4a19855c14583943b42cea7d641af52173d390cdd6d62ccfe627f8fc60b"),
+    "claw-0.0-0": (STATUS_CONVERGED, 5,
+        "6dfe98a9649fdb8c68c9769bad32bcec854dffd4a9ca0140b8673960a75c37e4"),
+    "claw-0.0-1": (STATUS_CONVERGED, 6,
+        "28297e30655117e1ddae69a4b61a5363ce445a969dd823a67c1f1b36e9ac2328"),
+    "claw-0.005-0": (STATUS_CONVERGED, 6,
+        "6053301fb4a0e459a3e02e06cbbeb230ca110f616160622a636e8433a4da774c"),
+    "claw-0.005-1": (STATUS_CONVERGED, 13,
+        "36ea1024126f1ed1f127f4e804d434003d9d5ec147f32017031cb4869d959302"),
+    "claw-bound": (STATUS_CONVERGED, 29,
+        "3b028d303d544ed63bb6e3f8f43e2d6bc7b5990f12e90ebffb4a063bfde5612a"),
+    "claw-cut": (STATUS_MAX_ITERATIONS, 3,
+        "f97dd8e73f08f266d8acf579b95abbad1e5365b4d15e1983f793896f98522a89"),
+}
+
+
+class TestPinnedSolves:
+    def test_iterates_unchanged(self, pincer, claw):
+        got = {}
+        for name, ee, targets, cloud, offset, max_iter in pinned_solves(pincer, claw):
+            if name.endswith("bound"):
+                start = kinematics.heuristic_init_pose(ee, cloud, targets)
+                w = kinematics.matrix_to_axis_angle(start.root_matrix())
+                assert np.pi - np.abs(w).max() < 1e-9
+            res = solve_ik(ee, targets, cloud, offset=offset, max_iter=max_iter)
+            got[name] = (res.status, res.iterations, solution_digest(res))
+        assert got == PINNED_SOLVES

@@ -1,5 +1,6 @@
 """Rotation codecs and forward kinematics against closed forms."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -230,6 +231,15 @@ def random_pose(ee, rng):
     return Pose(rng.normal(size=3) * 0.1, matrix_to_rot6d(rot), rng.uniform(lo, hi))
 
 
+# sha256 of the frames at 25 seeded pose vectors per gripper, links in name
+# order; of one build (numpy 2.4, OpenBLAS 0.3.31, x86-64 with FMA), and
+# another BLAS may round differently
+FK_VECTOR_DIGESTS = {
+    "pincer": "759ff5e93da9cd598ffc455733496f73a42e2e3b2c6f2d0d154fde6c305de7e2",
+    "claw": "bfc3bf29c70c49848af6bfb7bf581c19619a354a8ec4327eabbd476c9053ed46",
+}
+
+
 class TestOriginCache:
     def test_fk_bit_identical_to_per_call_origins(self, pincer, claw, rng_np):
         # the claw's finger origins have non-identity quaternions
@@ -241,6 +251,23 @@ class TestOriginCache:
                 assert fk.keys() == ref.keys()
                 for name in ref:
                     assert np.array_equal(fk[name], ref[name]), name
+
+    def test_pose_vector_path_pinned(self, pincer, claw):
+        # the path IK runs; the Pose path is checked against reference_fk
+        rng = np.random.default_rng(77)
+        got = {}
+        for ee in (pincer, claw):
+            lo, hi = ee.chain.joint_limits()
+            digest = hashlib.sha256()
+            for _ in range(25):
+                q = np.concatenate([rng.normal(size=3) * 0.1,
+                                    rng.uniform(-math.pi, math.pi, 3),
+                                    rng.uniform(lo, hi)])
+                fk = forward_kinematics(ee.chain, q)
+                for name in sorted(fk):
+                    digest.update(fk[name].tobytes())
+            got[ee.name] = digest.hexdigest()
+        assert got == FK_VECTOR_DIGESTS
 
     def test_pose_vector_matches_pose(self, claw, rng_np):
         for _ in range(10):

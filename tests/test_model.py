@@ -18,6 +18,7 @@ from geomatch.geometry import PointCloud, knn_graph
 from geomatch.model import (GeoMatchModel, ModelConfig, TrainingSample,
                             load_model, read_loss_csv, save_model, train,
                             write_loss_csv)
+from losses import scalar_loss
 
 TINY = ModelConfig(gcn_hidden=(6, 6, 6), gcn_out=8, proj_dim=4,
                    ar_hidden=(6, 6, 6))
@@ -142,7 +143,7 @@ class TestKeypointReceptiveField:
         proj = dn.Tensor(rng.normal(size=(self.MID.proj_dim, 3)))
 
         def grip_grads(v_kp):
-            dn.backward(dn.tsum(dn.square(dn.matmul(v_kp, proj))))
+            dn.backward(scalar_loss(dn.matmul(v_kp, proj), square=True))
             grads = {n: p.grad for n, p in model.store.items()
                      if p.grad is not None}
             model.store.zero_grad()

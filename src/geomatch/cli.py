@@ -70,8 +70,9 @@ class RunConfig:
             value = getattr(self, name)
             if not lo <= value <= hi:
                 raise SchemaError(f"config {name}={value} outside [{lo}, {hi}]")
-        if any(r < 0 for r in self.ranks):
-            raise SchemaError("ranks must be nonnegative")
+        if any(r < 0 for r in self.ranks) or len(set(self.ranks)) != len(self.ranks):
+            raise SchemaError(f"config ranks must be nonnegative and distinct, "
+                              f"got {list(self.ranks)}")
         return self
 
     def eval_config(self) -> ev.EvalConfig:
@@ -192,12 +193,19 @@ def cmd_infer(args) -> int:
     ees = ds.load_ee_models(manifest, cfg.knn_k)
     object_ids = sorted(set(
         r.object_id for r in manifest.records_for_split(args.split)))
+    # one encoder pass per cloud: each object's and each gripper's half
+    # pairs with every half of the other kind
+    v_kps = {ee_id: model.encode(gripper_graph=ee.rest_graph,
+                                 keypoint_vertices=ee.keypoint_vertices)[1]
+             for ee_id, ee in sorted(ees.items())}
     proposals = []
     for obj_id in object_ids:
         graph = knn_graph(clouds[obj_id], cfg.knn_k)
-        for ee_id in sorted(ees):
-            proposals.extend(inf.propose_grasps(model, graph, ees[ee_id],
-                                                ranks, object_id=obj_id))
+        v_obj, _ = model.encode(graph)
+        for ee_id, v_kp in v_kps.items():
+            proposals.extend(inf.propose_grasps(
+                model, graph, ees[ee_id], ranks, object_id=obj_id,
+                embeddings=(v_obj, v_kp)))
     inf.save_proposals(proposals, args.out)
     print(f"wrote {len(proposals)} proposals ({len(object_ids)} objects x "
           f"{len(ees)} end-effectors x {len(ranks)} ranks) to {args.out}")
@@ -350,10 +358,14 @@ def write_loss_curve_svg(history: list[dict], path,
 
 def _ranks(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(r) for r in text.split(","))
+        ranks = tuple(int(r) for r in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma list of integers: {text!r}") from None
+    if min(ranks) < 0 or len(set(ranks)) != len(ranks):
+        raise argparse.ArgumentTypeError(
+            f"ranks must be nonnegative and distinct: {text!r}")
+    return ranks
 
 
 def _positive_int(text: str) -> int:

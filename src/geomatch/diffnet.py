@@ -302,7 +302,11 @@ def zeros_param(shape) -> Tensor:
 
 
 class ParameterStore:
-    """Named parameters in insertion order plus shared Adam state."""
+    """Named parameters in insertion order plus shared Adam state.
+
+    The Adam moments appear at the first `adam_step`, so a store that is
+    only loaded and run forward holds none.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -315,8 +319,6 @@ class ParameterStore:
             raise ShapeMismatch(f"duplicate parameter name {name}")
         tensor.requires_grad = True
         self._params[name] = tensor
-        self._m[name] = np.zeros_like(tensor.data)
-        self._v[name] = np.zeros_like(tensor.data)
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
@@ -347,6 +349,9 @@ def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
     c2 = 1.0 - _BETA2 ** t
     for name, p in store.items():
         g = p.grad
+        if name not in store._m:        # the moments start at zero
+            store._m[name] = np.zeros(p.data.shape)
+            store._v[name] = np.zeros(p.data.shape)
         m, v = store._m[name], store._v[name]
         m *= _BETA1
         v *= _BETA2

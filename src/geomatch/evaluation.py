@@ -83,25 +83,26 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray) -> bool:
     # objective row for min sum(artificials), basis = artificials
     tableau[m, :n] = -a.sum(axis=0)
     tableau[m, -1] = -b.sum()
-    basis = np.arange(n, n + m)
+    basis = list(range(n, n + m))
 
     for _ in range(20000):
-        eligible = np.flatnonzero(tableau[m, :n + m] < -_SIMPLEX_TOL)
-        if eligible.size == 0:
+        eligible = tableau[m, :n + m] < -_SIMPLEX_TOL
+        entering = int(eligible.argmax())   # Bland: smallest eligible index
+        if not eligible[entering]:
             break
-        entering = eligible[0]      # Bland: smallest eligible index
         column = tableau[:m, entering]
-        rows = np.flatnonzero(column > _SIMPLEX_TOL)
-        if rows.size == 0:
-            return False            # unbounded phase-1: cannot happen, bail out
-        ratios = tableau[rows, -1] / column[rows]
         # smallest ratio, ties to the smallest basic index
-        leaving = rows[np.lexsort((basis[rows], ratios))[0]]
+        ratios = [(r / c, k, i) for i, (c, r, k) in enumerate(
+                      zip(column.tolist(), tableau[:m, -1].tolist(), basis))
+                  if c > _SIMPLEX_TOL]
+        if not ratios:
+            return False            # unbounded phase-1: cannot happen, bail out
+        leaving = min(ratios)[2]
         tableau[leaving] /= tableau[leaving, entering]
         # a row with a zero factor keeps its values: x - 0 * y == x
         factors = tableau[:, entering].copy()
         factors[leaving] = 0.0
-        tableau -= np.outer(factors, tableau[leaving])
+        tableau -= factors[:, None] * tableau[leaving]
         basis[leaving] = entering
     else:
         raise NumericalError("simplex failed to terminate")
@@ -109,30 +110,42 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray) -> bool:
     return bool(-tableau[m, -1] <= _SIMPLEX_TOL * b.max(initial=0.0))
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x over its norm along the last axis; vecdot rounds like the 1-D
+    norm's dot, norm(axis=-1) does not."""
+    return x / np.sqrt(np.vecdot(x, x))[..., None]
+
+
+_K1, _K2 = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, with np.cross's products and differences:
+    component k is a[k1] b[k2] - a[k2] b[k1]."""
+    return a[..., _K1] * b[..., _K2] - a[..., _K2] * b[..., _K1]
+
+
 def tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (u, v) with u, v, normal orthonormal.
+    """Deterministic (u, v) with u, v, normal orthonormal, for each normal
+    along the last axis.
 
     The seed axis is the canonical axis with the smallest |component| of
     the normal (lowest index on ties), so the basis never degenerates.
     """
-    n = np.asarray(normal, dtype=np.float64)
-    n = n / np.linalg.norm(n)
-    j = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[j] = 1.0
-    u = np.cross(e, n)
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
-    return u, v
+    n = _unit(np.asarray(normal, dtype=np.float64))
+    e = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
+    u = _unit(_cross(e, n))
+    return u, _cross(n, u)
 
 
 def friction_cone_edges(normal: np.ndarray, mu: float, edges: int) -> np.ndarray:
-    """(E, 3) linearized cone edge directions around the contact normal."""
+    """(..., E, 3) linearized cone edge directions around each contact
+    normal (..., 3)."""
     u, v = tangent_basis(normal)
-    n = np.asarray(normal, dtype=np.float64) / np.linalg.norm(normal)
+    n = _unit(np.asarray(normal, dtype=np.float64))
     phis = 2.0 * math.pi * np.arange(edges) / edges
-    return n[None, :] + mu * (np.cos(phis)[:, None] * u[None, :]
-                              + np.sin(phis)[:, None] * v[None, :])
+    cos, sin = np.cos(phis)[:, None], np.sin(phis)[:, None]
+    return n[..., None, :] + mu * (cos * u[..., None, :] + sin * v[..., None, :])
 
 
 def wrench_basis(contact_points, contact_normals, cfg: EvalConfig,
@@ -147,10 +160,9 @@ def wrench_basis(contact_points, contact_normals, cfg: EvalConfig,
         raise SchemaError("need at least one contact")
     if pts.shape != nrm.shape:
         raise SchemaError("points and normals must align")
-    forces = np.stack([friction_cone_edges(n, cfg.friction_mu, cfg.cone_edges)
-                       for n in nrm])
+    forces = friction_cone_edges(nrm, cfg.friction_mu, cfg.cone_edges)
     arms = pts - np.asarray(origin, dtype=np.float64)
-    torques = np.cross(arms[:, None, :], forces)
+    torques = _cross(arms[:, None, :], forces)
     return np.concatenate([forces, torques], axis=2).reshape(-1, 6).T
 
 

@@ -128,8 +128,14 @@ def _secular(a2: np.ndarray, sv2: np.ndarray, lam: float) -> tuple[float, float]
     return float(np.add.reduce(t)), float(t.dot(w))
 
 
-def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
-    """argmin ||J s + r|| subject to ||s|| <= radius, via SVD.
+def _svd_terms(jac: np.ndarray, r: np.ndarray):
+    """(singular values, zeta = U^T r, V^T) of J, the first two as lists."""
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    return sv.tolist(), (u.T @ r).tolist(), vt
+
+
+def _solve_tr_subproblem(terms, radius: float):
+    """argmin ||J s + r|| subject to ||s|| <= radius, from `_svd_terms`.
 
     Returns (s, hit_boundary). On the boundary s = -(J^T J + lam I)^-1 J^T r,
     with lam from Newton steps on the secular equation 1/radius - 1/||p(lam)||
@@ -137,8 +143,7 @@ def _solve_tr_subproblem(jac: np.ndarray, r: np.ndarray, radius: float):
     lam = 0, where ||p|| > radius, the iterates rise to the root without
     overshooting it.
     """
-    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    sv, zeta = sv.tolist(), (u.T @ r).tolist()
+    sv, zeta, vt = terms
     cut = max(sv[0] if sv else 0.0, 1.0) * 1e-14
     s_gn = -vt.T @ [z / s if s > cut else 0.0 for z, s in zip(zeta, sv)]
     if _norm(s_gn) <= radius:
@@ -199,7 +204,9 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
                        status=STATUS_MAX_ITERATIONS,
                        x_history=[x.copy()], cost_history=[cost])
     radius = max(1.0, _norm(x))
-    jac = None      # recomputed only where x moved
+    # recomputed only where x moved: after a rejected step x, r and the
+    # Jacobian are the same, so is everything derived from them
+    jac = None
     # componentwise work runs on lists: on a dozen unknowns Python floats
     # cost less than numpy calls, and each operation gives the same bits
     lo_l, up_l = lower.tolist(), upper.tolist()
@@ -209,17 +216,19 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
         result.iterations = it
         if jac is None:
             jac = _jacobian(problem, x)
-        grad = jac.T @ r
-
-        # Coleman-Li scaling: distance to the bound the gradient pushes toward
-        x_l, g_l = x.tolist(), grad.tolist()
-        v = [hi - xi if g < 0 and has_hi else xi - lo if g > 0 and has_lo else 1.0
-             for xi, g, (lo, hi, has_lo, has_hi) in zip(x_l, g_l, box)]
-        if max((abs(g * c) for g, c in zip(g_l, v)), default=0.0) < _GTOL:
-            result.status = STATUS_CONVERGED
-            break
-        d = np.sqrt(v)
-        s, _ = _solve_tr_subproblem(jac * d, r, radius)
+            grad = jac.T @ r
+            # Coleman-Li scaling: distance to the bound the gradient pushes to
+            x_l, g_l = x.tolist(), grad.tolist()
+            v = [hi - xi if g < 0 and has_hi else xi - lo if g > 0 and has_lo
+                 else 1.0 for xi, g, (lo, hi, has_lo, has_hi) in zip(x_l, g_l, box)]
+            if max((abs(g * c) for g, c in zip(g_l, v)), default=0.0) < _GTOL:
+                result.status = STATUS_CONVERGED
+                break
+            d = np.sqrt(v)
+            terms = _svd_terms(jac * d, r)
+            g_scaled = d * grad
+            gn = _norm(g_scaled)
+        s, _ = _solve_tr_subproblem(terms, radius)
         p = d * s
 
         # candidate steps: p, stepped back from the box if it leaves it, and
@@ -239,8 +248,6 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
             if beta > 0:
                 steps.append([a + beta * b for a, b in zip(stride, reflected)])
         # scaled steepest-descent fallback keeps progress available
-        g_scaled = d * grad
-        gn = _norm(g_scaled)
         if gn > 0:
             scale = radius / gn
             p_grad = [-a * b * scale for a, b in zip(d.tolist(), g_scaled.tolist())]

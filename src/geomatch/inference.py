@@ -87,9 +87,14 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
 
 def propose_grasps(model: GeoMatchModel, object_graph: GeometryGraph,
                    ee: EndEffectorModel, ranks=DEFAULT_RANKS,
-                   object_id: str = "") -> list[GraspProposal]:
-    """One proposal per requested keypoint-0 rank, from one encoder pass."""
-    embeddings = model.encode(object_graph, ee.rest_graph, ee.keypoint_vertices)
+                   object_id: str = "", embeddings=None) -> list[GraspProposal]:
+    """One proposal per requested keypoint-0 rank, from one encoder pass.
+
+    `embeddings` is as in `rollout`; without it the pair is encoded here.
+    """
+    if embeddings is None:
+        embeddings = model.encode(object_graph, ee.rest_graph,
+                                  ee.keypoint_vertices)
     scores = model.score_map(*embeddings).data
     seeds = sample_keypoint0(scores[:, 0], ranks)
     return [replace(rollout(model, object_graph, ee, c0, int(rank), embeddings),

@@ -151,21 +151,29 @@ class GeoMatchModel:
                          self.store[f"{prefix}_enc.b{i}"])
         return dn.matmul(h, self.store[f"{prefix}_proj.w"])
 
-    def encode(self, object_graph: GeometryGraph, gripper_graph: GeometryGraph,
-               keypoint_vertices) -> tuple[dn.Tensor, dn.Tensor]:
+    def encode(self, object_graph: GeometryGraph | None = None,
+               gripper_graph: GeometryGraph | None = None, keypoint_vertices=None
+               ) -> tuple[dn.Tensor | None, dn.Tensor | None]:
         """Projected embeddings of every object vertex (S_O x p) and of the
         gripper's keypoint vertices (n_keypoints x p, in keypoint order).
 
-        The gripper encoder runs each layer only on the rows that the
-        keypoint embeddings depend on.
+        Each half is computed only when its input is given (the object
+        graph; the gripper graph with its keypoint vertices) and is None
+        otherwise, so a caller can encode each cloud once and pair the
+        halves. The gripper encoder runs each layer only on the rows that
+        the keypoint embeddings depend on.
         """
-        kp = np.asarray(keypoint_vertices, dtype=np.int64).reshape(-1)
-        if kp.size and (kp.min() < 0 or kp.max() >= gripper_graph.size):
-            raise IndexOutOfRange("keypoint vertex outside gripper graph")
-        keep = np.unique(kp)
-        v_keep = self._encode_one("grip", gripper_graph, keep)
-        return (self._encode_one("obj", object_graph),
-                dn.gather_rows(v_keep, np.searchsorted(keep, kp)))
+        v_obj = v_kp = None
+        if object_graph is not None:
+            v_obj = self._encode_one("obj", object_graph)
+        if gripper_graph is not None:
+            kp = np.asarray(keypoint_vertices, dtype=np.int64).reshape(-1)
+            if kp.size and (kp.min() < 0 or kp.max() >= gripper_graph.size):
+                raise IndexOutOfRange("keypoint vertex outside gripper graph")
+            keep = np.unique(kp)
+            v_keep = self._encode_one("grip", gripper_graph, keep)
+            v_kp = dn.gather_rows(v_keep, np.searchsorted(keep, kp))
+        return v_obj, v_kp
 
     def score_map(self, v_obj: dn.Tensor, v_kp: dn.Tensor) -> dn.Tensor:
         """(S_O, n_keypoints) dot-product contact scores."""

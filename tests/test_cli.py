@@ -449,6 +449,37 @@ def test_only_encoding_stages_build_graphs(artifacts, tmp_path, monkeypatch):
     assert len(built) == 3          # 1 train object + 2 grippers
 
 
+def test_infer_encodes_each_cloud_once(artifacts, tmp_path, monkeypatch):
+    """infer pairs one object pass with one gripper pass per end-effector
+    and writes what per-pair `propose_grasps` calls give."""
+    from geomatch.geometry import DEFAULT_KNN_K, knn_graph
+    from geomatch.inference import propose_grasps, save_proposals
+    from geomatch.model import GeoMatchModel, load_model
+    data = artifacts / "data"
+    manifest = dataset.load_manifest(data)
+    model = load_model(artifacts / "weights")
+    clouds = dataset.load_object_clouds(manifest)
+    ees = dataset.load_ee_models(manifest)
+    want = []
+    for obj in sorted({r.object_id for r in manifest.records_for_split("train")}):
+        graph = knn_graph(clouds[obj], DEFAULT_KNN_K)
+        for ee_id in sorted(ees):
+            want += propose_grasps(model, graph, ees[ee_id], (0, 5), object_id=obj)
+    save_proposals(want, tmp_path / "want.jsonl")
+
+    halves = []
+    real = GeoMatchModel._encode_one
+    monkeypatch.setattr(GeoMatchModel, "_encode_one",
+                        lambda self, prefix, *a: halves.append(prefix)
+                        or real(self, prefix, *a))
+    out = tmp_path / "p.jsonl"
+    assert main(["infer", "--weights", str(artifacts / "weights"), "--manifest",
+                 str(data), "--split", "train", "--ranks", "0,5",
+                 "--out", str(out)]) == 0
+    assert sorted(halves) == ["grip", "grip", "obj"]    # 1 object, 2 grippers
+    assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # flag and environment values: a clean exit code, never a traceback
 # ---------------------------------------------------------------------------
@@ -478,6 +509,35 @@ def test_ranks_must_be_integers(artifacts, tmp_path, capsys, ranks):
     usage_error(["infer", "--weights", str(artifacts / "weights"), "--manifest",
                  str(artifacts / "data"), "--split", "train", "--ranks", ranks,
                  "--out", str(out)], capsys, "--ranks")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ranks", ["-3,5", "0,0"])
+def test_ranks_nonnegative_and_distinct(artifacts, tmp_path, capsys, monkeypatch,
+                                        ranks):
+    # a usage error before the model loads; 0,0 used to write each
+    # proposal twice
+    from geomatch import model
+
+    def no_load(*args):
+        raise AssertionError("loaded the model for a bad --ranks")
+
+    monkeypatch.setattr(model, "load_model", no_load)
+    out = tmp_path / "p.jsonl"
+    usage_error(["infer", "--weights", str(artifacts / "weights"), "--manifest",
+                 str(artifacts / "data"), "--split", "train", f"--ranks={ranks}",
+                 "--out", str(out)], capsys, "--ranks")
+    assert not out.exists()
+
+
+def test_config_ranks_distinct(artifacts, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"ranks": [5, 5]}')
+    out = tmp_path / "p.jsonl"
+    assert main(["infer", "--weights", str(artifacts / "weights"), "--manifest",
+                 str(artifacts / "data"), "--split", "train", "--config",
+                 str(config), "--out", str(out)]) == 2
+    assert "ranks" in capsys.readouterr().err
     assert not out.exists()
 
 

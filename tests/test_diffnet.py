@@ -422,6 +422,29 @@ class TestAdam:
         dn.adam_step(store)
         assert p.grad is None
 
+    def test_lazy_moments_match_prebuilt_zeros(self, rng_np):
+        # the moments appear at the first step; a store built with zero
+        # moments takes the same steps
+        data = {"w": rng_np.normal(size=(4, 3)), "b": rng_np.normal(size=3)}
+        lazy, built = dn.ParameterStore(), dn.ParameterStore()
+        for store in (lazy, built):
+            for name, value in data.items():
+                store.add(name, dn.Tensor(value.copy()))
+        assert lazy._m == {} and lazy._v == {}
+        for name, value in data.items():
+            built._m[name] = np.zeros_like(value)
+            built._v[name] = np.zeros_like(value)
+        for _ in range(2):
+            grads = {name: rng_np.normal(size=v.shape) for name, v in data.items()}
+            for store in (lazy, built):
+                for name, g in grads.items():
+                    store[name].grad = g.copy()
+                dn.adam_step(store, lr=1e-3)
+            for name in data:
+                assert lazy[name].data.tobytes() == built[name].data.tobytes()
+                assert lazy._m[name].tobytes() == built._m[name].tobytes()
+                assert lazy._v[name].tobytes() == built._v[name].tobytes()
+
 
 class TestWeightFiles:
     def test_roundtrip(self, tmp_path, rng_np):

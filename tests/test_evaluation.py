@@ -1,7 +1,10 @@
 """Wrench feasibility vs a nonnegative-least-squares oracle; diversity."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
 from geomatch import errors
@@ -55,6 +58,126 @@ class TestSimplexFeasibility:
                 assert got == want
                 agree += 1
         assert agree == 800
+
+
+def reference_combination_exists(mat, rhs, tol=1e-9):
+    """The phase-1 simplex as one numpy call per step: Bland's entering
+    column from flatnonzero, the ratio test by lexsort, the rank-1 update
+    by np.outer. The reference for the pivot loop in the program."""
+    a = np.asarray(mat, dtype=np.float64)
+    b = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    m, n = a.shape
+    flip = b < 0
+    a = np.where(flip[:, None], -a, a)
+    b = np.where(flip, -b, b)
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[m, :n] = -a.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+    basis = np.arange(n, n + m)
+    for _ in range(20000):
+        eligible = np.flatnonzero(tableau[m, :n + m] < -tol)
+        if eligible.size == 0:
+            break
+        entering = eligible[0]
+        column = tableau[:m, entering]
+        rows = np.flatnonzero(column > tol)
+        if rows.size == 0:
+            return False
+        ratios = tableau[rows, -1] / column[rows]
+        leaving = rows[np.lexsort((basis[rows], ratios))[0]]
+        tableau[leaving] /= tableau[leaving, entering]
+        factors = tableau[:, entering].copy()
+        factors[leaving] = 0.0
+        tableau -= np.outer(factors, tableau[leaving])
+        basis[leaving] = entering
+    else:
+        raise AssertionError("reference simplex failed to terminate")
+    return bool(-tableau[m, -1] <= tol * b.max(initial=0.0))
+
+
+@st.composite
+def contact_sets(draw):
+    """Points, unit normals, friction and edge count of 1-6 contacts, with
+    the degenerate kinds where Bland's tie rules pick the pivots."""
+    c = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "repeated", "coplanar", "axis"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(c, 3)) * 0.05
+    nrm = rng.normal(size=(c, 3))
+    if kind == "repeated":          # some contacts twice, point and normal
+        pick = rng.integers(0, max(1, c // 2), size=c)
+        pts, nrm = pts[pick], nrm[pick]
+    elif kind == "coplanar":        # normals and points in one plane
+        nrm[:, 2] = 0.0
+        nrm[np.abs(nrm).sum(axis=1) == 0.0, 0] = 1.0
+        pts[:, 2] = 0.0
+    elif kind == "axis":
+        nrm = np.eye(3)[rng.integers(0, 3, size=c)] * rng.choice([-1.0, 1.0], (c, 1))
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+    mu = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    edges = draw(st.integers(3, 8))
+    return pts, nrm, EvalConfig(friction_mu=mu, cone_edges=edges)
+
+
+class TestSimplexAgainstReference:
+    @given(contacts=contact_sets(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdicts_on_cone_bases(self, contacts, seed):
+        pts, nrm, cfg = contacts
+        basis = wrench_basis(pts, nrm, cfg, np.zeros(3))
+        rng = np.random.default_rng(seed)
+        rhs = [-np.concatenate([d, np.zeros(3)]) for _, d in AXIS_DIRECTIONS]
+        rhs += [rng.normal(size=6), np.zeros(6),
+                basis @ np.abs(rng.normal(size=basis.shape[1]))]
+        for b in rhs:
+            assert (nonnegative_combination_exists(basis, b)
+                    == reference_combination_exists(basis, b))
+
+
+def reference_wrench_basis(points, normals, cfg, origin):
+    """Per contact and per cone edge: np.linalg.norm and np.cross."""
+    phis = 2.0 * math.pi * np.arange(cfg.cone_edges) / cfg.cone_edges
+    cols = []
+    for p, normal in zip(points, normals):
+        n = normal / np.linalg.norm(normal)
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(n)))] = 1.0
+        u = np.cross(e, n)
+        u /= np.linalg.norm(u)
+        v = np.cross(n, u)
+        for c, s in zip(np.cos(phis), np.sin(phis)):
+            f = n + cfg.friction_mu * (c * u + s * v)
+            cols.append(np.concatenate([f, np.cross(p - origin, f)]))
+    return np.stack(cols, axis=1)
+
+
+class TestWrenchBasisBytes:
+    @given(contacts=contact_sets(), tie=st.booleans(),
+           scale=st.sampled_from([1e-3, 1.0, 7.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_contact_reference(self, contacts, tie, scale):
+        pts, nrm, cfg = contacts
+        nrm = nrm * scale           # the basis normalizes each normal
+        if tie:                     # the two smallest |components| tie
+            nrm[:, 1] = -nrm[:, 0]
+            nrm[:, 2] += np.where(nrm[:, 2] >= 0, 1.0, -1.0)
+        origin = np.array([0.01, -0.02, 0.003])
+        got = wrench_basis(pts, nrm, cfg, origin)
+        want = reference_wrench_basis(pts, nrm, cfg, origin)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_contact_calls_are_the_batched_rows(self, rng_np):
+        nrm = rng_np.normal(size=(5, 3))
+        u, v = tangent_basis(nrm)
+        edges = friction_cone_edges(nrm, 0.5, 8)
+        for k, n in enumerate(nrm):
+            u1, v1 = tangent_basis(n)
+            assert u1.tobytes() == u[k].tobytes() and v1.tobytes() == v[k].tobytes()
+            assert friction_cone_edges(n, 0.5, 8).tobytes() == edges[k].tobytes()
 
 
 class TestFrictionCones:

@@ -122,7 +122,7 @@ class TestTrustRegionSubproblem:
             return secular(*args)
 
         with mock.patch.object(ik, "_secular", counted):
-            s, on_boundary = ik._solve_tr_subproblem(jac, r, radius)
+            s, on_boundary = ik._solve_tr_subproblem(ik._svd_terms(jac, r), radius)
         assert calls[0] <= 20
         assert on_boundary == (norm_gn > radius)
         if not on_boundary:
@@ -196,6 +196,19 @@ class TestSolveTrf:
         assert res.status == STATUS_CONVERGED
         assert res.residual_norm < 1e-6
         assert res.iterations <= 50
+
+    def test_rejected_step_reuses_the_decomposition(self):
+        # after a rejected step x, r and the Jacobian are unchanged, so only
+        # the secular solve reruns at the new radius: one SVD per iterate
+        p = LeastSquaresProblem(
+            residual=lambda q: np.array([1.0 - q[0], 10.0 * (q[1] - q[0] ** 2)]),
+            lower=np.full(2, -1e3), upper=np.full(2, 1e3), x0=np.array([-1.2, 1.0]))
+        svd, calls = np.linalg.svd, []
+        with mock.patch.object(np.linalg, "svd",
+                               lambda *a, **kw: calls.append(1) or svd(*a, **kw)):
+            res = solve_trf(p)
+        assert res.iterations > len(res.x_history)      # some steps rejected
+        assert 0 < len(calls) <= len(res.x_history)
 
     def test_matches_scipy_on_interior_linear_problems(self):
         rng = np.random.default_rng(2718)

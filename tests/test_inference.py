@@ -7,8 +7,9 @@ from geomatch import errors
 from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.geometry import GeometryGraph, PointCloud, normalize_adjacency
 from geomatch.artifacts import read_jsonl
-from geomatch.inference import (propose_grasps, proposal_from_dict, rollout,
-                                sample_keypoint0, save_proposals)
+from geomatch.inference import (propose_grasps, proposal_from_dict,
+                                proposal_to_dict, rollout, sample_keypoint0,
+                                save_proposals)
 from geomatch.model import GeoMatchModel, ModelConfig
 
 TINY = ModelConfig(gcn_hidden=(6, 6, 6), gcn_out=8, proj_dim=4,
@@ -110,6 +111,21 @@ class TestProposeGrasps:
             assert np.array_equal(alone.contacts, p.contacts)
             assert alone.score == p.score
         assert len(calls) == 4
+
+    def test_given_embeddings_equal_its_own_pass(self, small_world, monkeypatch):
+        model, samples = small_world
+        s = samples[0]
+        v_obj, _ = model.encode(s.object_graph)
+        _, v_kp = model.encode(gripper_graph=s.ee.rest_graph,
+                               keypoint_vertices=s.ee.keypoint_vertices)
+        want = propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11),
+                              object_id="obj")
+        monkeypatch.setattr(model, "encode",
+                            lambda *a, **kw: pytest.fail("encoded again"))
+        got = propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11),
+                             object_id="obj", embeddings=(v_obj, v_kp))
+        assert ([proposal_to_dict(p) for p in got]
+                == [proposal_to_dict(p) for p in want])
 
     def test_single_rank_best_chain(self, small_world):
         model, samples = small_world

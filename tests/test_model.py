@@ -97,6 +97,18 @@ class TestEncode:
         v_perm, _ = model.encode(permuted, s.ee.rest_graph, kp)
         assert np.allclose(v_perm.data, v_base.data[perm], atol=1e-9)
 
+    def test_halves_equal_the_full_call(self, rng_np, tiny_ee):
+        model = GeoMatchModel(TINY, seed=0)
+        s = tiny_sample(rng_np, ee=tiny_ee)
+        kp = s.ee.keypoint_vertices
+        v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph, kp)
+        obj_half = model.encode(s.object_graph)
+        kp_half = model.encode(gripper_graph=s.ee.rest_graph, keypoint_vertices=kp)
+        assert obj_half[1] is None and kp_half[0] is None
+        assert obj_half[0].data.tobytes() == v_o.data.tobytes()
+        assert kp_half[1].data.tobytes() == v_kp.data.tobytes()
+        assert model.encode() == (None, None)
+
     def test_requires_normalized_adjacency(self, rng_np, tiny_ee):
         from geomatch.geometry import build_knn_graph
         model = GeoMatchModel(TINY, seed=0)
@@ -432,6 +444,11 @@ class TestTraining:
         b, _ = back.encode(s.object_graph, s.ee.rest_graph, s.ee.keypoint_vertices)
         assert np.array_equal(a.data, b.data)
 
+
+    def test_load_model_holds_no_adam_moments(self, tmp_path):
+        save_model(GeoMatchModel(TINY, seed=4), tmp_path / "w")
+        back = load_model(tmp_path / "w")
+        assert back.store._m == {} and back.store._v == {}
 
     def test_load_model_skips_random_init(self, tmp_path, monkeypatch):
         model = GeoMatchModel(TINY, seed=4)

@@ -12,6 +12,7 @@ the product `spmm(A_hat, h)`. No other op broadcasts.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -389,42 +390,54 @@ def save_weights(store: ParameterStore, directory) -> None:
         fh.write(b"".join(blobs))
 
 
-def load_weights(store: ParameterStore, directory) -> None:
-    """Overwrite every parameter from `save_weights` files, or none.
+def check_weight_files(directory, shapes: dict) -> list[int]:
+    """Check `save_weights` files against the parameter `shapes` (name ->
+    shape, in store order) without reading the blob or allocating.
 
-    The manifest must list exactly the store's parameters, in order, with
-    matching shapes and contiguous offsets, and the blob must hold exactly
-    the bytes they need, every value finite.
+    The manifest must list exactly those parameters, in order, with
+    matching shapes and contiguous offsets, and weights.bin must hold
+    exactly the bytes they need. Returns each parameter's first value
+    index, and the total after them.
     """
     path = os.path.join(directory, "manifest.json")
     manifest = read_json(path)
-    with open(os.path.join(directory, "weights.bin"), "rb") as fh:
-        blob = fh.read()
+    blob_bytes = os.path.getsize(os.path.join(directory, "weights.bin"))
     with parsing(path):
         names = [entry["name"] for entry in manifest]
-        shapes = [tuple(int(n) for n in entry["shape"]) for entry in manifest]
+        stored = [tuple(int(n) for n in entry["shape"]) for entry in manifest]
         offsets = [entry["byte_offset"] for entry in manifest]
-    if names != store.names():
-        missing = [n for n in store.names() if n not in names]
-        unknown = [n for n in names if n not in store.names()]
+    if names != list(shapes):
+        missing = [n for n in shapes if n not in names]
+        unknown = [n for n in names if n not in shapes]
         raise SchemaError(f"weight manifest does not list the model's parameters "
                           f"in order: missing {missing}, unknown {unknown}")
-    starts = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
-    for name, shape, offset, start in zip(names, shapes, offsets, starts):
-        if store[name].data.shape != shape:
+    starts = [0]
+    for name, shape, offset in zip(names, stored, offsets):
+        if tuple(shapes[name]) != shape:
             raise ShapeMismatch(f"parameter {name}: stored shape {shape} != "
-                                f"model {store[name].data.shape}")
-        if offset != 8 * start:
+                                f"model {tuple(shapes[name])}")
+        if offset != 8 * starts[-1]:
             raise SchemaError(f"parameter {name}: byte offset {offset}, "
-                              f"expected {8 * start}")
-    if len(blob) != 8 * starts[-1]:
-        raise SchemaError(f"weights.bin holds {len(blob)} bytes, the manifest "
+                              f"expected {8 * starts[-1]}")
+        starts.append(starts[-1] + math.prod(shape))
+    if blob_bytes != 8 * starts[-1]:
+        raise SchemaError(f"weights.bin holds {blob_bytes} bytes, the manifest "
                           f"needs {8 * starts[-1]}")
-    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    return starts
+
+
+def load_weights(store: ParameterStore, directory) -> None:
+    """Overwrite every parameter from `save_weights` files, or none: the
+    files must pass `check_weight_files`, every value finite."""
+    names = store.names()
+    starts = check_weight_files(
+        directory, {name: p.data.shape for name, p in store.items()})
+    with open(os.path.join(directory, "weights.bin"), "rb") as fh:
+        values = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
     for name, start, end in zip(names, starts, starts[1:]):
         # a NaN would pass the ReLU as 0.0 and hide the damage
         if not np.isfinite(values[start:end]).all():
             raise SchemaError(f"{directory}: parameter {name} holds a "
                               f"non-finite value")
-    for name, shape, start, end in zip(names, shapes, starts, starts[1:]):
-        store[name].data = values[start:end].reshape(shape)
+    for name, start, end in zip(names, starts, starts[1:]):
+        store[name].data = values[start:end].reshape(store[name].data.shape)

@@ -17,7 +17,7 @@ from .artifacts import write_jsonl
 from .errors import EmptyScores, IndexOutOfRange
 from .geometry import GeometryGraph
 from .kinematics import EndEffectorModel, N_KEYPOINTS
-from .model import GeoMatchModel
+from .model import GeoMatchModel, contact_distances, distance_scale
 
 log = logging.getLogger(__name__)
 
@@ -58,11 +58,13 @@ def sample_keypoint0(score_column: np.ndarray, ranks) -> list[int]:
 
 def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
             ee: EndEffectorModel, c0: int, keypoint0_rank: int = -1,
-            embeddings=None) -> GraspProposal:
+            embeddings=None, terms=None) -> GraspProposal:
     """Greedy head-by-head contact prediction starting from vertex c0.
 
     `embeddings` is the (v_obj, v_kp) pair from `model.encode` on these
-    graphs and keypoints; without it they are encoded here.
+    graphs and keypoints, and `terms` is `model.head_terms` of that pair;
+    each is computed here when not given. The heads run forward-only, and
+    each chosen contact adds one column to their distance input.
     """
     pts = object_graph.cloud.points
     if not 0 <= c0 < pts.shape[0]:
@@ -71,11 +73,17 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
         embeddings = model.encode(object_graph, ee.rest_graph,
                                   ee.keypoint_vertices)
     v_obj, v_kp = embeddings
+    if terms is None:
+        terms = model.head_terms(v_obj, v_kp)
     scores = model.score_map(v_obj, v_kp).data
+    scale = distance_scale(pts)
+    dists = np.zeros((pts.shape[0], model.config.distance_slots))
+    buffers = model.head_buffers(pts.shape[0])
     contacts = [int(c0)]
     total = float(scores[c0, 0])
     for n in range(1, model.config.n_keypoints):
-        logits = model.ar_logits(n, v_obj, v_kp, contacts, pts).data
+        dists[:, n - 1] = contact_distances(pts, contacts[-1], scale)
+        logits = model.head_logits(n, terms, dists, buffers)
         c_n = int(np.argmax(logits))   # argmax takes the lowest index on ties
         contacts.append(c_n)
         total += float(logits[c_n])
@@ -88,16 +96,19 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
 def propose_grasps(model: GeoMatchModel, object_graph: GeometryGraph,
                    ee: EndEffectorModel, ranks=DEFAULT_RANKS,
                    object_id: str = "", embeddings=None) -> list[GraspProposal]:
-    """One proposal per requested keypoint-0 rank, from one encoder pass.
+    """One proposal per requested keypoint-0 rank, from one encoder pass
+    and one `head_terms` of the pair.
 
     `embeddings` is as in `rollout`; without it the pair is encoded here.
     """
     if embeddings is None:
         embeddings = model.encode(object_graph, ee.rest_graph,
                                   ee.keypoint_vertices)
+    terms = model.head_terms(*embeddings)
     scores = model.score_map(*embeddings).data
     seeds = sample_keypoint0(scores[:, 0], ranks)
-    return [replace(rollout(model, object_graph, ee, c0, int(rank), embeddings),
+    return [replace(rollout(model, object_graph, ee, c0, int(rank), embeddings,
+                            terms),
                     object_id=object_id)
             for rank, c0 in zip(ranks, seeds)]
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import diffnet as dn
 from .artifacts import parsing, read_json
 from .contact_maps import ContactMapSet
-from .errors import EmptyDataset, IndexOutOfRange, SchemaError
+from .errors import EmptyDataset, IndexOutOfRange, SchemaError, ShapeMismatch
 from .geometry import GeometryGraph
 from .kinematics import EndEffectorModel, N_KEYPOINTS, Pose
 from .rng import Rng
@@ -66,7 +66,43 @@ class ModelConfig:
         if min(*config.gcn_hidden, *config.ar_hidden, config.gcn_out,
                config.proj_dim, config.n_keypoints) < 1:
             raise ValueError(f"layer widths must be positive: {doc}")
+        # every later stage reads six contacts per proposal
+        if config.n_keypoints != N_KEYPOINTS:
+            raise ValueError(f"n_keypoints is {config.n_keypoints}, "
+                             f"the grippers have {N_KEYPOINTS}")
         return config
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in store (and weight file) order."""
+    shapes = {}
+    enc_dims = [3, *config.gcn_hidden, config.gcn_out]
+    for enc in ("obj", "grip"):
+        for i in range(len(enc_dims) - 1):
+            shapes[f"{enc}_enc.w{i}"] = (enc_dims[i], enc_dims[i + 1])
+            shapes[f"{enc}_enc.b{i}"] = (enc_dims[i + 1],)
+        shapes[f"{enc}_proj.w"] = (config.gcn_out, config.proj_dim)
+    ar_dims = [config.ar_input_dim, *config.ar_hidden, 1]
+    for n in range(1, config.n_keypoints):
+        for i in range(len(ar_dims) - 1):
+            shapes[f"ar{n}.w{i}"] = (ar_dims[i], ar_dims[i + 1])
+            shapes[f"ar{n}.b{i}"] = (ar_dims[i + 1],)
+    return shapes
+
+
+def distance_scale(points: np.ndarray) -> float:
+    """RMS distance of a cloud's points from their mean: the unit of the
+    encoders' coordinates and of the heads' distance inputs."""
+    centered = points - points.mean(axis=0)
+    return float(np.sqrt((centered ** 2).mean()))
+
+
+def contact_distances(points: np.ndarray, contact, scale: float) -> np.ndarray:
+    """Every point's distance to vertex `contact` in `scale` units: the
+    column a chosen contact adds to the heads' distance input."""
+    if not 0 <= contact < points.shape[0]:
+        raise IndexOutOfRange(f"contact vertex {contact} out of range")
+    return np.linalg.norm(points - points[contact], axis=1) / scale
 
 
 @dataclass
@@ -92,18 +128,7 @@ class GeoMatchModel:
         zeros, for `load_weights` to overwrite. Biases start at zero."""
         self.config = config
         self.store = dn.ParameterStore()
-        shapes = {}                     # parameter name -> shape, store order
-        enc_dims = [3, *config.gcn_hidden, config.gcn_out]
-        for enc in ("obj", "grip"):
-            for i in range(len(enc_dims) - 1):
-                shapes[f"{enc}_enc.w{i}"] = (enc_dims[i], enc_dims[i + 1])
-                shapes[f"{enc}_enc.b{i}"] = (enc_dims[i + 1],)
-            shapes[f"{enc}_proj.w"] = (config.gcn_out, config.proj_dim)
-        ar_dims = [config.ar_input_dim, *config.ar_hidden, 1]
-        for n in range(1, config.n_keypoints):
-            for i in range(len(ar_dims) - 1):
-                shapes[f"ar{n}.w{i}"] = (ar_dims[i], ar_dims[i + 1])
-                shapes[f"ar{n}.b{i}"] = (ar_dims[i + 1],)
+        shapes = parameter_shapes(config)
         # the weights draw in store order from one stream: one bulk draw
         # for all of them, each weight scaling its slice
         n_draws = sum(math.prod(s) for s in shapes.values() if len(s) == 2)
@@ -117,8 +142,8 @@ class GeoMatchModel:
                 self.store.add(name, dn.glorot_init(
                     shape, uniforms[offset:offset + size]))
                 offset += size
-        self._n_enc_layers = len(enc_dims) - 1
-        self._n_ar_layers = len(ar_dims) - 1
+        self._n_enc_layers = len(config.gcn_hidden) + 1
+        self._n_ar_layers = len(config.ar_hidden) + 1
 
     # -- forward pieces -----------------------------------------------------
 
@@ -132,11 +157,10 @@ class GeoMatchModel:
         if adj is None:
             raise SchemaError("graph must carry a normalized adjacency")
         pts = graph.cloud.points
-        centered = pts - pts.mean(axis=0)
-        scale = float(np.sqrt((centered ** 2).mean()))
+        scale = distance_scale(pts)
         if scale <= 0:
             raise SchemaError("degenerate cloud: zero spatial extent")
-        x = centered / scale
+        x = (pts - pts.mean(axis=0)) / scale
         blocks = [adj] * self._n_enc_layers
         if keep is not None:
             rows = [keep]       # rows[i + 1]: what layer i outputs from rows[i]
@@ -188,15 +212,10 @@ class GeoMatchModel:
         prev = np.asarray(prev_contacts, dtype=np.int64).reshape(-1)
         if prev.size != n:
             raise SchemaError(f"head {n} needs exactly {n} previous contacts")
-        s = object_points.shape[0]
-        if prev.size and (prev.min() < 0 or prev.max() >= s):
-            raise IndexOutOfRange("previous contact vertex out of range")
-        centered = object_points - object_points.mean(axis=0)
-        scale = float(np.sqrt((centered ** 2).mean()))
-        dists = np.zeros((s, self.config.distance_slots))
+        scale = distance_scale(object_points)
+        dists = np.zeros((object_points.shape[0], self.config.distance_slots))
         for j, c in enumerate(prev):
-            dists[:, j] = np.linalg.norm(
-                object_points - object_points[c], axis=1) / scale
+            dists[:, j] = contact_distances(object_points, c, scale)
         # the first layer's input is [object | keypoint | distances]; the
         # keypoint's one embedding row broadcasts over the S vertices
         h = [v_obj, dn.gather_rows(v_kp, [n]), dists]
@@ -205,6 +224,64 @@ class GeoMatchModel:
             h = dn.dense(h, self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
                          relu=i < last)
         return dn.column(h, 0)
+
+    # -- forward-only heads, for rollouts -------------------------------------
+
+    def head_terms(self, v_obj: dn.Tensor, v_kp: dn.Tensor) -> dict:
+        """The first-layer terms of each head n that one (object, gripper)
+        pair fixes, as `dn.dense` forms them: {n: (v_obj @ W_n[:p],
+        b_n + v_kp[n] @ W_n[p:2p])}."""
+        p = self.config.proj_dim
+        if (v_obj.data.ndim != 2 or v_obj.data.shape[1] != p
+                or v_kp.data.shape != (self.config.n_keypoints, p)):
+            raise ShapeMismatch(f"head terms of embeddings {v_obj.data.shape} "
+                                f"and {v_kp.data.shape}")
+        terms = {}
+        for n in range(1, self.config.n_keypoints):
+            w = self.store[f"ar{n}.w0"].data
+            terms[n] = (v_obj.data @ w[:p],
+                        self.store[f"ar{n}.b0"].data + v_kp.data[[n]] @ w[p:2 * p])
+        return terms
+
+    def head_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers that `head_logits` writes the hidden layers of
+        `rows` vertices into, alternately."""
+        size = rows * max(self.config.ar_hidden, default=0)
+        return np.empty(size), np.empty(size)
+
+    def head_logits(self, n: int, terms: dict, dists: np.ndarray,
+                    buffers) -> np.ndarray:
+        """`ar_logits(n, ...).data` without a tape, bit for bit.
+
+        `terms` is `head_terms` of the pair; `dists` is the (S,
+        distance_slots) distance input, one `contact_distances` column per
+        previous contact and zeros after; `buffers` is `head_buffers(S)`.
+        Each layer runs `dn.dense`'s operations in its order.
+        """
+        if not 1 <= n < self.config.n_keypoints:
+            raise IndexOutOfRange(f"autoregressive head index {n}")
+        obj, shift = terms[n]
+        s = dists.shape[0]
+        if obj.shape[0] != s:
+            raise ShapeMismatch(f"head terms hold {obj.shape[0]} rows, the "
+                                f"distances {s}")
+        p2 = 2 * self.config.proj_dim
+        last = self._n_ar_layers - 1
+        for i in range(self._n_ar_layers):
+            w, b = self.store[f"ar{n}.w{i}"].data, self.store[f"ar{n}.b{i}"].data
+            out = (np.empty((s, 1)) if i == last
+                   else buffers[i % 2][:s * w.shape[1]].reshape(s, w.shape[1]))
+            if i == 0:
+                np.matmul(dists, w[p2:], out=out)
+                np.add(obj, out, out=out)
+                out += shift
+            else:
+                np.matmul(h, w, out=out)
+                out += b
+            if i < last:
+                np.fmax(out, 0.0, out=out)
+            h = out
+        return h[:, 0]
 
     # -- objective ----------------------------------------------------------
 
@@ -302,6 +379,9 @@ def load_model(directory) -> GeoMatchModel:
     doc = read_json(path)
     with parsing(path):
         config = ModelConfig.from_dict(doc)
+    # a damaged config can name more memory than exists: check it against
+    # the weight files before any parameter is allocated
+    dn.check_weight_files(directory, parameter_shapes(config))
     model = GeoMatchModel(config, seed=None)
     dn.load_weights(model.store, directory)
     return model

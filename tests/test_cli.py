@@ -251,6 +251,25 @@ class TestWeightFileFaults:
         assert f"parameter {entry['name']}" in capsys.readouterr().err
         assert not (weights / "proposals.jsonl").exists()
 
+    def test_keypoint_count_other_than_six(self, pipeline_dir, tmp_path, capsys):
+        # ik reads six contacts per proposal; infer must not write three
+        from geomatch.model import GeoMatchModel, ModelConfig, save_model
+        config = ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=4,
+                             ar_hidden=(6,), n_keypoints=3)
+        save_model(GeoMatchModel(config, seed=1), tmp_path / "w")
+        assert self.infer(pipeline_dir, tmp_path / "w") == 2
+        assert "model_config.json" in capsys.readouterr().err
+        assert not (tmp_path / "w" / "proposals.jsonl").exists()
+
+    def test_config_checked_before_allocating(self, pipeline_dir, weights, capsys):
+        # two 10^7-wide layers need 728 TiB, more than any address space
+        path = weights / "model_config.json"
+        config = json.loads(path.read_text())
+        config["gcn_hidden"] = [10 ** 7, 10 ** 7, 256]
+        path.write_text(json.dumps(config))
+        assert self.infer(pipeline_dir, weights) == 2
+        assert "manifest" in capsys.readouterr().err
+
 
 class TestSeedEnvOverride:
     def test_env_seed_changes_output(self, tmp_path, monkeypatch):

@@ -1,16 +1,20 @@
 """Keypoint-0 sampling and autoregressive rollout."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from geomatch import errors
+from geomatch.cli import main
 from geomatch.dataset import generate_toy_dataset, load_records
-from geomatch.geometry import GeometryGraph, PointCloud, normalize_adjacency
+from geomatch.geometry import (GeometryGraph, PointCloud, knn_graph,
+                               normalize_adjacency)
 from geomatch.artifacts import read_jsonl
 from geomatch.inference import (propose_grasps, proposal_from_dict,
                                 proposal_to_dict, rollout, sample_keypoint0,
                                 save_proposals)
-from geomatch.model import GeoMatchModel, ModelConfig
+from geomatch.model import GeoMatchModel, ModelConfig, save_model
 
 TINY = ModelConfig(gcn_hidden=(6, 6, 6), gcn_out=8, proj_dim=4,
                    ar_hidden=(6, 6, 6))
@@ -85,6 +89,20 @@ class TestRollout:
         model, samples = small_world
         with pytest.raises(errors.IndexOutOfRange):
             rollout(model, samples[0].object_graph, samples[0].ee, 48)
+
+    @pytest.mark.parametrize("other_size", [30, 70])
+    def test_embeddings_of_another_object(self, small_world, other_size):
+        # a broadcast over mismatched rows must not pass as a result
+        model, samples = small_world
+        s = samples[0]
+        other = knn_graph(PointCloud(np.random.default_rng(other_size).normal(
+            scale=0.03, size=(other_size, 3))), 3)
+        embeddings = model.encode(other, s.ee.rest_graph, s.ee.keypoint_vertices)
+        with pytest.raises(errors.ShapeMismatch):
+            rollout(model, s.object_graph, s.ee, 3, embeddings=embeddings)
+        with pytest.raises((errors.ShapeMismatch, errors.IndexOutOfRange)):
+            propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11),
+                           embeddings=embeddings)
 
 
 class TestProposeGrasps:
@@ -166,3 +184,20 @@ class TestProposeGrasps:
             assert np.array_equal(a.contacts, b.contacts)
             assert a.score == pytest.approx(b.score)
             assert a.keypoint0_rank == b.keypoint0_rank
+
+
+class TestPinnedProposals:
+    """`infer` on the shared toy dataset with a seeded tiny model. The
+    digest is of one build (numpy 2.4, OpenBLAS 0.3.31, x86-64 with FMA);
+    another BLAS may round differently and pick other contacts."""
+
+    DIGEST = "d171e6efb2ff4d61d254405661fad41e96f573da32615257868771b1ad9cabf6"
+
+    def test_proposals_unchanged(self, toy_dataset, tmp_path):
+        save_model(GeoMatchModel(TINY, seed=6), tmp_path / "w")
+        out = tmp_path / "proposals.jsonl"
+        assert main(["infer", "--weights", str(tmp_path / "w"),
+                     "--manifest", toy_dataset.base_dir, "--split", "all",
+                     "--ranks", "0,5,11", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 36
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST

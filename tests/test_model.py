@@ -16,8 +16,8 @@ from geomatch import errors
 from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.geometry import PointCloud, knn_graph
 from geomatch.model import (GeoMatchModel, ModelConfig, TrainingSample,
-                            load_model, read_loss_csv, save_model, train,
-                            write_loss_csv)
+                            contact_distances, distance_scale, load_model,
+                            read_loss_csv, save_model, train, write_loss_csv)
 from losses import scalar_loss
 
 TINY = ModelConfig(gcn_hidden=(6, 6, 6), gcn_out=8, proj_dim=4,
@@ -247,6 +247,66 @@ class TestArLogits:
         scale = np.sqrt((centered ** 2).mean())
         d = np.linalg.norm(pts - pts[4], axis=1) / scale
         assert d[4] == 0.0
+
+
+class TestHeadLogits:
+    """The forward-only heads that rollouts run, against `ar_logits`."""
+
+    CONFIGS = (TINY, TestKeypointReceptiveField.MID,
+               ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=5,
+                           ar_hidden=(9, 3, 7)),
+               ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=3,
+                           ar_hidden=(5,)))
+
+    @given(st.sampled_from(CONFIGS), st.integers(0, 2 ** 31 - 1),
+           st.integers(2, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_ar_logits(self, config, seed, s, repeat):
+        rng = np.random.default_rng(seed)
+        model = GeoMatchModel(config, seed=seed % 1000)
+        for name, p in model.store.items():     # biases start at zero
+            if ".b" in name:
+                p.data = rng.normal(size=p.data.shape)
+        pts = rng.normal(scale=rng.uniform(0.01, 1.0), size=(s, 3))
+        v_obj = dn.Tensor(rng.normal(size=(s, config.proj_dim)))
+        v_kp = dn.Tensor(rng.normal(size=(6, config.proj_dim)))
+        prefix = rng.integers(0, s, size=5)
+        if repeat:
+            prefix[rng.integers(1, 5)] = prefix[rng.integers(0, 4)]
+        terms = model.head_terms(v_obj, v_kp)
+        buffers = model.head_buffers(s)     # shared by every head, as in a rollout
+        scale = distance_scale(pts)
+        dists = np.zeros((s, 5))
+        for n in range(1, 6):
+            dists[:, n - 1] = contact_distances(pts, prefix[n - 1], scale)
+            got = model.head_logits(n, terms, dists, buffers)
+            want = model.ar_logits(n, v_obj, v_kp, prefix[:n], pts).data
+            assert got.shape == want.shape == (s,)
+            assert got.tobytes() == want.tobytes()
+
+    def test_errors_match_ar_logits(self, rng_np):
+        model = GeoMatchModel(TINY, seed=0)
+        pts = rng_np.normal(size=(7, 3))
+        v_obj, v_kp = dn.Tensor(rng_np.normal(size=(7, 4))), dn.Tensor(
+            rng_np.normal(size=(6, 4)))
+        terms = model.head_terms(v_obj, v_kp)
+        dists = np.zeros((7, 5))
+        for n in (0, 6):
+            with pytest.raises(errors.IndexOutOfRange):
+                model.ar_logits(n, v_obj, v_kp, [0] * n, pts)
+            with pytest.raises(errors.IndexOutOfRange):
+                model.head_logits(n, terms, dists, model.head_buffers(7))
+        for c in (7, -1):
+            with pytest.raises(errors.IndexOutOfRange):
+                model.ar_logits(1, v_obj, v_kp, [c], pts)
+            with pytest.raises(errors.IndexOutOfRange):
+                contact_distances(pts, c, distance_scale(pts))
+        for rows in (1, 8):
+            with pytest.raises(errors.ShapeMismatch):
+                model.head_logits(1, terms, np.zeros((rows, 5)),
+                                  model.head_buffers(rows))
+        with pytest.raises(errors.ShapeMismatch):
+            model.head_terms(v_obj, dn.Tensor(np.zeros((5, 4))))
 
 
 class TestTotalLoss:

@@ -1,14 +1,18 @@
-"""One parser for every file a stage reads, and the JSON-lines writer.
+"""The one reader and writer of every JSON, JSON-lines and CSV artifact.
 
 Readers extract fields inside `parsing(where)`, which turns what a
 malformed file raises (a missing key, a short list, a wrong type, a value
 that does not parse) into a `SchemaError` naming `path` or `path:line`, so
 bad input exits with code 2. Only field extraction and lookups go inside
 it, never solver or model code, whose own errors are program bugs.
+
+Every JSON file has one layout, `write_json`'s: one-space indent, sorted
+keys.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from contextlib import contextmanager
 
@@ -45,3 +49,15 @@ def write_jsonl(path, docs) -> None:
     with open(path, "w") as fh:
         for doc in docs:
             fh.write(json.dumps(doc) + "\n")
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

@@ -21,7 +21,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import inference as inf
 from . import model as gm
-from .artifacts import parsing, read_json, read_jsonl, write_jsonl
+from .artifacts import parsing, read_json, read_jsonl, write_json, write_jsonl
 from .contact_maps import DEFAULT_M, DEFAULT_THRESHOLD, build_contact_maps, save_maps
 from .errors import DataError, GeomatchError, NumericalError, SchemaError
 from .geometry import (DEFAULT_KNN_K, crop_table_top, estimate_normals,
@@ -120,13 +120,21 @@ def load_config(path=None, seed_override=None) -> RunConfig:
 def save_config(cfg: RunConfig, path) -> None:
     doc = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     doc["ranks"] = list(doc["ranks"])
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def _stage_inputs(args):
+    """The config, manifest, object clouds and gripper models that `maps`,
+    `infer`, `ik` and `eval` each start from."""
+    cfg = load_config(args.config, args.seed)
+    manifest = ds.load_manifest(args.manifest)
+    return (cfg, manifest, ds.load_object_clouds(manifest),
+            ds.load_ee_models(manifest, cfg.knn_k))
+
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.seed)
@@ -145,10 +153,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_maps(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    manifest = ds.load_manifest(args.manifest)
-    clouds = ds.load_object_clouds(manifest)
-    ees = ds.load_ee_models(manifest, cfg.knn_k)
+    cfg, manifest, clouds, ees = _stage_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     count = 0
     for i, record in enumerate(manifest.records):
@@ -185,12 +190,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    manifest = ds.load_manifest(args.manifest)
+    cfg, manifest, clouds, ees = _stage_inputs(args)
     model = gm.load_model(args.weights)
     ranks = args.ranks or cfg.ranks
-    clouds = ds.load_object_clouds(manifest)
-    ees = ds.load_ee_models(manifest, cfg.knn_k)
     object_ids = sorted(set(
         r.object_id for r in manifest.records_for_split(args.split)))
     # one encoder pass per cloud: each object's and each gripper's half
@@ -213,10 +215,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_ik(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    manifest = ds.load_manifest(args.manifest)
-    clouds = ds.load_object_clouds(manifest)
-    ees = ds.load_ee_models(manifest, cfg.knn_k)
+    _, _, clouds, ees = _stage_inputs(args)
 
     def job(doc):
         p = inf.proposal_from_dict(doc)
@@ -237,10 +236,7 @@ def cmd_ik(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    manifest = ds.load_manifest(args.manifest)
-    clouds = ds.load_object_clouds(manifest)
-    ees = ds.load_ee_models(manifest, cfg.knn_k)
+    cfg, _, clouds, ees = _stage_inputs(args)
 
     def job(rep):
         row = {"object": rep["object"], "ee": rep["ee"], "rank": rep["rank"]}

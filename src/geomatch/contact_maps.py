@@ -8,13 +8,13 @@ losses are trained against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import SchemaError, ShapeMismatch, TooFewVertices
-from .geometry import PointCloud, nearest_vertices
+from .geometry import PointCloud, k_nearest, nearest_vertices
 from .kinematics import N_KEYPOINTS
 
 DEFAULT_M = 20
@@ -58,11 +58,9 @@ def proximity_map(object_cloud: PointCloud, keypoint_world,
     s = pts.shape[0]
     if s <= m:
         raise TooFewVertices(f"need more than m={m} object vertices, got {s}")
+    nearest, _ = k_nearest(pts, m, kw)
     prox = np.zeros((s, kw.shape[0]), dtype=np.int8)
-    for i, k in enumerate(kw):
-        d2 = np.sum((pts - k) ** 2, axis=1)
-        nearest = np.argsort(d2, kind="stable")[:m]
-        prox[nearest, i] = 1
+    prox[nearest, np.arange(kw.shape[0])[:, None]] = 1
     return prox
 
 
@@ -107,5 +105,4 @@ def save_maps(maps: ContactMapSet, path) -> None:
     doc = {"m": int(maps.m), "threshold": float(maps.threshold),
            "cg": [int(v) for v in maps.cg],
            "co": [[int(v) for v in row] for row in maps.co]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(path, doc)

@@ -12,7 +12,6 @@ object-level train/val split.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import logging
@@ -20,16 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import parsing, read_json, read_jsonl, write_jsonl
+from .artifacts import parsing, read_json, read_jsonl, write_json, write_jsonl
 from .contact_maps import DEFAULT_M, DEFAULT_THRESHOLD, build_contact_maps
 from .errors import IoError, MissingFile, NumericalError, SchemaError, UnknownEe
 from .geometry import (DEFAULT_KNN_K, PointCloud, TriangleMesh, knn_graph,
                        load_cloud, nearest_vertices, sample_surface,
-                       save_cloud_csv)
+                       save_cloud_csv, unit)
 from .kinematics import (EndEffectorModel, Joint, Keypoint, KinematicChain,
                          Link, Palm, Pose, forward_kinematics,
                          keypoint_positions, load_ee_model, matrix_to_rot6d,
-                         pose_from_dict, pose_to_dict, rest_pose, save_chain)
+                         pose_from_dict, pose_to_dict, rest_pose,
+                         rotation_between, save_chain)
 from .model import TrainingSample
 from .rng import Rng
 
@@ -93,9 +93,7 @@ PALM_CLEARANCE = 0.005      # target palm-to-surface gap in a closure
 
 
 def _sample_sphere(r: float, count: int, rng: Rng):
-    v = rng.normals(3 * count).reshape(count, 3)
-    # vecdot rounds like the 1-D norm's dot; norm(axis=1) does not
-    nrm = v / np.sqrt(np.vecdot(v, v))[:, None]
+    nrm = unit(rng.normals(3 * count).reshape(count, 3))
     return r * nrm, nrm
 
 
@@ -427,7 +425,6 @@ def _box_radius_fn(half):
 
 
 def _rot_between_z(target) -> np.ndarray:
-    from .kinematics import rotation_between
     return rotation_between(np.array([0.0, 0.0, 1.0]), target)
 
 
@@ -601,8 +598,7 @@ def save_manifest(manifest: DatasetManifest) -> None:
                              for k, v in manifest.end_effectors.items()],
            "records": rec_rel, "split": manifest.split,
            "s_o": manifest.s_o, "s_g": manifest.s_g, "seed": manifest.seed}
-    with open(os.path.join(manifest.base_dir, "manifest.json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(manifest.base_dir, "manifest.json"), doc)
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -11,13 +11,12 @@ the product `spmm(A_hat, h)`. No other op broadcasts.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 import numpy as np
 
-from .artifacts import parsing, read_json
+from .artifacts import parsing, read_json, write_json
 from .errors import MissingGradient, SchemaError, ShapeMismatch
 from .sparse import SparseCOO
 
@@ -384,8 +383,7 @@ def save_weights(store: ParameterStore, directory) -> None:
                          "byte_offset": offset})
         offset += len(raw)
         blobs.append(raw)
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    write_json(os.path.join(directory, "manifest.json"), manifest)
     with open(os.path.join(directory, "weights.bin"), "wb") as fh:
         fh.write(b"".join(blobs))
 

@@ -11,15 +11,14 @@ from simulator-based protocols are not comparable.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .errors import NumericalError, SchemaError, TooFewPoses
-from .geometry import PointCloud, nearest_vertices
+from .geometry import PointCloud, cross, nearest_vertices, unit
 from .kinematics import EndEffectorModel, Pose, keypoint_positions
 
 AXIS_DIRECTIONS = (
@@ -110,21 +109,6 @@ def nonnegative_combination_exists(mat: np.ndarray, rhs: np.ndarray) -> bool:
     return bool(-tableau[m, -1] <= _SIMPLEX_TOL * b.max(initial=0.0))
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    """x over its norm along the last axis; vecdot rounds like the 1-D
-    norm's dot, norm(axis=-1) does not."""
-    return x / np.sqrt(np.vecdot(x, x))[..., None]
-
-
-_K1, _K2 = [1, 2, 0], [2, 0, 1]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, with np.cross's products and differences:
-    component k is a[k1] b[k2] - a[k2] b[k1]."""
-    return a[..., _K1] * b[..., _K2] - a[..., _K2] * b[..., _K1]
-
-
 def tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (u, v) with u, v, normal orthonormal, for each normal
     along the last axis.
@@ -132,17 +116,17 @@ def tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The seed axis is the canonical axis with the smallest |component| of
     the normal (lowest index on ties), so the basis never degenerates.
     """
-    n = _unit(np.asarray(normal, dtype=np.float64))
+    n = unit(np.asarray(normal, dtype=np.float64))
     e = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
-    u = _unit(_cross(e, n))
-    return u, _cross(n, u)
+    u = unit(cross(e, n))
+    return u, cross(n, u)
 
 
 def friction_cone_edges(normal: np.ndarray, mu: float, edges: int) -> np.ndarray:
     """(..., E, 3) linearized cone edge directions around each contact
     normal (..., 3)."""
     u, v = tangent_basis(normal)
-    n = _unit(np.asarray(normal, dtype=np.float64))
+    n = unit(np.asarray(normal, dtype=np.float64))
     phis = 2.0 * math.pi * np.arange(edges) / edges
     cos, sin = np.cos(phis)[:, None], np.sin(phis)[:, None]
     return n[..., None, :] + mu * (cos * u[..., None, :] + sin * v[..., None, :])
@@ -162,7 +146,7 @@ def wrench_basis(contact_points, contact_normals, cfg: EvalConfig,
         raise SchemaError("points and normals must align")
     forces = friction_cone_edges(nrm, cfg.friction_mu, cfg.cone_edges)
     arms = pts - np.asarray(origin, dtype=np.float64)
-    torques = _cross(arms[:, None, :], forces)
+    torques = cross(arms[:, None, :], forces)
     return np.concatenate([forces, torques], axis=2).reshape(-1, 6).T
 
 
@@ -231,11 +215,8 @@ EVAL_CSV_HEADER = ["object", "ee", "rank", "success", "active_contacts",
 
 
 def write_eval_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVAL_CSV_HEADER)
-        for row in rows:
-            w.writerow([row[k] for k in EVAL_CSV_HEADER])
+    write_csv(path, EVAL_CSV_HEADER,
+              ([row[k] for k in EVAL_CSV_HEADER] for row in rows))
 
 
 def write_eval_summary(rows: list[dict], poses_by_ee: dict, path) -> None:
@@ -257,5 +238,4 @@ def write_eval_summary(rows: list[dict], poses_by_ee: dict, path) -> None:
         "grasps": total,
         "success_pct": (100.0 * sum(1 for r in rows if r["success"]) / total
                         if total else 0.0)}
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+    write_json(path, summary)

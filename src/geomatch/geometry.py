@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import parsing
+from .artifacts import parsing, write_csv
 from .errors import EmptyMesh, FullyCropped, SchemaError, TooFewPoints
 from .rng import Rng
 from .sparse import SparseCOO
@@ -109,8 +109,8 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
         raise SchemaError("count must be >= 1")
     a, b, c = (mesh.vertices[mesh.triangles[:, j]] for j in range(3))
     e1, e2 = b - a, c - a
-    cross = np.cross(e1, e2)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    normal = cross(e1, e2)
+    areas = 0.5 * np.linalg.norm(normal, axis=1)
     total = areas.sum()
     if total <= 0.0:            # also when there is no triangle
         raise EmptyMesh("mesh has no non-degenerate triangle")
@@ -121,39 +121,45 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     fold = u + v > 1.0          # fold back into the triangle
     u, v = np.where(fold, 1.0 - u, u), np.where(fold, 1.0 - v, v)
     pts = a[tri] + u * e1[tri] + v * e2[tri]
-    n = cross[tri]
-    # vecdot rounds like the 1-D norm's dot; norm(axis=1) does not
-    return PointCloud(pts, n / np.sqrt(np.vecdot(n, n))[:, None])
+    return PointCloud(pts, unit(normal[tri]))
 
 
-def nearest_vertices(points, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Index of, and Euclidean distance to, the point nearest each query.
-
-    Returns two (Q,) arrays; distance ties go to the lower point index.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    d = np.linalg.norm(pts[None, :, :] - q[:, None, :], axis=2)
-    idx = np.argmin(d, axis=1)
-    return idx, d[np.arange(q.shape[0]), idx]
+def unit(x: np.ndarray) -> np.ndarray:
+    """x over its norm along the last axis; vecdot rounds like the 1-D
+    norm's dot, norm(axis=-1) does not."""
+    return x / np.sqrt(np.vecdot(x, x))[..., None]
 
 
-def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
-    """k nearest neighbours per point, ties broken by lower index.
+_K1, _K2 = [1, 2, 0], [2, 0, 1]
 
-    Works through blocks of rows, so the distance matrix is never held
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, with np.cross's products and differences:
+    component k is a[k1] b[k2] - a[k2] b[k1]."""
+    return a[..., _K1] * b[..., _K2] - a[..., _K2] * b[..., _K1]
+
+
+def k_nearest(points, k: int, queries=None) -> tuple[np.ndarray, np.ndarray]:
+    """The k points nearest each query: (Q, k) indices and squared
+    distances, nearest first, the lower index first on ties.
+
+    Without `queries` every point is a query and skips itself. Works
+    through blocks of query rows, so the distance matrix is never held
     whole; each row's result depends on that row's distances alone.
     """
-    s = points.shape[0]
-    near = np.empty((s, k), dtype=np.int64)
-    for a in range(0, s, _KNN_BLOCK_ROWS):
-        rows = points[a:a + _KNN_BLOCK_ROWS]
-        d2 = np.zeros((rows.shape[0], s))
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    q = pts if queries is None else np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    near = np.empty((q.shape[0], k), dtype=np.int64)
+    near_d2 = np.empty((q.shape[0], k))
+    for a in range(0, q.shape[0], _KNN_BLOCK_ROWS):
+        rows = q[a:a + _KNN_BLOCK_ROWS]
+        d2 = np.zeros((rows.shape[0], pts.shape[0]))
         for axis in range(3):       # same sums as over an (S, S, 3) difference
-            diff = rows[:, None, axis] - points[None, :, axis]
+            diff = rows[:, None, axis] - pts[None, :, axis]
             diff *= diff
             d2 += diff
-        d2[np.arange(rows.shape[0]), np.arange(a, a + rows.shape[0])] = np.inf
+        if queries is None:
+            d2[np.arange(rows.shape[0]), np.arange(a, a + rows.shape[0])] = np.inf
         part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         dist = np.take_along_axis(d2, part, axis=1)
         part = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
@@ -165,7 +171,17 @@ def _knn_indices(points: np.ndarray, k: int) -> np.ndarray:
         if tied.any():
             part[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         near[a:a + rows.shape[0]] = part
-    return near
+        near_d2[a:a + rows.shape[0]] = np.take_along_axis(d2, part, axis=1)
+    return near, near_d2
+
+
+def nearest_vertices(points, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and Euclidean distance to, the point nearest each query.
+
+    Returns two (Q,) arrays; distance ties go to the lower point index.
+    """
+    idx, d2 = k_nearest(points, 1, queries)
+    return idx[:, 0], np.sqrt(d2[:, 0])
 
 
 def build_knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:
@@ -173,7 +189,7 @@ def build_knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:
     s = len(cloud)
     if s <= k:
         raise TooFewPoints(f"need more than k={k} points, got {s}")
-    nbrs = _knn_indices(cloud.points, k)
+    nbrs, _ = k_nearest(cloud.points, k)
     src = np.repeat(np.arange(s, dtype=np.int64), k)
     edges = np.stack([src, nbrs.reshape(-1)], axis=1)
     return GeometryGraph(cloud=cloud, edges=edges, knn_k=k)
@@ -216,7 +232,7 @@ def estimate_normals(cloud: PointCloud,
     s = len(cloud)
     if s < neighbors + 1:
         raise TooFewPoints(f"need at least {neighbors + 1} points, got {s}")
-    nbrs = _knn_indices(cloud.points, neighbors)
+    nbrs, _ = k_nearest(cloud.points, neighbors)
     centroid = cloud.centroid()
     normals = np.empty((s, 3))
     degenerate = []
@@ -275,16 +291,10 @@ def crop_table_top(cloud: PointCloud) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if cloud.normals is not None:
-            w.writerow(["x", "y", "z", "nx", "ny", "nz"])
-            for p, n in zip(cloud.points, cloud.normals):
-                w.writerow([repr(float(v)) for v in (*p, *n)])
-        else:
-            w.writerow(["x", "y", "z"])
-            for p in cloud.points:
-                w.writerow([repr(float(v)) for v in p])
+    header, rows = ["x", "y", "z"], cloud.points
+    if cloud.normals is not None:
+        header, rows = header + ["nx", "ny", "nz"], np.hstack([rows, cloud.normals])
+    write_csv(path, header, ([repr(float(v)) for v in row] for row in rows))
 
 
 def load_cloud_csv(path) -> PointCloud:

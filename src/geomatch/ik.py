@@ -28,12 +28,11 @@ from .kinematics import (EndEffectorModel, N_KEYPOINTS, Pose, PREGRASP_OFFSET,
                          _norm, axis_angle_to_matrix, heuristic_init_pose,
                          keypoint_jacobian, keypoint_positions,
                          matrix_to_axis_angle, matrix_to_rot6d,
-                         pregrasp_targets)
+                         pose_to_dict, pregrasp_targets)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_ITERATIONS = "MaxIterations"
 STATUS_SMALL_STEP = "SmallStep"
-STATUS_FAILED = "Failed"
 
 _STRICT_NUDGE = 1e-10   # fraction of the bound range used to leave a bound
 _INTERIOR = 0.995       # fraction of the distance to a bound a step may take
@@ -376,7 +375,6 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
 
 
 def ik_result_to_dict(result: IKResult) -> dict:
-    from .kinematics import pose_to_dict
     return {"status": result.status, "iterations": int(result.iterations),
             "residual_norm": float(result.residual_norm),
             "per_keypoint_mm": [float(v * 1000.0) for v in result.per_keypoint],

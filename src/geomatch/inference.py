@@ -78,12 +78,11 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
     scores = model.score_map(v_obj, v_kp).data
     scale = distance_scale(pts)
     dists = np.zeros((pts.shape[0], model.config.distance_slots))
-    buffers = model.head_buffers(pts.shape[0])
     contacts = [int(c0)]
     total = float(scores[c0, 0])
     for n in range(1, model.config.n_keypoints):
         dists[:, n - 1] = contact_distances(pts, contacts[-1], scale)
-        logits = model.head_logits(n, terms, dists, buffers)
+        logits = model.head_logits(n, terms, dists)
         c_n = int(np.argmax(logits))   # argmax takes the lowest index on ties
         contacts.append(c_n)
         total += float(logits[c_n])

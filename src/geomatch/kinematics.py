@@ -11,14 +11,13 @@ JSON; see load_chain for the schema.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import parsing, read_json
+from .artifacts import parsing, read_json, write_json
 from .errors import (DegenerateInput, LimitViolation, NotARotation,
                      SchemaError)
 from .geometry import (DEFAULT_KNN_K, GeometryGraph, PointCloud, knn_graph,
@@ -538,9 +537,9 @@ def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
 # file formats
 # ---------------------------------------------------------------------------
 
-def chain_to_dict(chain: KinematicChain, palm: Palm | None = None,
-                  keypoints=None, rest_cloud_path: str | None = None) -> dict:
-    doc = {
+def save_chain(path, chain: KinematicChain, palm: Palm, keypoints,
+               rest_cloud_path: str) -> None:
+    write_json(path, {
         "links": [{"name": l.name, "parent": l.parent,
                    "origin": {"t": [float(v) for v in l.origin_t],
                               "q": [float(v) for v in l.origin_q]}}
@@ -549,24 +548,13 @@ def chain_to_dict(chain: KinematicChain, palm: Palm | None = None,
                     "child": j.child, "axis": [float(v) for v in j.axis],
                     "limits": [float(j.limits[0]), float(j.limits[1])]}
                    for j in chain.joints],
-    }
-    if palm is not None:
-        doc["palm"] = {"link": palm.link,
-                       "normal": [float(v) for v in palm.normal],
-                       "point": [float(v) for v in palm.point]}
-    if keypoints is not None:
-        doc["keypoints"] = [{"vertex": int(kp.vertex), "link": kp.link,
-                             "offset": [float(v) for v in kp.offset]}
-                            for kp in keypoints]
-    if rest_cloud_path is not None:
-        doc["rest_cloud"] = rest_cloud_path
-    return doc
-
-
-def save_chain(path, chain: KinematicChain, palm: Palm, keypoints,
-               rest_cloud_path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_to_dict(chain, palm, keypoints, rest_cloud_path), fh, indent=1)
+        "palm": {"link": palm.link, "normal": [float(v) for v in palm.normal],
+                 "point": [float(v) for v in palm.point]},
+        "keypoints": [{"vertex": int(kp.vertex), "link": kp.link,
+                       "offset": [float(v) for v in kp.offset]}
+                      for kp in keypoints],
+        "rest_cloud": rest_cloud_path,
+    })
 
 
 def load_chain(path) -> dict:

@@ -10,7 +10,6 @@ contacts; keypoint 0's marginal is its score-map column.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffnet as dn
-from .artifacts import parsing, read_json
+from .artifacts import parsing, read_json, write_csv, write_json
 from .contact_maps import ContactMapSet
 from .errors import EmptyDataset, IndexOutOfRange, SchemaError, ShapeMismatch
 from .geometry import GeometryGraph
@@ -243,20 +242,13 @@ class GeoMatchModel:
                         self.store[f"ar{n}.b0"].data + v_kp.data[[n]] @ w[p:2 * p])
         return terms
 
-    def head_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat buffers that `head_logits` writes the hidden layers of
-        `rows` vertices into, alternately."""
-        size = rows * max(self.config.ar_hidden, default=0)
-        return np.empty(size), np.empty(size)
-
-    def head_logits(self, n: int, terms: dict, dists: np.ndarray,
-                    buffers) -> np.ndarray:
+    def head_logits(self, n: int, terms: dict, dists: np.ndarray) -> np.ndarray:
         """`ar_logits(n, ...).data` without a tape, bit for bit.
 
         `terms` is `head_terms` of the pair; `dists` is the (S,
         distance_slots) distance input, one `contact_distances` column per
-        previous contact and zeros after; `buffers` is `head_buffers(S)`.
-        Each layer runs `dn.dense`'s operations in its order.
+        previous contact and zeros after. Each layer runs `dn.dense`'s
+        operations in its order.
         """
         if not 1 <= n < self.config.n_keypoints:
             raise IndexOutOfRange(f"autoregressive head index {n}")
@@ -269,14 +261,12 @@ class GeoMatchModel:
         last = self._n_ar_layers - 1
         for i in range(self._n_ar_layers):
             w, b = self.store[f"ar{n}.w{i}"].data, self.store[f"ar{n}.b{i}"].data
-            out = (np.empty((s, 1)) if i == last
-                   else buffers[i % 2][:s * w.shape[1]].reshape(s, w.shape[1]))
             if i == 0:
-                np.matmul(dists, w[p2:], out=out)
+                out = dists @ w[p2:]
                 np.add(obj, out, out=out)
                 out += shift
             else:
-                np.matmul(h, w, out=out)
+                out = h @ w
                 out += b
             if i < last:
                 np.fmax(out, 0.0, out=out)
@@ -352,12 +342,9 @@ def train(model: GeoMatchModel, samples: list[TrainingSample],
 
 
 def write_loss_csv(history: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss_total", "loss_f", "loss_m"])
-        for row in history:
-            w.writerow([row["epoch"], repr(row["loss_total"]),
-                        repr(row["loss_f"]), repr(row["loss_m"])])
+    write_csv(path, ["epoch", "loss_total", "loss_f", "loss_m"],
+              ([row["epoch"], repr(row["loss_total"]), repr(row["loss_f"]),
+                repr(row["loss_m"])] for row in history))
 
 
 def read_loss_csv(path) -> list[dict]:
@@ -370,8 +357,7 @@ def read_loss_csv(path) -> list[dict]:
 
 def save_model(model: GeoMatchModel, directory) -> None:
     dn.save_weights(model.store, directory)
-    with open(os.path.join(directory, "model_config.json"), "w") as fh:
-        json.dump(model.config.to_dict(), fh, indent=1)
+    write_json(os.path.join(directory, "model_config.json"), model.config.to_dict())
 
 
 def load_model(directory) -> GeoMatchModel:

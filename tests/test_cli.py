@@ -115,6 +115,33 @@ class TestTrainInferIkEval:
             assert "success_pct" in entry and "diversity_rad" in entry
 
 
+def test_every_json_artifact_has_one_layout(tmp_path):
+    """Each JSON file a pipeline writes is `artifacts.write_json`'s layout
+    of its own content: one-space indent, sorted keys."""
+    data, cfg = str(tmp_path / "data"), tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "m": 8}))
+    common = ["--manifest", data, "--config", str(cfg)]
+    for argv in (["gen-data", "--out", data, "--seed", "5", "--objects",
+                  "sphere_small", "--s-o", "48", "--s-g", "48"],
+                 ["maps", *common, "--out", str(tmp_path / "maps")],
+                 ["train", *common, "--out", str(tmp_path / "weights")],
+                 ["infer", *common, "--weights", str(tmp_path / "weights"),
+                  "--split", "train", "--ranks", "0",
+                  "--out", str(tmp_path / "p.jsonl")],
+                 ["ik", *common, "--proposals", str(tmp_path / "p.jsonl"),
+                  "--max-iter", "3", "--out", str(tmp_path / "ik.jsonl")],
+                 ["eval", *common, "--ik", str(tmp_path / "ik.jsonl"),
+                  "--out", str(tmp_path / "eval")]):
+        assert main(argv) == 0
+    written = sorted(p for p in tmp_path.rglob("*.json") if p != cfg)
+    kinds = {p.parent.name if p.parent.name == "maps" else p.name for p in written}
+    assert kinds == {"manifest.json", "pincer.json", "claw.json", "maps",
+                     "run_config.json", "model_config.json", "summary.json"}
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True), path
+
+
 class TestAugment:
     def test_noise_bound(self, pipeline_dir, tmp_path):
         from geomatch.geometry import load_cloud

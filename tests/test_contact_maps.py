@@ -11,7 +11,7 @@ from geomatch.contact_maps import (ContactMapSet, build_contact_maps,
                                    gripper_contact_map,
                                    object_contact_map, proximity_map,
                                    save_maps)
-from geomatch.geometry import PointCloud
+from geomatch.geometry import PointCloud, nearest_vertices
 
 
 def brute_force_prox(points, keypoints, m):
@@ -51,6 +51,25 @@ class TestProximityMap:
             got = proximity_map(PointCloud(pts), kw, m)
             assert np.array_equal(got, brute_force_prox(pts, kw, m))
             assert (got.sum(axis=0) == m).all()
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lattice_ties(self, seed):
+        # keypoints at half-integer offsets from a shuffled integer lattice
+        # are exactly as far from two or more vertices
+        rng = np.random.default_rng(seed)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1)
+        pts = grid.reshape(-1, 3)[rng.permutation(64)]
+        kw = rng.integers(0, 4, size=(6, 3)) + 0.5 * rng.integers(0, 2, size=(6, 3))
+        d2 = np.sum((pts[None, :, :] - kw[:, None, :]) ** 2, axis=2)
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        idx, _ = nearest_vertices(pts, kw)
+        near = proximity_map(PointCloud(pts), kw, m=1)
+        assert np.array_equal(near, brute_force_prox(pts, kw, 1))
+        assert np.array_equal(near.argmax(axis=0), idx)
+        for m in (5, 9):
+            assert np.array_equal(proximity_map(PointCloud(pts), kw, m),
+                                  brute_force_prox(pts, kw, m))
 
 
 class TestGripperContactMap:

@@ -228,8 +228,34 @@ class TestKnnGraph:
         # put ties at the k-th distance
         for k in (1, 6, 8):
             pts = lattice_cloud(rng_np, s) if lattice else rng_np.normal(size=(s, 3))
-            assert np.array_equal(geometry._knn_indices(pts, k),
+            assert np.array_equal(geometry.k_nearest(pts, k)[0],
                                   full_matrix_knn(pts, k))
+
+
+class TestKNearest:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 200), st.integers(1, 8),
+           st.integers(1, 9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_queries_match_stable_argsort(self, seed, s, q, k, lattice):
+        rng = np.random.default_rng(seed)
+        k = min(k, s)
+        if lattice:
+            both = lattice_cloud(rng, s + q)
+            pts, queries = both[:s], both[s:] + rng.integers(0, 2, size=(q, 3))
+        else:
+            pts, queries = rng.normal(size=(s, 3)), rng.normal(size=(q, 3))
+        d2 = np.sum((queries[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        idx, dist2 = geometry.k_nearest(pts, k, queries)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(dist2, np.take_along_axis(d2, want, axis=1))
+
+    def test_points_skip_themselves(self):
+        # a duplicate of point 0 is point 1's nearest, never point 1 itself
+        pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
+        idx, dist2 = geometry.k_nearest(pts, 2)
+        assert idx.tolist() == [[1, 2], [0, 2], [0, 1], [2, 0]]
+        assert dist2.tolist() == [[0, 1], [0, 1], [1, 1], [4, 9]]
 
 
 class TestNearestVertices:

@@ -274,12 +274,11 @@ class TestHeadLogits:
         if repeat:
             prefix[rng.integers(1, 5)] = prefix[rng.integers(0, 4)]
         terms = model.head_terms(v_obj, v_kp)
-        buffers = model.head_buffers(s)     # shared by every head, as in a rollout
         scale = distance_scale(pts)
         dists = np.zeros((s, 5))
         for n in range(1, 6):
             dists[:, n - 1] = contact_distances(pts, prefix[n - 1], scale)
-            got = model.head_logits(n, terms, dists, buffers)
+            got = model.head_logits(n, terms, dists)
             want = model.ar_logits(n, v_obj, v_kp, prefix[:n], pts).data
             assert got.shape == want.shape == (s,)
             assert got.tobytes() == want.tobytes()
@@ -295,7 +294,7 @@ class TestHeadLogits:
             with pytest.raises(errors.IndexOutOfRange):
                 model.ar_logits(n, v_obj, v_kp, [0] * n, pts)
             with pytest.raises(errors.IndexOutOfRange):
-                model.head_logits(n, terms, dists, model.head_buffers(7))
+                model.head_logits(n, terms, dists)
         for c in (7, -1):
             with pytest.raises(errors.IndexOutOfRange):
                 model.ar_logits(1, v_obj, v_kp, [c], pts)
@@ -303,8 +302,7 @@ class TestHeadLogits:
                 contact_distances(pts, c, distance_scale(pts))
         for rows in (1, 8):
             with pytest.raises(errors.ShapeMismatch):
-                model.head_logits(1, terms, np.zeros((rows, 5)),
-                                  model.head_buffers(rows))
+                model.head_logits(1, terms, np.zeros((rows, 5)))
         with pytest.raises(errors.ShapeMismatch):
             model.head_terms(v_obj, dn.Tensor(np.zeros((5, 4))))
 

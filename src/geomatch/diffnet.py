@@ -7,12 +7,27 @@ closure hands one array to two parents.
 Only the op set needed by the grasp model exists. Every network layer is one
 `dense` op (matmul, bias row and ReLU on one tape node); a GCN layer feeds it
 the product `spmm(A_hat, h)`. No other op broadcasts.
+
+Training uses a second CPU, where the process may run on two and BLAS runs
+one thread, through one worker thread started on first use. While the main
+thread computes a `dense` layer's input gradients, the worker computes its
+weight gradient; `adam_step` hands it about half of the parameters. The
+worker runs only `np.matmul` and ufuncs, on arrays the main thread
+allocated and neither writes nor frees until it has waited for the job; it
+calls no function of this package and builds no Tensor, so anything that
+wraps those (a tracer) sees every call on the main thread. Each job
+performs the same operations on the same operands as a single-threaded
+run, so every result keeps its bits. The main thread waits for a job
+before it returns or raises, and a job's exception surfaces there with its
+own type.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,6 +65,47 @@ class Tensor:
         return scale(self, scalar)
 
     __rmul__ = __mul__
+
+
+def _spare_cpu() -> bool:
+    """Whether the worker gets a CPU of its own: the process may run on two
+    or more CPUs and BLAS runs one thread. BLAS reads its thread count on
+    loading (OpenBLAS and MKL each from their own variable, then from
+    OMP_NUM_THREADS), so the first of these variables that is set stands for
+    it; with none set, BLAS runs a thread per CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    blas = next((os.environ[var].strip() for var in
+                 ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+                 if os.environ.get(var, "").strip()), None)
+    return cpus > 1 and blas == "1"
+
+
+_POOL: ThreadPoolExecutor | None = None
+# Without a spare CPU a hand-off costs time and overlaps nothing (2-vCPU
+# Xeon VM): on one CPU the worker made toy training about 4% slower, and
+# beside BLAS threads on both CPUs it made a train stage 16-20% slower.
+_SPARE_CPU = _spare_cpu()
+
+
+@contextmanager
+def _beside(job, *args):
+    """Run `job(*args)` on the worker thread while the block runs here;
+    on leaving, wait for it and raise its exception, if the block raised
+    none. Without a spare CPU, run it here first instead."""
+    global _POOL
+    if not _SPARE_CPU:
+        job(*args)
+        yield
+        return
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="diffnet")
+    future = _POOL.submit(job, *args)
+    try:
+        yield
+    finally:
+        future.exception()      # waits, and lets the block's exception pass
+    future.result()
 
 
 def _as_tensor(x) -> Tensor:
@@ -150,15 +206,31 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
         g_sum = g.sum(axis=0)
         g_w = np.empty_like(w.data)
         grads = [(w, g_w), (b, g_sum)]
-        for p, k, is_full in zip(parts, blocks, full):
-            g_k = g if is_full else g_sum[None]
-            np.matmul(p.data.T, g_k, out=g_w[k])
-            # constant parts (the cloud, the head's distances) get no gradient
-            if p.requires_grad:
-                grads.append((p, g_k @ w.data[k].T))
-        return grads
+        # Without a spare CPU, or with no input gradient to compute
+        # meanwhile, a hand-off gains nothing, and this loop skips the
+        # threaded path's lists (5-10 us a layer on one CPU).
+        if not (_SPARE_CPU and any(p.requires_grad for p in parts)):
+            for p, k, is_full in zip(parts, blocks, full):
+                g_k = g if is_full else g_sum[None]
+                np.matmul(p.data.T, g_k, out=g_w[k])
+                # constant parts (the cloud, the head's distances) get no gradient
+                if p.requires_grad:
+                    grads.append((p, g_k @ w.data[k].T))
+            return grads
+        g_ks = [g if is_full else g_sum[None] for is_full in full]
+        products = [(p.data.T, g_k, g_w[k])
+                    for p, k, g_k in zip(parts, blocks, g_ks)]
+        with _beside(_matmuls, products):
+            return grads + [(p, g_k @ w.data[k].T)
+                            for p, k, g_k in zip(parts, blocks, g_ks)
+                            if p.requires_grad]
 
     return Tensor(out, _parents=(*parts, w, b), _backward=back)
+
+
+def _matmuls(products) -> None:
+    for a, b, out in products:
+        np.matmul(a, b, out=out)
 
 
 def spmm(sp: SparseCOO, h: Tensor) -> Tensor:
@@ -339,7 +411,11 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8    # Adam decays and denominator floor
 
 
 def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
-    """Bias-corrected Adam update over all parameters; zeroes grads after."""
+    """Bias-corrected Adam update over all parameters; zeroes grads after.
+
+    The store is cut, in store order, into two runs of about equal element
+    count; the worker thread updates the first while this thread updates
+    the second."""
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradient(f"parameter {name} has no gradient")
@@ -348,24 +424,41 @@ def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t
     for name, p in store.items():
-        g = p.grad
         if name not in store._m:        # the moments start at zero
             store._m[name] = np.zeros(p.data.shape)
             store._v[name] = np.zeros(p.data.shape)
-        m, v = store._m[name], store._v[name]
+    params = [(p.data, p.grad, store._m[name], store._v[name])
+              for name, p in store.items()]
+    sizes = np.cumsum([0] + [x.size for x, _, _, _ in params])
+    cut = int(np.argmin(np.abs(2 * sizes - sizes[-1])))   # about half the elements
+    first, second = params[:cut], params[cut:]
+    with _beside(_adam_update, first, lr, c1, c2, _scratch(first)):
+        _adam_update(second, lr, c1, c2, _scratch(second))
+    store.zero_grad()
+
+
+def _scratch(params) -> np.ndarray:
+    """One buffer for the largest gradient's temporaries."""
+    return np.empty(max((g.size for _, g, _, _ in params), default=0))
+
+
+def _adam_update(params, lr, c1, c2, scratch) -> None:
+    """Adam's update of each (value, gradient, m, v) in place, its
+    temporaries in `scratch`."""
+    for x, g, m, v in params:
         m *= _BETA1
         v *= _BETA2
-        g2 = g * g
+        g2 = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))
         g2 *= (1.0 - _BETA2)
         v += g2
         g *= (1.0 - _BETA1)
         m += g
-        denom = np.sqrt(v / c2, out=g2)     # reuse the g*g buffer
+        denom = np.divide(v, c2, out=g2)    # reuse the g*g buffer
+        np.sqrt(denom, out=denom)
         denom += _EPS
         np.divide(m, denom, out=denom)
         denom *= lr / c1
-        p.data -= denom
-        p.grad = None
+        x -= denom
 
 
 # ---------------------------------------------------------------------------

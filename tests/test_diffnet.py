@@ -422,6 +422,31 @@ class TestAdam:
         dn.adam_step(store)
         assert p.grad is None
 
+    def test_matches_the_update_formula_bit_for_bit(self, rng_np):
+        # parameters of unequal sizes, so each thread's run of the store
+        # holds some
+        shapes = {"a": (40, 30), "b": (30,), "c": (30, 50), "d": (7,), "e": (3, 3)}
+        store = dn.ParameterStore()
+        for name, shape in shapes.items():
+            store.add(name, dn.Tensor(rng_np.normal(size=shape)))
+        x = {name: p.data.copy() for name, p in store.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        lr = 1e-3
+        for t in (1, 2, 3):
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for name, shape in shapes.items():
+                g = rng_np.normal(size=shape)
+                store[name].grad = g.copy()
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (g * g) * (1.0 - 0.999)
+                x[name] = x[name] - m[name] / (np.sqrt(v[name] / c2) + 1e-8) * (lr / c1)
+            dn.adam_step(store, lr=lr)
+            for name in shapes:
+                assert store[name].data.tobytes() == x[name].tobytes()
+                assert store._m[name].tobytes() == m[name].tobytes()
+                assert store._v[name].tobytes() == v[name].tobytes()
+
     def test_lazy_moments_match_prebuilt_zeros(self, rng_np):
         # the moments appear at the first step; a store built with zero
         # moments takes the same steps

@@ -8,29 +8,23 @@ Only the op set needed by the grasp model exists. Every network layer is one
 `dense` op (matmul, bias row and ReLU on one tape node); a GCN layer feeds it
 the product `spmm(A_hat, h)`. No other op broadcasts.
 
-Training uses a second CPU, where the process may run on two and BLAS runs
-one thread, through one worker thread started on first use. While the main
-thread computes a `dense` layer's input gradients, the worker computes its
-weight gradient; `adam_step` hands it about half of the parameters. The
-worker runs only `np.matmul` and ufuncs, on arrays the main thread
-allocated and neither writes nor frees until it has waited for the job; it
-calls no function of this package and builds no Tensor, so anything that
-wraps those (a tracer) sees every call on the main thread. Each job
-performs the same operations on the same operands as a single-threaded
-run, so every result keeps its bits. The main thread waits for a job
-before it returns or raises, and a job's exception surfaces there with its
-own type.
+A second CPU, where the process may run on two and BLAS runs one thread,
+takes part of the work through the worker thread of `worker`. Independent
+chains of dense layers (`dense_chains`, the five heads) split between it
+and the main thread; while the main thread computes a `dense` layer's
+input gradients, the worker computes its weight gradient; `adam_step`
+hands it about half of the parameters. Every Tensor and tape node is built
+on the main thread, and every result keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
+from . import worker
 from .artifacts import parsing, read_json, write_json
 from .errors import MissingGradient, SchemaError, ShapeMismatch
 from .sparse import SparseCOO
@@ -65,47 +59,6 @@ class Tensor:
         return scale(self, scalar)
 
     __rmul__ = __mul__
-
-
-def _spare_cpu() -> bool:
-    """Whether the worker gets a CPU of its own: the process may run on two
-    or more CPUs and BLAS runs one thread. BLAS reads its thread count on
-    loading (OpenBLAS and MKL each from their own variable, then from
-    OMP_NUM_THREADS), so the first of these variables that is set stands for
-    it; with none set, BLAS runs a thread per CPU."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    blas = next((os.environ[var].strip() for var in
-                 ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-                 if os.environ.get(var, "").strip()), None)
-    return cpus > 1 and blas == "1"
-
-
-_POOL: ThreadPoolExecutor | None = None
-# Without a spare CPU a hand-off costs time and overlaps nothing (2-vCPU
-# Xeon VM): on one CPU the worker made toy training about 4% slower, and
-# beside BLAS threads on both CPUs it made a train stage 16-20% slower.
-_SPARE_CPU = _spare_cpu()
-
-
-@contextmanager
-def _beside(job, *args):
-    """Run `job(*args)` on the worker thread while the block runs here;
-    on leaving, wait for it and raise its exception, if the block raised
-    none. Without a spare CPU, run it here first instead."""
-    global _POOL
-    if not _SPARE_CPU:
-        job(*args)
-        yield
-        return
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="diffnet")
-    future = _POOL.submit(job, *args)
-    try:
-        yield
-    finally:
-        future.exception()      # waits, and lets the block's exception pass
-    future.result()
 
 
 def _as_tensor(x) -> Tensor:
@@ -177,19 +130,66 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
     its product is computed once and added with the bias. The ReLU maps
     -0.0 and NaN to +0.0.
     """
-    parts = [_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
-    shapes = [p.data.shape for p in parts]
+    parts = _parts(x)
+    layout = _layout([p.data.shape for p in parts], w.data, b.data)
+    out = _dense_forward([p.data for p in parts], w.data, b.data, relu, layout)
+    return _dense_node(parts, w, b, relu, layout, out)
+
+
+def dense_chains(chains) -> list[Tensor]:
+    """Independent chains of `dense` layers: each chain is (x, [(w, b,
+    relu), ...]), `x` as in `dense` and each later layer fed the one
+    before. Returns each chain's last output, with every layer on the tape
+    as `dense` puts it there.
+
+    The worker thread computes the first half (rounded down) of the chains
+    while this thread computes the rest, each layer through `dense`'s
+    arithmetic; then this thread builds every layer's tape node, in chain
+    order.
+    """
+    plans = []
+    for x, layers in chains:
+        parts = _parts(x)
+        shapes, layouts = [p.data.shape for p in parts], []
+        for w, b, _ in layers:
+            layouts.append(_layout(shapes, w.data, b.data))
+            shapes = [(layouts[-1][0], w.data.shape[1])]
+        plans.append((parts, layers, layouts))
+    half = len(plans) // 2
+    first, rest = [], []
+    with worker.beside(_forward_chains, plans[:half], first):
+        _forward_chains(plans[half:], rest)
+    results = []
+    for (parts, layers, layouts), outs in zip(plans, first + rest):
+        for (w, b, relu), layout, out in zip(layers, layouts, outs):
+            parts = [_dense_node(parts, w, b, relu, layout, out)]
+        results.append(parts[0])
+    return results
+
+
+def _parts(x) -> list[Tensor]:
+    return [_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
+
+
+def _layout(shapes, w: np.ndarray, b: np.ndarray):
+    """(S, each part's row block of `w`, whether each part has all S rows)
+    for parts of `shapes`; raises ShapeMismatch where they do not fit."""
     rows = max((s[0] for s in shapes if len(s) == 2), default=0)
     if (any(len(s) != 2 or s[0] not in (1, rows) for s in shapes)
-            or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
-            or sum(s[1] for s in shapes) != w.data.shape[0]):
-        raise ShapeMismatch(f"dense {shapes} @ {w.data.shape} + {b.data.shape}")
+            or w.ndim != 2 or b.shape != w.shape[1:]
+            or sum(s[1] for s in shapes) != w.shape[0]):
+        raise ShapeMismatch(f"dense {shapes} @ {w.shape} + {b.shape}")
     edges = np.cumsum([0] + [s[1] for s in shapes])
-    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    full = [s[0] == rows for s in shapes]
-    out, shift = None, b.data
+    return (rows, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])],
+            [s[0] == rows for s in shapes])
+
+
+def _dense_forward(parts, w, b, relu, layout) -> np.ndarray:
+    """`dense`'s output from the parts' arrays, the weight and the bias."""
+    _, blocks, full = layout
+    out, shift = None, b
     for p, k, is_full in zip(parts, blocks, full):
-        prod = p.data @ w.data[k]
+        prod = p @ w[k]
         if not is_full:
             shift = shift + prod
         elif out is None:
@@ -199,6 +199,24 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
     out += shift
     if relu:
         np.fmax(out, 0.0, out=out)     # not fmax(0.0, out): that keeps -0.0
+    return out
+
+
+def _forward_chains(plans, outs) -> None:
+    """Append the list of each planned chain's layer outputs to `outs`."""
+    for parts, layers, layouts in plans:
+        h, chain = [p.data for p in parts], []
+        for (w, b, relu), layout in zip(layers, layouts):
+            chain.append(_dense_forward(h, w.data, b.data, relu, layout))
+            h = chain[-1:]
+        outs.append(chain)
+
+
+def _dense_node(parts, w: Tensor, b: Tensor, relu: bool, layout,
+                out: np.ndarray) -> Tensor:
+    """The tape node of a `dense` layer on the Tensors `parts`, whose
+    forward gave `out`."""
+    _, blocks, full = layout
 
     def back(g):
         if relu:
@@ -209,7 +227,7 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
         # Without a spare CPU, or with no input gradient to compute
         # meanwhile, a hand-off gains nothing, and this loop skips the
         # threaded path's lists (5-10 us a layer on one CPU).
-        if not (_SPARE_CPU and any(p.requires_grad for p in parts)):
+        if not (worker.SPARE_CPU and any(p.requires_grad for p in parts)):
             for p, k, is_full in zip(parts, blocks, full):
                 g_k = g if is_full else g_sum[None]
                 np.matmul(p.data.T, g_k, out=g_w[k])
@@ -220,7 +238,7 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
         g_ks = [g if is_full else g_sum[None] for is_full in full]
         products = [(p.data.T, g_k, g_w[k])
                     for p, k, g_k in zip(parts, blocks, g_ks)]
-        with _beside(_matmuls, products):
+        with worker.beside(_matmuls, products):
             return grads + [(p, g_k @ w.data[k].T)
                             for p, k, g_k in zip(parts, blocks, g_ks)
                             if p.requires_grad]
@@ -432,7 +450,7 @@ def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
     sizes = np.cumsum([0] + [x.size for x, _, _, _ in params])
     cut = int(np.argmin(np.abs(2 * sizes - sizes[-1])))   # about half the elements
     first, second = params[:cut], params[cut:]
-    with _beside(_adam_update, first, lr, c1, c2, _scratch(first)):
+    with worker.beside(_adam_update, first, lr, c1, c2, _scratch(first)):
         _adam_update(second, lr, c1, c2, _scratch(second))
     store.zero_grad()
 

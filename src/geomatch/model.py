@@ -202,27 +202,33 @@ class GeoMatchModel:
         """(S_O, n_keypoints) dot-product contact scores."""
         return dn.matmul(v_obj, dn.transpose(v_kp))
 
-    def ar_logits(self, n: int, v_obj: dn.Tensor, v_kp: dn.Tensor,
-                  prev_contacts, object_points: np.ndarray) -> dn.Tensor:
-        """Per-object-vertex logit for keypoint n given contacts 0..n-1;
-        `v_kp` holds the keypoint embeddings from `encode`."""
-        if not 1 <= n < self.config.n_keypoints:
-            raise IndexOutOfRange(f"autoregressive head index {n}")
-        prev = np.asarray(prev_contacts, dtype=np.int64).reshape(-1)
-        if prev.size != n:
-            raise SchemaError(f"head {n} needs exactly {n} previous contacts")
+    def ar_logits(self, v_obj: dn.Tensor, v_kp: dn.Tensor, contacts,
+                  object_points: np.ndarray) -> list[dn.Tensor]:
+        """Per-object-vertex logits of every head n = 1..n_keypoints - 1,
+        head n given contacts[:n]; `v_kp` holds the keypoint embeddings
+        from `encode`. `contacts` holds the contacts of keypoints 0 to
+        n_keypoints - 2, in keypoint order, or of every keypoint (the last
+        is not read). The heads run as one `dn.dense_chains` call."""
+        slots = self.config.distance_slots
+        prev = np.asarray(contacts, dtype=np.int64).reshape(-1)
+        if prev.size not in (slots, slots + 1):
+            raise SchemaError(f"the heads need {slots} or {slots + 1} "
+                              f"contacts, got {prev.size}")
         scale = distance_scale(object_points)
-        dists = np.zeros((object_points.shape[0], self.config.distance_slots))
-        for j, c in enumerate(prev):
-            dists[:, j] = contact_distances(object_points, c, scale)
-        # the first layer's input is [object | keypoint | distances]; the
-        # keypoint's one embedding row broadcasts over the S vertices
-        h = [v_obj, dn.gather_rows(v_kp, [n]), dists]
-        last = self._n_ar_layers - 1
-        for i in range(self._n_ar_layers):
-            h = dn.dense(h, self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
-                         relu=i < last)
-        return dn.column(h, 0)
+        columns = [contact_distances(object_points, c, scale)
+                   for c in prev[:slots]]
+        chains = []
+        for n in range(1, self.config.n_keypoints):
+            dists = np.zeros((object_points.shape[0], slots))
+            for j in range(n):
+                dists[:, j] = columns[j]
+            # the first layer's input is [object | keypoint | distances];
+            # the keypoint's one embedding row broadcasts over the S vertices
+            layers = [(self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
+                       i < self._n_ar_layers - 1)
+                      for i in range(self._n_ar_layers)]
+            chains.append(([v_obj, dn.gather_rows(v_kp, [n]), dists], layers))
+        return [dn.column(h, 0) for h in dn.dense_chains(chains)]
 
     # -- forward-only heads, for rollouts -------------------------------------
 
@@ -243,7 +249,8 @@ class GeoMatchModel:
         return terms
 
     def head_logits(self, n: int, terms: dict, dists: np.ndarray) -> np.ndarray:
-        """`ar_logits(n, ...).data` without a tape, bit for bit.
+        """Head n's `ar_logits(...)[n - 1].data` without a tape, bit for
+        bit.
 
         `terms` is `head_terms` of the pair; `dists` is the (S,
         distance_slots) distance input, one `contact_distances` column per
@@ -295,10 +302,10 @@ class GeoMatchModel:
             term = dn.bce_with_pos_weight(dn.column(scores, i), co[:, i], lambda_a)
             loss_f = term if loss_f is None else loss_f + term
 
-        pts = sample.object_graph.cloud.points
         loss_m = None
-        for n in range(1, self.config.n_keypoints):
-            logits = self.ar_logits(n, v_obj, v_kp, sample.gt_contacts[:n], pts)
+        heads = self.ar_logits(v_obj, v_kp, sample.gt_contacts,
+                               sample.object_graph.cloud.points)
+        for n, logits in enumerate(heads, start=1):
             term = dn.bce_with_pos_weight(logits, co[:, n], lambda_b)
             loss_m = term if loss_m is None else loss_m + term
 

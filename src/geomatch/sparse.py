@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import worker
 from .errors import ShapeMismatch
 
 _BLOCK_ELEMENTS = 1 << 16    # 512 KB of float64
@@ -11,18 +12,33 @@ _BLOCK_ELEMENTS = 1 << 16    # 512 KB of float64
 
 def _product(nbr: np.ndarray, w: np.ndarray, dense: np.ndarray,
              shape: tuple[int, int]) -> np.ndarray:
-    """The (shape[0], F) product of padded arrays (nbr, w) with dense."""
+    """The (shape[0], F) product of padded arrays (nbr, w) with dense.
+
+    The product runs in blocks of rows, each block's gathered neighbour
+    rows sized to stay in cache. With two blocks or more, the worker thread
+    computes the first half of the blocks (rounded down) while this thread
+    computes the rest."""
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != shape[1]:
         raise ShapeMismatch(f"cannot multiply {shape} by {dense.shape}")
     out = np.empty((shape[0], dense.shape[1]))
-    # one batched (1, D) @ (D, F) product per block of rows, each block's
-    # gathered neighbour rows sized to stay in cache
     step = max(1, _BLOCK_ELEMENTS // (w.shape[1] * max(1, dense.shape[1])))
-    for a in range(0, shape[0], step):
+    starts = range(0, shape[0], step)
+    if len(starts) < 2:
+        _blocks(nbr, w, dense, out, starts, step)
+        return out
+    half = len(starts) // 2
+    with worker.beside(_blocks, nbr, w, dense, out, starts[:half], step):
+        _blocks(nbr, w, dense, out, starts[half:], step)
+    return out
+
+
+def _blocks(nbr, w, dense, out, starts, step) -> None:
+    """Rows a:a + step of the product into `out`, for each a in `starts`:
+    one batched (1, D) @ (D, F) product per block."""
+    for a in starts:
         np.matmul(w[a:a + step, None, :], dense[nbr[a:a + step]],
                   out=out[a:a + step, None, :])
-    return out
 
 
 class SparseCOO:

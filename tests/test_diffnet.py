@@ -326,6 +326,68 @@ class TestDenseParts:
         assert one.tobytes() == dn.dense(x, dn.Tensor(w), dn.Tensor(b)).data.tobytes()
 
 
+class TestDenseChains:
+    @staticmethod
+    def chains(rng, n_chains, rows=6):
+        """Chains of 1 to 3 layers; each first layer takes a shared input,
+        a one-row part of its own and a constant part."""
+        shared = dn.Tensor(rng.normal(size=(rows, 3)), requires_grad=True)
+        out = []
+        for c in range(n_chains):
+            widths = [3 + 2 + 1, *rng.integers(1, 5, size=1 + c % 3)]
+            layers = [(dn.Tensor(rng.normal(size=(a, z)), requires_grad=True),
+                       dn.Tensor(rng.normal(size=z), requires_grad=True),
+                       i < len(widths) - 2)
+                      for i, (a, z) in enumerate(zip(widths, widths[1:]))]
+            x = [shared, dn.Tensor(rng.normal(size=(1, 2)), requires_grad=True),
+                 rng.normal(size=(rows, 1))]
+            out.append((x, layers))
+        return out
+
+    @pytest.mark.parametrize("n_chains", [1, 2, 5])
+    def test_same_bits_and_tape_as_dense(self, n_chains):
+        """Each chain's outputs and every gradient match `dense` called layer
+        by layer, bit for bit."""
+        results = []
+        for chained in (True, False):
+            chains = self.chains(np.random.default_rng(n_chains), n_chains)
+            if chained:
+                heads = dn.dense_chains(chains)
+            else:
+                heads = []
+                for h, layers in chains:
+                    for w, b, relu in layers:
+                        h = dn.dense(h, w, b, relu=relu)
+                    heads.append(h)
+            loss = None
+            for h in heads:
+                term = scalar_loss(h, square=True)
+                loss = term if loss is None else loss + term
+            dn.backward(loss)
+            leaves = [chains[0][0][0]] + [t for x, layers in chains
+                                           for t in [x[1], *(p for w, b, _ in layers
+                                                             for p in (w, b))]]
+            results.append(([h.data.tobytes() for h in heads],
+                            [t.grad.tobytes() for t in leaves]))
+        assert results[0] == results[1]
+
+    def test_inner_shape_mismatch_raised_before_any_work(self, rng_np,
+                                                         monkeypatch):
+        def no_work(*args):
+            pytest.fail("a chain ran before its shapes were checked")
+
+        monkeypatch.setattr(dn, "_forward_chains", no_work)
+        x = rng_np.normal(size=(4, 3))
+        good = (x, [(dn.Tensor(np.ones((3, 2))), dn.Tensor(np.ones(2)), True)])
+        bad = (x, [(dn.Tensor(np.ones((3, 2))), dn.Tensor(np.ones(2)), True),
+                   (dn.Tensor(np.ones((3, 1))), dn.Tensor(np.ones(1)), False)])
+        with pytest.raises(errors.ShapeMismatch):
+            dn.dense_chains([good, bad])
+
+    def test_no_chains(self):
+        assert dn.dense_chains([]) == []
+
+
 class TestGcnLayer:
     def test_identity_propagation(self):
         s = 4

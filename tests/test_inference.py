@@ -80,10 +80,10 @@ class TestRollout:
         prop = rollout(model, s.object_graph, s.ee, 5)
         v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
                                  s.ee.keypoint_vertices)
-        pts = s.object_graph.cloud.points
-        for n in range(1, 6):
-            logits = model.ar_logits(n, v_o, v_kp, prop.contacts[:n], pts).data
-            assert prop.contacts[n] == int(np.argmax(logits))
+        heads = model.ar_logits(v_o, v_kp, prop.contacts,
+                                s.object_graph.cloud.points)
+        for n, logits in enumerate(heads, start=1):
+            assert prop.contacts[n] == int(np.argmax(logits.data))
 
     def test_out_of_range_c0(self, small_world):
         model, samples = small_world

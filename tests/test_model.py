@@ -214,11 +214,12 @@ class TestArLogits:
         s = tiny_sample(rng_np, ee=tiny_ee)
         v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
                                  s.ee.keypoint_vertices)
-        # n=1: one real distance slot + 4 zero slots; verified by comparing
-        # against a head evaluated on manually built features
+        # head 1: one real distance slot + 4 zero slots; verified by
+        # comparing against a head evaluated on manually built features
         pts = s.object_graph.cloud.points
-        logits = model.ar_logits(1, v_o, v_kp, [2], pts)
-        assert logits.data.shape == (12,)
+        heads = model.ar_logits(v_o, v_kp, [2, 5, 7, 1, 0], pts)
+        assert [h.data.shape for h in heads] == [(12,)] * 5
+        logits = heads[0]
         centered = pts - pts.mean(axis=0)
         scale = np.sqrt((centered ** 2).mean())
         dists = np.zeros((12, 5))
@@ -236,8 +237,9 @@ class TestArLogits:
         s = tiny_sample(rng_np, ee=tiny_ee)
         v_o, v_kp = model.encode(s.object_graph, s.ee.rest_graph,
                                  s.ee.keypoint_vertices)
-        with pytest.raises(errors.SchemaError):
-            model.ar_logits(2, v_o, v_kp, [1], s.object_graph.cloud.points)
+        for contacts in ([1], [1, 2, 3, 4], [1] * 7):
+            with pytest.raises(errors.SchemaError):
+                model.ar_logits(v_o, v_kp, contacts, s.object_graph.cloud.points)
 
     def test_zero_distance_at_prev_contact(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
@@ -276,10 +278,12 @@ class TestHeadLogits:
         terms = model.head_terms(v_obj, v_kp)
         scale = distance_scale(pts)
         dists = np.zeros((s, 5))
+        heads = model.ar_logits(v_obj, v_kp, prefix, pts)
+        assert len(heads) == 5
         for n in range(1, 6):
             dists[:, n - 1] = contact_distances(pts, prefix[n - 1], scale)
             got = model.head_logits(n, terms, dists)
-            want = model.ar_logits(n, v_obj, v_kp, prefix[:n], pts).data
+            want = heads[n - 1].data
             assert got.shape == want.shape == (s,)
             assert got.tobytes() == want.tobytes()
 
@@ -292,12 +296,13 @@ class TestHeadLogits:
         dists = np.zeros((7, 5))
         for n in (0, 6):
             with pytest.raises(errors.IndexOutOfRange):
-                model.ar_logits(n, v_obj, v_kp, [0] * n, pts)
-            with pytest.raises(errors.IndexOutOfRange):
                 model.head_logits(n, terms, dists)
         for c in (7, -1):
-            with pytest.raises(errors.IndexOutOfRange):
-                model.ar_logits(1, v_obj, v_kp, [c], pts)
+            for at in range(5):
+                contacts = [0] * 5
+                contacts[at] = c
+                with pytest.raises(errors.IndexOutOfRange):
+                    model.ar_logits(v_obj, v_kp, contacts, pts)
             with pytest.raises(errors.IndexOutOfRange):
                 contact_distances(pts, c, distance_scale(pts))
         for rows in (1, 8):
@@ -365,7 +370,9 @@ class TestTotalLoss:
         gcn_layers = 2 * (len(TINY.gcn_hidden) + 1)
         head_layers = 5 * (len(TINY.ar_hidden) + 1)
         assert ops["spmm"] == gcn_layers
-        assert ops["dense"] == gcn_layers + head_layers
+        # `dense` and `dense_chains` both put a layer on the tape through
+        # `_dense_node`
+        assert ops["_dense_node"] == gcn_layers + head_layers
         # plus 2 projections; the keypoint rows' gather, score map transpose
         # and matmul; column and BCE per keypoint; per head the keypoint's
         # one-row gather (its first dense layer takes the parts

@@ -1,11 +1,13 @@
 """The padded-neighbour adjacency operator and its row blocks against dense
 products."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomatch import errors
+from geomatch import errors, sparse, worker
 from geomatch.geometry import (GeometryGraph, PointCloud, knn_graph,
                                normalize_adjacency)
 from geomatch.sparse import SparseCOO
@@ -50,6 +52,76 @@ class TestProducts:
             adj.matmul(np.zeros((3, 2)))
         with pytest.raises(errors.ShapeMismatch):
             adj.rmatmul(np.zeros(2))
+
+
+class TestSplitRows:
+    """A product of two blocks or more runs its first half on the worker
+    thread; the reference is one loop over every block on this thread."""
+
+    @pytest.fixture(autouse=True)
+    def spare_cpu(self, monkeypatch):
+        # the worker runs only where a CPU is spare; test it on any host
+        monkeypatch.setattr(worker, "SPARE_CPU", True)
+
+    @staticmethod
+    def one_thread(nbr, w, dense):
+        step = max(1, sparse._BLOCK_ELEMENTS // (w.shape[1] * dense.shape[1]))
+        out = np.empty((nbr.shape[0], dense.shape[1]))
+        blocks = 0
+        for a in range(0, nbr.shape[0], step):
+            np.matmul(w[a:a + step, None, :], dense[nbr[a:a + step]],
+                      out=out[a:a + step, None, :])
+            blocks += 1
+        return out, blocks
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_same_bytes_as_one_thread(self, monkeypatch, n_blocks, cut):
+        rng = np.random.default_rng(n_blocks)
+        adj = knn_graph(PointCloud(rng.normal(size=(90, 3))), 4).normalized_adjacency
+        if cut:
+            adj = adj.block(np.unique(rng.integers(0, 90, size=40)),
+                            np.unique(rng.integers(0, 90, size=70)))
+        f = 7
+        for product, nbr, w, (rows, cols) in (
+                (adj.matmul, adj.nbr, adj.w, adj.shape),
+                (adj.rmatmul, adj.t_nbr, adj.t_w, adj.shape[::-1])):
+            # block rows so the product has exactly n_blocks blocks
+            step = -(-rows // n_blocks)
+            monkeypatch.setattr(sparse, "_BLOCK_ELEMENTS", step * w.shape[1] * f)
+            h = rng.normal(size=(cols, f))
+            want, blocks = self.one_thread(nbr, w, h)
+            assert blocks == n_blocks
+            assert product(h).tobytes() == want.tobytes()
+
+    def test_real_block_size(self, rng_np):
+        adj = knn_graph(PointCloud(rng_np.normal(size=(300, 3))), 8).normalized_adjacency
+        h = rng_np.normal(size=(300, 256))
+        want, blocks = self.one_thread(adj.nbr, adj.w, h)
+        assert blocks > 2
+        assert adj.matmul(h).tobytes() == want.tobytes()
+        assert adj.rmatmul(h).tobytes() == want.tobytes()
+
+    def test_one_block_submits_no_job(self, monkeypatch, rng_np):
+        submitted = []
+
+        class RecordingPool:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(worker, "_POOL", RecordingPool())
+        adj = knn_graph(PointCloud(rng_np.normal(size=(40, 3))), 3).normalized_adjacency
+        h = rng_np.normal(size=(40, 3))
+        assert self.one_thread(adj.nbr, adj.w, h)[1] == 1
+        adj.matmul(h)
+        adj.rmatmul(h)
+        assert submitted == []
+        monkeypatch.setattr(sparse, "_BLOCK_ELEMENTS", 20 * adj.w.shape[1] * 3)
+        adj.matmul(h)
+        assert submitted == [sparse._blocks]
 
 
 class TestBlock:

@@ -1,9 +1,11 @@
-"""The training worker thread of `geomatch.diffnet`.
+"""The worker thread of `geomatch.worker`.
 
-Training runs each dense layer's weight-gradient product and half of Adam
-on one worker thread. The reference for every result is the same code
-with the executor replaced by one that runs each job at submission, on the
-calling thread.
+The worker runs half of the autoregressive head chains in the forward
+pass, the first half of every sparse product's row blocks, each dense
+layer's weight-gradient product and half of Adam. The reference for every
+result is the same code with the executor replaced by one that runs each
+job at submission, on the calling thread, and the same code without a
+spare CPU.
 """
 
 import importlib
@@ -15,6 +17,7 @@ from concurrent.futures import Future
 import pytest
 
 from geomatch import diffnet as dn
+from geomatch import sparse, worker
 from geomatch.dataset import load_records
 from geomatch.model import GeoMatchModel, ModelConfig
 from test_model import tiny_sample
@@ -22,6 +25,12 @@ from test_trace_names import LAYERS
 
 SMALL = ModelConfig(gcn_hidden=(64, 64, 64), gcn_out=64, proj_dim=16,
                     ar_hidden=(64, 64, 64))
+
+
+# every job the worker runs, by the module that hands it over
+JOBS = ((dn, "_forward_chains"), (sparse, "_blocks"), (dn, "_matmuls"),
+        (dn, "_adam_update"))
+JOB_NAMES = {name for _, name in JOBS}
 
 
 class InlineExecutor:
@@ -57,6 +66,11 @@ def train_state(config, samples, seed):
             [store._v[n].tobytes() for n in store.names()])
 
 
+def record_jobs(monkeypatch, jobs):
+    for owner, name in JOBS:
+        record_threads(monkeypatch, owner, name, jobs)
+
+
 def record_threads(monkeypatch, owner, name, seen, label=None):
     """Wrap `owner.name` so each call appends (label, thread ident)."""
     fn = vars(owner)[name]
@@ -72,12 +86,23 @@ def record_threads(monkeypatch, owner, name, seen, label=None):
 @pytest.fixture(autouse=True)
 def spare_cpu(monkeypatch):
     # the worker runs only where a CPU is spare; test it on any host
-    monkeypatch.setattr(dn, "_SPARE_CPU", True)
+    monkeypatch.setattr(worker, "SPARE_CPU", True)
 
 
 @pytest.fixture(scope="module")
 def toy_samples(toy_dataset):
     return load_records(toy_dataset, split="train")[:4]
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    # 1 KB blocks: every sparse product of `big_sample` in `SMALL` has at
+    # least two of them
+    monkeypatch.setattr(sparse, "_BLOCK_ELEMENTS", 1 << 7)
+
+
+def big_sample(rng):
+    return tiny_sample(rng, s_o=300, s_g=64)
 
 
 @pytest.fixture()
@@ -91,36 +116,57 @@ def fast_switching():
         sys.setswitchinterval(before)
 
 
-def test_same_bits_as_inline(monkeypatch, toy_samples, fast_switching):
-    """The full network on the S = 64 fixture trains to the same bytes with
-    the worker, with every job run at submission, and without a spare CPU
-    (where `dense` keeps its single-threaded loop)."""
-    jobs = []
-    for name in ("_matmuls", "_adam_update"):
-        record_threads(monkeypatch, dn, name, jobs)
-    threaded = train_state(ModelConfig(), toy_samples, 11)
+def assert_same_bits_in_three_modes(monkeypatch, config, samples, jobs):
+    """Train with the worker, with every job run at submission and without
+    a spare CPU; every mode gives the same bytes, and each job ran on the
+    worker in the first."""
+    threaded = train_state(config, samples, 11)
     main = threading.get_ident()
-    assert {name for name, t in jobs if t != main} == {"_matmuls", "_adam_update"}
-    monkeypatch.setattr(dn, "_POOL", InlineExecutor())
+    assert {name for name, t in jobs if t != main} == JOB_NAMES
+    monkeypatch.setattr(worker, "_POOL", InlineExecutor())
     jobs.clear()
-    assert train_state(ModelConfig(), toy_samples, 11) == threaded
+    assert train_state(config, samples, 11) == threaded
     assert {t for _, t in jobs} == {main}
-    monkeypatch.setattr(dn, "_SPARE_CPU", False)
-    assert train_state(ModelConfig(), toy_samples, 11) == threaded
+    monkeypatch.setattr(worker, "SPARE_CPU", False)
+    assert train_state(config, samples, 11) == threaded
 
 
-def test_no_spare_cpu_runs_every_job_inline(monkeypatch, rng_np):
+def test_same_bits_as_inline(monkeypatch, toy_samples, fast_switching):
+    """The full network on the S = 64 fixture: the head chains split, and
+    the sparse products of 256 columns have several blocks."""
+    jobs = []
+    record_jobs(monkeypatch, jobs)
+    assert_same_bits_in_three_modes(monkeypatch, ModelConfig(), toy_samples, jobs)
+
+
+def test_same_bits_with_split_products(monkeypatch, rng_np, small_blocks,
+                                       fast_switching):
+    """Every sparse product, 3 columns wide or 64, splits its blocks."""
+    products, jobs = [], []
+    record_threads(monkeypatch, sparse, "_product", products)
+    record_jobs(monkeypatch, jobs)
+    samples = [big_sample(rng_np) for _ in range(2)]
+    step(GeoMatchModel(SMALL, seed=2), samples[0])
+    main = threading.get_ident()
+    on_worker = [t for name, t in jobs if name == "_blocks" and t != main]
+    assert len(on_worker) == len(products) > 0
+    jobs.clear()
+    assert_same_bits_in_three_modes(monkeypatch, SMALL, samples, jobs)
+
+
+def test_no_spare_cpu_runs_every_job_inline(monkeypatch, rng_np, small_blocks):
     class NoPool:
         def submit(self, *args):
             pytest.fail("job submitted without a spare CPU")
 
-    monkeypatch.setattr(dn, "_SPARE_CPU", False)
-    monkeypatch.setattr(dn, "_POOL", NoPool())
+    monkeypatch.setattr(worker, "SPARE_CPU", False)
+    monkeypatch.setattr(worker, "_POOL", NoPool())
     jobs = []
-    for name in ("_matmuls", "_adam_update"):
-        record_threads(monkeypatch, dn, name, jobs)
-    step(GeoMatchModel(SMALL, seed=2), tiny_sample(rng_np))
-    assert jobs and {t for _, t in jobs} == {threading.get_ident()}
+    record_jobs(monkeypatch, jobs)
+    step(GeoMatchModel(SMALL, seed=2), big_sample(rng_np))
+    # `dense` keeps its single-threaded loop there
+    assert {name for name, _ in jobs} == JOB_NAMES - {"_matmuls"}
+    assert {t for _, t in jobs} == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("cpus, env, spare", [
@@ -137,14 +183,15 @@ def test_spare_cpu(monkeypatch, cpus, env, spare):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(dn.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    assert dn._spare_cpu() is spare
+    monkeypatch.setattr(worker.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    assert worker.spare_cpu() is spare
 
 
-def test_worker_runs_no_traced_function(monkeypatch, rng_np):
-    """Every traced layer and every Tensor is built on the main thread."""
-    sample = tiny_sample(rng_np)
+def test_worker_runs_no_traced_function(monkeypatch, rng_np, small_blocks):
+    """Every traced layer and every Tensor is built on the main thread,
+    while the worker runs every kind of job."""
+    sample = big_sample(rng_np)
     model = GeoMatchModel(SMALL, seed=2)
     seen = []
     for layer in LAYERS:
@@ -164,47 +211,69 @@ def test_worker_runs_no_traced_function(monkeypatch, rng_np):
                         monkeypatch.setattr(mod, key, recorded)
     record_threads(monkeypatch, dn.Tensor, "__init__", seen, "Tensor.__init__")
     jobs = []
-    for name in ("_matmuls", "_adam_update"):
-        record_threads(monkeypatch, dn, name, jobs)
+    record_jobs(monkeypatch, jobs)
     step(model, sample)
     main = threading.get_ident()
-    assert {"model.total_loss", "diffnet.backward", "diffnet.adam_step",
+    assert {"model.total_loss", "model.ar_logits", "sparse.matmul",
+            "sparse.rmatmul", "diffnet.backward", "diffnet.adam_step",
             "Tensor.__init__"} <= {label for label, _ in seen}
     assert {t for _, t in seen} == {main}
-    assert any(t != main for _, t in jobs)
+    assert {name for name, t in jobs if t != main} == JOB_NAMES
 
 
 class TestWorkerErrors:
     @pytest.fixture()
-    def submitted(self, monkeypatch, rng_np):
+    def submitted(self, monkeypatch, rng_np, small_blocks):
         """Every future submitted to the worker, once it is running."""
         step(GeoMatchModel(SMALL, seed=1), tiny_sample(rng_np))
         futures = []
-        submit = dn._POOL.submit
+        submit = worker._POOL.submit
 
         def recording_submit(*args):
             futures.append(submit(*args))
             return futures[-1]
 
-        monkeypatch.setattr(dn._POOL, "submit", recording_submit)
+        monkeypatch.setattr(worker._POOL, "submit", recording_submit)
         return futures
 
     @staticmethod
-    def fail_on_worker(monkeypatch, name):
-        job = vars(dn)[name]
+    def fail_on_worker(monkeypatch, owner, name):
+        job = vars(owner)[name]
 
         def failing(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise Boom(name)
             return job(*args)
 
-        monkeypatch.setattr(dn, name, failing)
+        monkeypatch.setattr(owner, name, failing)
+
+    @pytest.mark.parametrize("owner, name", [(dn, "_forward_chains"),
+                                             (sparse, "_blocks")],
+                             ids=["chains", "blocks"])
+    def test_forward_error_surfaces_from_total_loss(
+            self, monkeypatch, rng_np, submitted, owner, name):
+        model = GeoMatchModel(SMALL, seed=1)
+        self.fail_on_worker(monkeypatch, owner, name)
+        with pytest.raises(Boom, match=name):
+            model.total_loss(big_sample(rng_np))
+        assert submitted and all(f.done() for f in submitted)
+
+    def test_block_error_surfaces_from_backward(self, monkeypatch, rng_np,
+                                                submitted):
+        model = GeoMatchModel(SMALL, seed=1)
+        total, _, _ = model.total_loss(big_sample(rng_np))
+        self.fail_on_worker(monkeypatch, sparse, "_blocks")
+        submitted.clear()
+        with pytest.raises(Boom):
+            dn.backward(total)
+        assert submitted and all(f.done() for f in submitted)
 
     def test_dense_product_error_surfaces_from_backward(
             self, monkeypatch, rng_np, submitted):
         model = GeoMatchModel(SMALL, seed=1)
         total, _, _ = model.total_loss(tiny_sample(rng_np))
-        self.fail_on_worker(monkeypatch, "_matmuls")
+        self.fail_on_worker(monkeypatch, dn, "_matmuls")
+        submitted.clear()
         with pytest.raises(Boom):
             dn.backward(total)
         assert submitted and all(f.done() for f in submitted)
@@ -214,14 +283,17 @@ class TestWorkerErrors:
         model = GeoMatchModel(SMALL, seed=1)
         total, _, _ = model.total_loss(tiny_sample(rng_np))
         dn.backward(total)
-        self.fail_on_worker(monkeypatch, "_adam_update")
+        self.fail_on_worker(monkeypatch, dn, "_adam_update")
         submitted.clear()
         with pytest.raises(Boom):
             dn.adam_step(model.store)
         assert len(submitted) == 1 and submitted[0].done()
 
+    @pytest.mark.parametrize("owner, name", [(dn, "_forward_chains"),
+                                             (dn, "_adam_update")],
+                             ids=["chains", "adam"])
     def test_main_thread_error_waits_for_the_job(self, monkeypatch, rng_np,
-                                                 submitted):
+                                                 submitted, owner, name):
         model = GeoMatchModel(SMALL, seed=1)
         total, _, _ = model.total_loss(tiny_sample(rng_np))
         dn.backward(total)
@@ -233,8 +305,11 @@ class TestWorkerErrors:
             time.sleep(0.05)
             finished.append(True)
 
-        monkeypatch.setattr(dn, "_adam_update", slow_or_failing)
+        monkeypatch.setattr(owner, name, slow_or_failing)
         submitted.clear()
         with pytest.raises(Boom, match="main"):
-            dn.adam_step(model.store)
-        assert finished and len(submitted) == 1 and submitted[0].done()
+            if name == "_adam_update":
+                dn.adam_step(model.store)
+            else:
+                model.total_loss(tiny_sample(rng_np))
+        assert finished and submitted and all(f.done() for f in submitted)

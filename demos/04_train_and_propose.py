@@ -6,6 +6,7 @@ epochs. Takes about 20 seconds.
 Run: python demos/04_train_and_propose.py
 """
 
+import logging
 import tempfile
 
 import numpy as np
@@ -13,6 +14,8 @@ import numpy as np
 from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.inference import propose_grasps
 from geomatch.model import GeoMatchModel, train
+
+logging.basicConfig(level=logging.INFO, format="%(message)s")   # train's loss lines
 
 with tempfile.TemporaryDirectory() as d:
     manifest = generate_toy_dataset(seed=3, out_dir=d, s_o=64, s_g=64,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ee-filter", help="comma list of end-effector ids "
                                        "(default: all)")
     p.add_argument("--log-every", type=int, default=0,
-                   help="print a loss line every N epochs (default 0 = quiet)")
+                   help="a loss line on stderr every N epochs (default 0 = quiet)")
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -465,7 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_HANDLER = logging.StreamHandler()      # the default format: message only
+
+
 def main(argv=None) -> int:
+    # this call's stderr; set, as setStream would flush a stream now closed
+    _LOG_HANDLER.stream = sys.stderr
+    log = logging.getLogger("geomatch")
+    log.setLevel(logging.INFO)
+    if _LOG_HANDLER not in log.handlers:
+        log.addHandler(_LOG_HANDLER)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

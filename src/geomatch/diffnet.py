@@ -10,11 +10,11 @@ the product `spmm(A_hat, h)`. No other op broadcasts.
 
 A second CPU, where the process may run on two and BLAS runs one thread,
 takes part of the work through the worker thread of `worker`. Independent
-chains of dense layers (`dense_chains`, the five heads) split between it
-and the main thread; while the main thread computes a `dense` layer's
-input gradients, the worker computes its weight gradient; `adam_step`
-hands it about half of the parameters. Every Tensor and tape node is built
-on the main thread, and every result keeps its bits.
+chains of dense layers (`dense_chains`, the five heads) and the parameters
+in `adam_step` are `worker.split` between it and the main thread; while
+the main thread computes a dense layer's input gradients, the worker
+computes its weight gradient (`worker.beside`). Every Tensor and tape node
+is built on the main thread, and every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -130,10 +130,7 @@ def dense(x, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
     its product is computed once and added with the bias. The ReLU maps
     -0.0 and NaN to +0.0.
     """
-    parts = _parts(x)
-    layout = _layout([p.data.shape for p in parts], w.data, b.data)
-    out = _dense_forward([p.data for p in parts], w.data, b.data, relu, layout)
-    return _dense_node(parts, w, b, relu, layout, out)
+    return dense_chains([(x, [(w, b, relu)])])[0]
 
 
 def dense_chains(chains) -> list[Tensor]:
@@ -142,33 +139,24 @@ def dense_chains(chains) -> list[Tensor]:
     before. Returns each chain's last output, with every layer on the tape
     as `dense` puts it there.
 
-    The worker thread computes the first half (rounded down) of the chains
-    while this thread computes the rest, each layer through `dense`'s
-    arithmetic; then this thread builds every layer's tape node, in chain
-    order.
+    The chains are `worker.split` between the worker thread and this one;
+    then this thread builds every layer's tape node, in chain order.
     """
     plans = []
     for x, layers in chains:
-        parts = _parts(x)
+        parts = [_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
         shapes, layouts = [p.data.shape for p in parts], []
         for w, b, _ in layers:
             layouts.append(_layout(shapes, w.data, b.data))
             shapes = [(layouts[-1][0], w.data.shape[1])]
         plans.append((parts, layers, layouts))
-    half = len(plans) // 2
-    first, rest = [], []
-    with worker.beside(_forward_chains, plans[:half], first):
-        _forward_chains(plans[half:], rest)
+    first, rest = worker.split(_forward_chains, plans)
     results = []
     for (parts, layers, layouts), outs in zip(plans, first + rest):
         for (w, b, relu), layout, out in zip(layers, layouts, outs):
             parts = [_dense_node(parts, w, b, relu, layout, out)]
         results.append(parts[0])
     return results
-
-
-def _parts(x) -> list[Tensor]:
-    return [_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
 
 
 def _layout(shapes, w: np.ndarray, b: np.ndarray):
@@ -184,32 +172,30 @@ def _layout(shapes, w: np.ndarray, b: np.ndarray):
             [s[0] == rows for s in shapes])
 
 
-def _dense_forward(parts, w, b, relu, layout) -> np.ndarray:
-    """`dense`'s output from the parts' arrays, the weight and the bias."""
-    _, blocks, full = layout
-    out, shift = None, b
-    for p, k, is_full in zip(parts, blocks, full):
-        prod = p @ w[k]
-        if not is_full:
-            shift = shift + prod
-        elif out is None:
-            out = prod
-        else:
-            out += prod
-    out += shift
-    if relu:
-        np.fmax(out, 0.0, out=out)     # not fmax(0.0, out): that keeps -0.0
-    return out
-
-
-def _forward_chains(plans, outs) -> None:
-    """Append the list of each planned chain's layer outputs to `outs`."""
+def _forward_chains(plans) -> list[list[np.ndarray]]:
+    """The list of each planned chain's layer outputs. A layer sums its
+    full parts' products, adds the bias plus its one-row parts' products,
+    then applies the ReLU."""
+    outs = []
     for parts, layers, layouts in plans:
         h, chain = [p.data for p in parts], []
-        for (w, b, relu), layout in zip(layers, layouts):
-            chain.append(_dense_forward(h, w.data, b.data, relu, layout))
-            h = chain[-1:]
+        for (w, b, relu), (_, blocks, full) in zip(layers, layouts):
+            out, shift = None, b.data
+            for p, k, is_full in zip(h, blocks, full):
+                prod = p @ w.data[k]
+                if not is_full:
+                    shift = shift + prod
+                elif out is None:
+                    out = prod
+                else:
+                    out += prod
+            out += shift
+            if relu:
+                np.fmax(out, 0.0, out=out)     # not fmax(0.0, out): that keeps -0.0
+            chain.append(out)
+            h = [out]
         outs.append(chain)
+    return outs
 
 
 def _dense_node(parts, w: Tensor, b: Tensor, relu: bool, layout,
@@ -223,25 +209,14 @@ def _dense_node(parts, w: Tensor, b: Tensor, relu: bool, layout,
             np.multiply(g, out > 0, out=g)
         g_sum = g.sum(axis=0)
         g_w = np.empty_like(w.data)
-        grads = [(w, g_w), (b, g_sum)]
-        # Without a spare CPU, or with no input gradient to compute
-        # meanwhile, a hand-off gains nothing, and this loop skips the
-        # threaded path's lists (5-10 us a layer on one CPU).
-        if not (worker.SPARE_CPU and any(p.requires_grad for p in parts)):
-            for p, k, is_full in zip(parts, blocks, full):
-                g_k = g if is_full else g_sum[None]
-                np.matmul(p.data.T, g_k, out=g_w[k])
-                # constant parts (the cloud, the head's distances) get no gradient
-                if p.requires_grad:
-                    grads.append((p, g_k @ w.data[k].T))
-            return grads
         g_ks = [g if is_full else g_sum[None] for is_full in full]
         products = [(p.data.T, g_k, g_w[k])
                     for p, k, g_k in zip(parts, blocks, g_ks)]
         with worker.beside(_matmuls, products):
-            return grads + [(p, g_k @ w.data[k].T)
-                            for p, k, g_k in zip(parts, blocks, g_ks)
-                            if p.requires_grad]
+            # constant parts (the cloud, the head's distances) get no gradient
+            g_x = [(p, g_k @ w.data[k].T)
+                   for p, k, g_k in zip(parts, blocks, g_ks) if p.requires_grad]
+        return [(w, g_w), (b, g_sum)] + g_x
 
     return Tensor(out, _parents=(*parts, w, b), _backward=back)
 
@@ -431,9 +406,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8    # Adam decays and denominator floor
 def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
     """Bias-corrected Adam update over all parameters; zeroes grads after.
 
-    The store is cut, in store order, into two runs of about equal element
-    count; the worker thread updates the first while this thread updates
-    the second."""
+    The parameters, in store order, are `worker.split` by element count
+    between the worker thread and this one."""
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradient(f"parameter {name} has no gradient")
@@ -447,22 +421,15 @@ def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
             store._v[name] = np.zeros(p.data.shape)
     params = [(p.data, p.grad, store._m[name], store._v[name])
               for name, p in store.items()]
-    sizes = np.cumsum([0] + [x.size for x, _, _, _ in params])
-    cut = int(np.argmin(np.abs(2 * sizes - sizes[-1])))   # about half the elements
-    first, second = params[:cut], params[cut:]
-    with worker.beside(_adam_update, first, lr, c1, c2, _scratch(first)):
-        _adam_update(second, lr, c1, c2, _scratch(second))
+    worker.split(_adam_update, params, lr, c1, c2,
+                 sizes=[x.size for x, _, _, _ in params])
     store.zero_grad()
 
 
-def _scratch(params) -> np.ndarray:
-    """One buffer for the largest gradient's temporaries."""
-    return np.empty(max((g.size for _, g, _, _ in params), default=0))
-
-
-def _adam_update(params, lr, c1, c2, scratch) -> None:
+def _adam_update(params, lr, c1, c2) -> None:
     """Adam's update of each (value, gradient, m, v) in place, its
-    temporaries in `scratch`."""
+    temporaries in one buffer for the largest gradient."""
+    scratch = np.empty(max((g.size for _, g, _, _ in params), default=0))
     for x, g, m, v in params:
         m *= _BETA1
         v *= _BETA2

@@ -10,6 +10,7 @@ contacts; keypoint 0's marginal is its score-map column.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ DEFAULT_LAMBDA_A = 500.0
 DEFAULT_LAMBDA_B = 200.0
 DEFAULT_LR = 1e-4
 DEFAULT_EPOCHS = 200
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -341,8 +344,7 @@ def train(model: GeoMatchModel, samples: list[TrainingSample],
         history.append({"epoch": epoch, "loss_total": float(mean[0]),
                         "loss_f": float(mean[1]), "loss_m": float(mean[2])})
         if log_every and (epoch % log_every == 0 or epoch == epochs):
-            print(f"epoch {epoch:4d}  total {mean[0]:.6f}  "
-                  f"f {mean[1]:.6f}  m {mean[2]:.6f}")
+            _LOG.info("epoch %4d  total %.6f  f %.6f  m %.6f", epoch, *mean)
     if loss_csv is not None:
         write_loss_csv(history, loss_csv)
     return history

@@ -1,4 +1,9 @@
-"""Sparse matrix in padded-neighbour form, for graph adjacency."""
+"""Sparse matrix in padded-neighbour form, for graph adjacency.
+
+A product runs in blocks of rows, which `worker.split` shares between the
+worker thread and the main thread. Each block is one `np.matmul` call
+whichever thread runs it, so the product keeps its bits.
+"""
 
 from __future__ import annotations
 
@@ -14,26 +19,18 @@ def _product(nbr: np.ndarray, w: np.ndarray, dense: np.ndarray,
              shape: tuple[int, int]) -> np.ndarray:
     """The (shape[0], F) product of padded arrays (nbr, w) with dense.
 
-    The product runs in blocks of rows, each block's gathered neighbour
-    rows sized to stay in cache. With two blocks or more, the worker thread
-    computes the first half of the blocks (rounded down) while this thread
-    computes the rest."""
+    Each block of rows has its gathered neighbour rows sized to stay in
+    cache."""
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != shape[1]:
         raise ShapeMismatch(f"cannot multiply {shape} by {dense.shape}")
     out = np.empty((shape[0], dense.shape[1]))
     step = max(1, _BLOCK_ELEMENTS // (w.shape[1] * max(1, dense.shape[1])))
-    starts = range(0, shape[0], step)
-    if len(starts) < 2:
-        _blocks(nbr, w, dense, out, starts, step)
-        return out
-    half = len(starts) // 2
-    with worker.beside(_blocks, nbr, w, dense, out, starts[:half], step):
-        _blocks(nbr, w, dense, out, starts[half:], step)
+    worker.split(_blocks, range(0, shape[0], step), nbr, w, dense, out, step)
     return out
 
 
-def _blocks(nbr, w, dense, out, starts, step) -> None:
+def _blocks(starts, nbr, w, dense, out, step) -> None:
     """Rows a:a + step of the product into `out`, for each a in `starts`:
     one batched (1, D) @ (D, F) product per block."""
     for a in starts:

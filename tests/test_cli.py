@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from geomatch import dataset
 from geomatch.cli import main
+from geomatch.model import read_loss_csv
 
 
 def run(argv, capsys=None):
@@ -324,6 +325,26 @@ class TestDeterminism:
             (tmp_path / "w2" / "loss.csv").read_bytes()
         assert (tmp_path / "w1" / "weights.bin").read_bytes() == \
             (tmp_path / "w2" / "weights.bin").read_bytes()
+
+
+class TestLogging:
+    def test_log_every_lines_on_stderr(self, pipeline_dir, tmp_path, capsys):
+        """`--log-every` lines reach stderr through the `geomatch` logger,
+        once each however often `main` runs; the stage summary stays on
+        stdout."""
+        data = str(pipeline_dir / "data")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 2, "m": 8, "seed": 11}))
+        for out in ("w1", "w2"):
+            capsys.readouterr()
+            assert main(["train", "--manifest", data, "--config", str(cfg),
+                         "--out", str(tmp_path / out), "--log-every", "1"]) == 0
+            captured = capsys.readouterr()
+            history = read_loss_csv(tmp_path / out / "loss.csv")
+            assert captured.err.splitlines() == [
+                f"epoch {row['epoch']:4d}  total {row['loss_total']:.6f}  "
+                f"f {row['loss_f']:.6f}  m {row['loss_m']:.6f}" for row in history]
+            assert "trained on" in captured.out and "epoch " not in captured.out
 
 
 # ---------------------------------------------------------------------------

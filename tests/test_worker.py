@@ -1,19 +1,23 @@
 """The worker thread of `geomatch.worker`.
 
-The worker runs half of the autoregressive head chains in the forward
-pass, the first half of every sparse product's row blocks, each dense
-layer's weight-gradient product and half of Adam. The reference for every
-result is the same code with the executor replaced by one that runs each
-job at submission, on the calling thread, and the same code without a
-spare CPU.
+Through `worker.split` the worker runs half of the autoregressive head
+chains in the forward pass, the first half of every sparse product's row
+blocks and half of Adam; through `worker.beside` it runs each dense
+layer's weight-gradient product. The reference for every result is the
+same code with the executor replaced by one that runs each job at
+submission, on the calling thread, and the same code without a spare CPU.
+No other module of the package reaches the thread pool.
 """
 
 import importlib
+import re
 import sys
 import threading
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geomatch import diffnet as dn
@@ -154,6 +158,127 @@ def test_same_bits_with_split_products(monkeypatch, rng_np, small_blocks,
     assert_same_bits_in_three_modes(monkeypatch, SMALL, samples, jobs)
 
 
+class RecordingPool:
+    """Runs each job at submission and records it with its first argument."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append((fn, args[0]))
+        return InlineExecutor().submit(fn, *args)
+
+
+def parts(items):
+    """A `split` job: the part it was given, with its thread."""
+    return list(items), threading.get_ident()
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n", range(7))
+    def test_equal_sizes_cut_in_half(self, n):
+        (first, worker_thread), (rest, here) = worker.split(parts, range(n))
+        assert first == list(range(n // 2)) and rest == list(range(n // 2, n))
+        assert here == threading.get_ident()
+        if n > 1:
+            assert worker_thread != here
+
+    @pytest.mark.parametrize("sizes, cut", [
+        ([], 0), ([3], 0), ([1, 1], 1), ([5, 1], 1), ([1, 5], 1),
+        ([1, 2, 1], 1),            # cuts 1 and 2 tie: the lower one
+        ([4, 0, 0], 0),            # every cut ties
+        ([2, 2, 2, 2], 2), ([0, 0, 4], 0), ([1, 1, 1, 9], 3),
+    ])
+    def test_given_sizes_cut_nearest_half(self, sizes, cut):
+        assert worker.split(len, list(sizes), sizes=sizes) == (cut, len(sizes) - cut)
+
+    @pytest.mark.parametrize("config", [ModelConfig(), SMALL], ids=["full", "small"])
+    def test_store_cut_matches_argmin(self, config):
+        """The cut `adam_step` made with numpy before `split` took it over."""
+        sizes = [p.data.size for _, p in GeoMatchModel(config, seed=0).store.items()]
+        ends = np.cumsum([0] + sizes)
+        cut = int(np.argmin(np.abs(2 * ends - ends[-1])))
+        assert 0 < cut < len(sizes)
+        assert worker.split(len, sizes, sizes=sizes) == (cut, len(sizes) - cut)
+
+    def test_empty_first_part_submits_nothing(self, monkeypatch):
+        pool = RecordingPool()
+        monkeypatch.setattr(worker, "_POOL", pool)
+        assert worker.split(list, [7]) == ([], [7])
+        assert worker.split(list, [7, 8], sizes=[0, 5]) == ([], [7, 8])
+        assert pool.submitted == []
+        assert worker.split(list, [7, 8]) == ([7], [8])
+        assert pool.submitted == [(list, [7])]
+
+    def test_same_results_in_every_mode(self, monkeypatch):
+        items = [np.arange(k, dtype=float) for k in range(1, 9)]
+
+        def job(part, scale):
+            return [x * scale + 1.0 for x in part]
+
+        def run(sizes):
+            first, rest = worker.split(job, items, 0.5, sizes=sizes)
+            return [x.tobytes() for x in first + rest]
+
+        want = [(x * 0.5 + 1.0).tobytes() for x in items]
+        sizes = [x.size for x in items]
+        assert run(None) == run(sizes) == want
+        monkeypatch.setattr(worker, "_POOL", InlineExecutor())
+        assert run(None) == run(sizes) == want
+        monkeypatch.setattr(worker, "SPARE_CPU", False)
+        assert run(None) == run(sizes) == want
+
+    def test_no_spare_cpu_runs_both_parts_here_in_order(self, monkeypatch):
+        monkeypatch.setattr(worker, "SPARE_CPU", False)
+        seen = []
+
+        def job(part):
+            seen.append((list(part), threading.get_ident()))
+
+        worker.split(job, range(5))
+        assert seen == [([0, 1], threading.get_ident()),
+                        ([2, 3, 4], threading.get_ident())]
+
+    def test_main_thread_error_waits_for_the_first_part(self):
+        finished = []
+
+        def job(part):
+            if threading.current_thread() is threading.main_thread():
+                raise Boom("main")
+            time.sleep(0.05)
+            finished.append(part)
+
+        with pytest.raises(Boom, match="main"):
+            worker.split(job, [1, 2])
+        assert finished == [[1]]
+
+    def test_worker_error_surfaces_with_its_type(self):
+        def job(part):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom("worker")
+            return part
+
+        with pytest.raises(Boom, match="worker"):
+            worker.split(job, [1, 2])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "geomatch"
+HAND_OFFS = re.compile(r"\b(import threading|from threading|concurrent\.futures"
+                       r"|SPARE_CPU|_POOL)\b")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_worker_reaches_the_thread(path):
+    """Every hand-off goes through `worker.split` or `worker.beside`, so a
+    new hand-rolled one fails here first."""
+    hits = [ln for ln, line in enumerate(path.read_text().splitlines(), start=1)
+            if HAND_OFFS.search(line)]
+    if path.name == "worker.py":
+        assert hits, "worker.py should hold the pool"
+    else:
+        assert not hits, f"{path.name} reaches the worker thread itself at lines {hits}"
+
+
 def test_no_spare_cpu_runs_every_job_inline(monkeypatch, rng_np, small_blocks):
     class NoPool:
         def submit(self, *args):
@@ -164,8 +289,7 @@ def test_no_spare_cpu_runs_every_job_inline(monkeypatch, rng_np, small_blocks):
     jobs = []
     record_jobs(monkeypatch, jobs)
     step(GeoMatchModel(SMALL, seed=2), big_sample(rng_np))
-    # `dense` keeps its single-threaded loop there
-    assert {name for name, _ in jobs} == JOB_NAMES - {"_matmuls"}
+    assert {name for name, _ in jobs} == JOB_NAMES
     assert {t for _, t in jobs} == {threading.get_ident()}
 
 
@@ -298,12 +422,17 @@ class TestWorkerErrors:
         total, _, _ = model.total_loss(tiny_sample(rng_np))
         dn.backward(total)
         finished = []
+        job = vars(owner)[name]
 
-        def slow_or_failing(*args):
-            if threading.current_thread() is threading.main_thread():
+        def slow_or_failing(items, *args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+                finished.append(True)
+            elif len(items) > 1:
+                # the encoders' one-chain `dense` calls run here unsplit
                 raise Boom("main")
-            time.sleep(0.05)
-            finished.append(True)
+            else:
+                return job(items, *args)
 
         monkeypatch.setattr(owner, name, slow_or_failing)
         submitted.clear()

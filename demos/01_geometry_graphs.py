@@ -13,7 +13,7 @@ from geomatch.rng import Rng
 
 # a sphere sampled with analytic normals, like the toy dataset does
 cloud = sample_object("sphere", {"r": 0.04}, count=200, rng=Rng(0))
-print(f"cloud: {len(cloud)} points, frame={cloud.frame!r}")
+print(f"cloud: {len(cloud)} points")
 
 # each vertex connects to its 8 nearest neighbours; the normalized
 # adjacency is what the graph convolutions consume

@@ -1,10 +1,11 @@
 """The one reader and writer of every JSON, JSON-lines and CSV artifact.
 
 Readers extract fields inside `parsing(where)`, which turns what a
-malformed file raises (a missing key, a short list, a wrong type, a value
-that does not parse) into a `SchemaError` naming `path` or `path:line`, so
-bad input exits with code 2. Only field extraction and lookups go inside
-it, never solver or model code, whose own errors are program bugs.
+malformed file raises (a missing key, a wrong type, a value that does not
+parse or fails a check like `finite_array`'s) into a `SchemaError` naming
+`path` or `path:line`, so bad input exits with code 2; checks inside it
+leave the location out. Only extraction, checks and lookups go inside it,
+never solver or model code, whose own errors are program bugs.
 
 Every JSON file has one layout, `write_json`'s: one-space indent, sorted
 keys.
@@ -16,6 +17,8 @@ import csv
 import json
 from contextlib import contextmanager
 
+import numpy as np
+
 from .errors import SchemaError
 
 
@@ -25,8 +28,16 @@ def parsing(where):
         yield
     except KeyError as exc:
         raise SchemaError(f"{where}: missing or unknown key {exc}") from exc
-    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError, SchemaError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """`values` as a float64 array; SchemaError unless every entry is finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{what} must be finite, got {arr.tolist()}")
+    return arr
 
 
 def read_json(path):

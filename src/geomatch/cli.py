@@ -28,7 +28,7 @@ from .errors import DataError, GeomatchError, NumericalError, SchemaError
 from .geometry import (DEFAULT_KNN_K, crop_table_top, estimate_normals,
                        knn_graph, load_cloud, perturb_cloud, save_cloud_csv)
 from .ik import ik_result_to_dict, solve_ik
-from .kinematics import N_KEYPOINTS, keypoint_positions, pose_from_dict
+from .kinematics import keypoint_positions, pose_from_dict
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -86,9 +86,9 @@ class RunConfig:
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
-def _typed(path, key: str, value, kind: type):
+def _typed(key: str, value, kind: type):
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise SchemaError(f"{path}: config {key} must be a JSON {kind.__name__}, "
+        raise SchemaError(f"config {key} must be a JSON {kind.__name__}, "
                           f"got {json.dumps(value)}")
     return kind(value)
 
@@ -100,19 +100,19 @@ def load_config(path=None, seed_override=None) -> RunConfig:
         with parsing(path):
             unknown = set(doc) - {f.name for f in fields(RunConfig)}
             if unknown:
-                raise SchemaError(f"{path}: unknown config keys {sorted(unknown)}")
+                raise SchemaError(f"unknown config keys {sorted(unknown)}")
             for key, value in doc.items():
                 if key == "ranks":
                     if not isinstance(value, list):
-                        raise SchemaError(f"{path}: config ranks must be a JSON list")
-                    value = tuple(_typed(path, key, v, int) for v in value)
+                        raise SchemaError("config ranks must be a JSON list")
+                    value = tuple(_typed(key, v, int) for v in value)
                 else:
-                    value = _typed(path, key, value, type(getattr(cfg, key)))
+                    value = _typed(key, value, type(getattr(cfg, key)))
                 setattr(cfg, key, value)
     env_seed = os.environ.get("GEOMATCH_SEED")
     if env_seed is not None:    # a JSON integer, like a config seed
         with parsing("GEOMATCH_SEED"):
-            cfg.seed = _typed("GEOMATCH_SEED", "seed", json.loads(env_seed), int)
+            cfg.seed = _typed("seed", json.loads(env_seed), int)
     if seed_override is not None:
         cfg.seed = int(seed_override)
     return cfg.validate()
@@ -156,15 +156,13 @@ def cmd_gen_data(args) -> int:
 def cmd_maps(args) -> int:
     cfg, manifest, clouds, ees = _stage_inputs(args)
     os.makedirs(args.out, exist_ok=True)
-    count = 0
     for i, record in enumerate(manifest.records):
         kp = keypoint_positions(ees[record.ee_id], record.pose)
         maps = build_contact_maps(clouds[record.object_id], kp, cfg.m,
                                   cfg.threshold, cfg.squared_threshold)
         save_maps(maps, os.path.join(
             args.out, f"{i:05d}_{record.object_id}_{record.ee_id}.json"))
-        count += 1
-    print(f"wrote {count} contact map files to {args.out}")
+    print(f"wrote {len(manifest.records)} contact map files to {args.out}")
     return 0
 
 
@@ -240,23 +238,21 @@ def cmd_eval(args) -> int:
     cfg, _, clouds, ees = _stage_inputs(args)
 
     def job(rep):
-        row = {"object": rep["object"], "ee": rep["ee"], "rank": rep["rank"]}
-        contacts = np.array([c["xyz"] for c in rep["contacts"]],
-                            dtype=np.float64).reshape(N_KEYPOINTS, 3)
-        return (row, pose_from_dict(rep["pose"]), ees[rep["ee"]],
-                clouds[rep["object"]], contacts)
+        p = inf.proposal_from_dict(rep)
+        return p, pose_from_dict(rep["pose"]), ees[p.ee_id], clouds[p.object_id]
 
     jobs = read_jsonl(args.ik, job)
     eval_cfg = cfg.eval_config()
     os.makedirs(args.out, exist_ok=True)
     rows = []
     poses_by_ee: dict[str, list] = {}
-    for row, pose, ee, cloud, contact_pts in jobs:
+    for p, pose, ee, cloud in jobs:
         outcome = ev.evaluate_grasp(cloud, ee, pose, eval_cfg)
-        errors = np.linalg.norm(outcome.keypoints - contact_pts, axis=1)
-        row.update(success=int(outcome.success),
-                   active_contacts=len(outcome.active_contacts),
-                   mean_contact_error_mm=round(float(errors.mean()) * 1000.0, 6))
+        errors = np.linalg.norm(outcome.keypoints - p.contact_points, axis=1)
+        row = {"object": p.object_id, "ee": p.ee_id, "rank": p.keypoint0_rank,
+               "success": int(outcome.success),
+               "active_contacts": len(outcome.active_contacts),
+               "mean_contact_error_mm": round(float(errors.mean()) * 1000.0, 6)}
         for tag, _ in ev.AXIS_DIRECTIONS:
             row[f"resisted_{tag}"] = int(outcome.resisted[tag])
         rows.append(row)

@@ -301,19 +301,6 @@ def transpose(x: Tensor) -> Tensor:
     return Tensor(x.data.T, _parents=(x,), _backward=back)
 
 
-def column(x: Tensor, j: int) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or not 0 <= j < x.data.shape[1]:
-        raise ShapeMismatch(f"column {j} of shape {x.data.shape}")
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[:, j] = g
-        return ((x, gx),)
-
-    return Tensor(x.data[:, j], _parents=(x,), _backward=back)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -323,30 +310,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_with_pos_weight(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
-    """Mean binary cross-entropy on logits, positives weighted by pos_weight.
+def bce_with_pos_weight(logits, targets, pos_weight: float = 1.0) -> Tensor:
+    """Sum over the logit columns of each column's mean binary cross-entropy
+    on logits, positives weighted by pos_weight.
 
-    Uses the log-sum-exp form, so large-magnitude logits stay finite.
+    `logits` is a tensor or a list of tensors; their columns, in order (a
+    1-D tensor is one column), pair with the columns of `targets` (1-D for
+    one column). The column means add left to right. Uses the log-sum-exp
+    form, so large-magnitude logits stay finite.
     """
-    logits = _as_tensor(logits)
+    parents = [_as_tensor(t) for t in
+               (logits if isinstance(logits, (list, tuple)) else [logits])]
     y = np.asarray(targets, dtype=np.float64)
-    if y.size != logits.data.size:
-        raise ShapeMismatch(
-            f"targets {y.shape} do not match logits {logits.data.shape}")
-    y = y.reshape(logits.data.shape)
+    y = y[:, None] if y.ndim == 1 else y
+    views = [p.data[:, None] if p.data.ndim == 1 else p.data for p in parents]
+    if (y.ndim != 2 or any(v.ndim != 2 or len(v) != len(y) for v in views)
+            or sum(v.shape[1] for v in views) != y.shape[1]):
+        raise ShapeMismatch(f"targets {np.shape(targets)} do not match logits "
+                            f"{[p.data.shape for p in parents]}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ShapeMismatch("targets must be binary")
-    x = logits.data
-    softplus_negx = np.logaddexp(0.0, -x)
-    elem = pos_weight * y * softplus_negx + (1.0 - y) * (x + softplus_negx)
-    n = x.size
+    # (parent, column, logits) of every logit column, in target-column order
+    cols = [(i, j, v[:, j]) for i, v in enumerate(views) for j in range(v.shape[1])]
+    means = []
+    for k, (_, _, x) in enumerate(cols):
+        softplus_negx = np.logaddexp(0.0, -x)
+        means.append((pos_weight * y[:, k] * softplus_negx
+                      + (1.0 - y[:, k]) * (x + softplus_negx)).mean())
 
     def back(g):
-        s = _sigmoid(x)
-        grad = (pos_weight * y * (s - 1.0) + (1.0 - y) * s) * (float(g) / n)
-        return ((logits, grad),)
+        grads = [np.empty_like(v) for v in views]
+        for k, (i, j, x) in enumerate(cols):
+            s = _sigmoid(x)
+            grads[i][:, j] = (pos_weight * y[:, k] * (s - 1.0)
+                              + (1.0 - y[:, k]) * s) * (float(g) / len(y))
+        return tuple((p, gx.reshape(p.data.shape)) for p, gx in zip(parents, grads))
 
-    return Tensor(elem.mean(), _parents=(logits,), _backward=back)
+    return Tensor(sum(means), _parents=tuple(parents), _backward=back)
 
 
 # ---------------------------------------------------------------------------

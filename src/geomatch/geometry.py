@@ -34,11 +34,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """S points in a named frame, optionally with unit normals."""
+    """S points in the world frame, optionally with unit normals."""
 
     points: np.ndarray
     normals: np.ndarray | None = None
-    frame: str = "world"
 
     def __post_init__(self):
         pts = _freeze(np.atleast_2d(self.points))
@@ -260,7 +259,7 @@ def estimate_normals(cloud: PointCloud,
     if degenerate:
         log.warning("degenerate neighbourhoods at %d point(s): %s",
                     len(degenerate), degenerate[:8])
-    return PointCloud(cloud.points, normals, cloud.frame)
+    return PointCloud(cloud.points, normals)
 
 
 def perturb_cloud(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
@@ -272,7 +271,7 @@ def perturb_cloud(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
         return cloud
     noise = Rng(seed).normals(cloud.points.size).reshape(cloud.points.shape)
     noise = np.clip(noise * sigma, -sigma, sigma)
-    return PointCloud(cloud.points + noise, cloud.normals, cloud.frame)
+    return PointCloud(cloud.points + noise, cloud.normals)
 
 
 def crop_table_top(cloud: PointCloud) -> PointCloud:
@@ -283,7 +282,7 @@ def crop_table_top(cloud: PointCloud) -> PointCloud:
     if not keep.any():
         raise FullyCropped("table crop would remove every point")
     normals = cloud.normals[keep] if cloud.normals is not None else None
-    return PointCloud(cloud.points[keep], normals, cloud.frame)
+    return PointCloud(cloud.points[keep], normals)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def load_cloud_ply(path) -> PointCloud:
     """ASCII PLY ingest: vertex properties x,y,z and optional nx,ny,nz."""
     with open(path) as fh, parsing(path):
         if fh.readline().strip() != "ply":
-            raise SchemaError(f"{path}: not a PLY file")
+            raise SchemaError("not a PLY file")
         n_vertices = 0
         props = []
         in_vertex = False
@@ -338,7 +337,7 @@ def load_cloud_ply(path) -> PointCloud:
             if not tok:
                 continue
             if tok[0] == "format" and tok[1] != "ascii":
-                raise SchemaError(f"{path}: only ascii PLY is supported")
+                raise SchemaError("only ascii PLY is supported")
             if tok[0] == "element":
                 in_vertex = tok[1] == "vertex"
                 if in_vertex:
@@ -349,7 +348,7 @@ def load_cloud_ply(path) -> PointCloud:
                 break
         for name in ("x", "y", "z"):
             if name not in props:
-                raise SchemaError(f"{path}: vertex element lacks {name}")
+                raise SchemaError(f"vertex element lacks {name}")
         idx = {name: props.index(name) for name in props}
         with_normals = all(n in props for n in ("nx", "ny", "nz"))
         pts = np.empty((n_vertices, 3))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import write_jsonl
+from .artifacts import finite_array, write_jsonl
 from .errors import EmptyScores, IndexOutOfRange
 from .geometry import GeometryGraph
 from .kinematics import EndEffectorModel, N_KEYPOINTS
@@ -125,8 +125,8 @@ def proposal_to_dict(p: GraspProposal) -> dict:
 
 def proposal_from_dict(doc: dict) -> GraspProposal:
     contacts = np.array([c["vertex"] for c in doc["contacts"]], dtype=np.int64)
-    points = np.array([c["xyz"] for c in doc["contacts"]],
-                      dtype=np.float64).reshape(N_KEYPOINTS, 3)
+    points = finite_array([c["xyz"] for c in doc["contacts"]],
+                          "contact coordinates").reshape(N_KEYPOINTS, 3)
     return GraspProposal(object_id=doc["object"], ee_id=doc["ee"],
                          keypoint0_rank=int(doc["rank"]), contacts=contacts,
                          contact_points=points, score=float(doc["score"]))

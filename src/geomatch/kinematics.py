@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import parsing, read_json, write_json
+from .artifacts import finite_array, parsing, read_json, write_json
 from .errors import (DegenerateInput, LimitViolation, NotARotation,
                      SchemaError)
 from .geometry import (DEFAULT_KNN_K, GeometryGraph, PointCloud, knn_graph,
@@ -294,10 +294,9 @@ class Pose:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "r6", np.asarray(self.r6, dtype=np.float64).reshape(6))
-        object.__setattr__(self, "theta",
-                           np.asarray(self.theta, dtype=np.float64).reshape(-1))
+        for name, size in (("t", 3), ("r6", 6), ("theta", -1)):
+            object.__setattr__(self, name, finite_array(
+                getattr(self, name), f"pose {name}").reshape(size))
         rot = rot6d_to_matrix(self.r6)   # raises DegenerateInput if invalid
         if np.abs(rot.T @ rot - _EYE3).max() > 1e-9:
             raise NotARotation("decoded rotation fails orthonormality at 1e-9")
@@ -562,12 +561,12 @@ def load_chain(path) -> dict:
     doc = read_json(path)
     with parsing(path):
         links = [Link(name=l["name"], parent=l["parent"],
-                      origin_t=np.array(l["origin"]["t"], dtype=np.float64),
-                      origin_q=np.array(l["origin"]["q"], dtype=np.float64))
+                      origin_t=finite_array(l["origin"]["t"], f"link {l['name']} origin"),
+                      origin_q=finite_array(l["origin"]["q"], f"link {l['name']} origin"))
                  for l in doc["links"]]
         joints = [Joint(name=j["name"], type=j["type"], parent=j["parent"],
                         child=j["child"],
-                        axis=np.array(j["axis"], dtype=np.float64),
+                        axis=finite_array(j["axis"], f"joint {j['name']} axis"),
                         limits=(float(j["limits"][0]), float(j["limits"][1])))
                   for j in doc["joints"]]
     doc["_chain"] = KinematicChain(links, joints)
@@ -582,12 +581,12 @@ def load_ee_model(path, name: str | None = None,
         cloud_path = os.path.join(os.path.dirname(os.path.abspath(str(path))),
                                   doc["rest_cloud"])
         palm = Palm(link=doc["palm"]["link"],
-                    normal=np.array(doc["palm"]["normal"], dtype=np.float64),
-                    point=np.array(doc["palm"]["point"], dtype=np.float64))
+                    normal=finite_array(doc["palm"]["normal"], "palm normal"),
+                    point=finite_array(doc["palm"]["point"], "palm point"))
         keypoints = tuple(
             Keypoint(vertex=int(kp["vertex"]), link=kp["link"],
-                     offset=np.array(kp["offset"], dtype=np.float64))
-            for kp in doc["keypoints"])
+                     offset=finite_array(kp["offset"], f"keypoint {i} offset"))
+            for i, kp in enumerate(doc["keypoints"]))
     rest_cloud = load_cloud(cloud_path)
     return EndEffectorModel(
         name=name or os.path.splitext(os.path.basename(str(path)))[0],

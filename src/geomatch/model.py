@@ -208,30 +208,30 @@ class GeoMatchModel:
     def ar_logits(self, v_obj: dn.Tensor, v_kp: dn.Tensor, contacts,
                   object_points: np.ndarray) -> list[dn.Tensor]:
         """Per-object-vertex logits of every head n = 1..n_keypoints - 1,
-        head n given contacts[:n]; `v_kp` holds the keypoint embeddings
-        from `encode`. `contacts` holds the contacts of keypoints 0 to
-        n_keypoints - 2, in keypoint order, or of every keypoint (the last
-        is not read). The heads run as one `dn.dense_chains` call."""
+        one (S, 1) tensor each, head n given contacts[:n]; `v_kp` holds the
+        keypoint embeddings from `encode`. `contacts` holds the contacts of
+        keypoints 0 to n_keypoints - 2, in keypoint order, or of every
+        keypoint (the last is not read). The heads run as one
+        `dn.dense_chains` call."""
         slots = self.config.distance_slots
         prev = np.asarray(contacts, dtype=np.int64).reshape(-1)
         if prev.size not in (slots, slots + 1):
             raise SchemaError(f"the heads need {slots} or {slots + 1} "
                               f"contacts, got {prev.size}")
         scale = distance_scale(object_points)
-        columns = [contact_distances(object_points, c, scale)
-                   for c in prev[:slots]]
+        dists = np.column_stack([contact_distances(object_points, c, scale)
+                                 for c in prev[:slots]])
         chains = []
         for n in range(1, self.config.n_keypoints):
-            dists = np.zeros((object_points.shape[0], slots))
-            for j in range(n):
-                dists[:, j] = columns[j]
-            # the first layer's input is [object | keypoint | distances];
-            # the keypoint's one embedding row broadcasts over the S vertices
+            # the first layer's input is [object | keypoint | distances to
+            # the first n contacts, zeros after]; the keypoint's one
+            # embedding row broadcasts over the S vertices
             layers = [(self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
                        i < self._n_ar_layers - 1)
                       for i in range(self._n_ar_layers)]
-            chains.append(([v_obj, dn.gather_rows(v_kp, [n]), dists], layers))
-        return [dn.column(h, 0) for h in dn.dense_chains(chains)]
+            chains.append(([v_obj, dn.gather_rows(v_kp, [n]),
+                            np.where(np.arange(slots) < n, dists, 0.0)], layers))
+        return dn.dense_chains(chains)
 
     # -- forward-only heads, for rollouts -------------------------------------
 
@@ -252,8 +252,8 @@ class GeoMatchModel:
         return terms
 
     def head_logits(self, n: int, terms: dict, dists: np.ndarray) -> np.ndarray:
-        """Head n's `ar_logits(...)[n - 1].data` without a tape, bit for
-        bit.
+        """Head n's `ar_logits(...)[n - 1].data[:, 0]` without a tape, bit
+        for bit.
 
         `terms` is `head_terms` of the pair; `dists` is the (S,
         distance_slots) distance input, one `contact_distances` column per
@@ -291,27 +291,21 @@ class GeoMatchModel:
                    lambda_b: float = DEFAULT_LAMBDA_B):
         """alpha * score-map loss + beta * teacher-forced head loss.
 
-        Returns (total, loss_f, loss_m) tensors. Both parts are sums of
-        per-keypoint mean BCE terms; the heads see the ground-truth previous
-        contacts (teacher forcing), never their own predictions.
+        Returns (total, loss_f, loss_m) tensors. Each part is one
+        `dn.bce_with_pos_weight` over its logit columns (the score map's;
+        the heads'): a sum of per-keypoint mean BCE terms. The heads see the
+        ground-truth previous contacts (teacher forcing), never their own
+        predictions.
         """
         v_obj, v_kp = self.encode(sample.object_graph, sample.ee.rest_graph,
                                   sample.ee.keypoint_vertices)
         scores = self.score_map(v_obj, v_kp)
         co = sample.maps.co
 
-        loss_f = None
-        for i in range(self.config.n_keypoints):
-            term = dn.bce_with_pos_weight(dn.column(scores, i), co[:, i], lambda_a)
-            loss_f = term if loss_f is None else loss_f + term
-
-        loss_m = None
+        loss_f = dn.bce_with_pos_weight(scores, co, lambda_a)
         heads = self.ar_logits(v_obj, v_kp, sample.gt_contacts,
                                sample.object_graph.cloud.points)
-        for n, logits in enumerate(heads, start=1):
-            term = dn.bce_with_pos_weight(logits, co[:, n], lambda_b)
-            loss_m = term if loss_m is None else loss_m + term
-
+        loss_m = dn.bce_with_pos_weight(heads, co[:, 1:], lambda_b)
         total = alpha * loss_f + beta * loss_m
         return total, loss_f, loss_m
 

@@ -415,6 +415,18 @@ def edit_first_row(change):
     return apply
 
 
+def put(*keys, value):
+    """A JSON edit that sets doc[keys[0]]...[keys[-1]] to value."""
+    def change(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return change
+
+
+NAN, INF = float("nan"), float("inf")
+
+
 def short_first_vertex(text):
     head, body = text.split("end_header\n")
     first, rest = body.split("\n", 1)
@@ -458,6 +470,29 @@ FAULTS = [
     ("loss-no-loss-f", "loss.csv",
      lambda t: "epoch,loss_total,loss_m\n1,10.0,4.0\n"),
     ("records-cut", "data/records.jsonl", cut_last_line),
+    # a non-finite value passes every comparison a check makes of it
+    ("records-nan-theta", "data/records.jsonl",
+     edit_first_row(put("pose", "theta", 0, value=NAN))),
+    ("records-inf-r6", "data/records.jsonl",
+     edit_first_row(put("pose", "r6", 4, value=-INF))),
+    ("chain-nan-link-origin", "data/grippers/pincer.json",
+     edit_json(put("links", 1, "origin", "t", 0, value=NAN))),
+    ("chain-inf-link-rotation", "data/grippers/pincer.json",
+     edit_json(put("links", 0, "origin", "q", 0, value=INF))),
+    ("chain-nan-joint-axis", "data/grippers/pincer.json",
+     edit_json(put("joints", 0, "axis", 1, value=NAN))),
+    ("chain-nan-palm-normal", "data/grippers/pincer.json",
+     edit_json(put("palm", "normal", 2, value=NAN))),
+    ("chain-inf-palm-point", "data/grippers/pincer.json",
+     edit_json(put("palm", "point", 0, value=INF))),
+    ("chain-nan-keypoint-offset", "data/grippers/pincer.json",
+     edit_json(put("keypoints", 4, "offset", 0, value=NAN))),
+    ("proposals-nan-contact", "proposals.jsonl",
+     edit_first_row(put("contacts", 2, "xyz", 1, value=NAN))),
+    ("ik-nan-contact", "ik.jsonl",
+     edit_first_row(put("contacts", 0, "xyz", 0, value=NAN))),
+    ("ik-nan-theta", "ik.jsonl", edit_first_row(put("pose", "theta", 0, value=NAN))),
+    ("ik-inf-t", "ik.jsonl", edit_first_row(put("pose", "t", 2, value=INF))),
 ]
 
 

@@ -87,7 +87,7 @@ class TestBasicOps:
             check_grads(fn, [a, b, c])
             a.grad = b.grad = c.grad = None
 
-    def test_gather_concat_column_grads(self, rng_np):
+    def test_gather_concat_grads(self, rng_np):
         x = dn.Tensor(rng_np.normal(size=(6, 4)), requires_grad=True)
         idx = np.array([0, 2, 2, 5])
         const = rng_np.normal(size=(4, 2))
@@ -95,7 +95,7 @@ class TestBasicOps:
         def fn():
             g = dn.gather_rows(x, idx)
             cat = dn.concat_cols([g, dn.Tensor(const)])
-            return scalar_loss(dn.column(cat, 1), square=True, mean=True)
+            return scalar_loss(cat, square=True, mean=True)
 
         check_grads(fn, [x])
 
@@ -185,6 +185,96 @@ class TestBce:
     def test_rejects_nonbinary(self):
         with pytest.raises(errors.ShapeMismatch):
             dn.bce_with_pos_weight(dn.Tensor(np.zeros(3)), np.array([0, 0.5, 1]))
+        y = np.zeros((3, 2))
+        y[1, 1] = 2.0
+        with pytest.raises(errors.ShapeMismatch):
+            dn.bce_with_pos_weight([dn.Tensor(np.zeros((3, 1)))] * 2, y)
+
+    def test_rejects_column_and_row_mismatch(self):
+        heads = [dn.Tensor(np.zeros((4, 1))) for _ in range(3)]
+        for logits, y in ((heads, np.zeros((4, 2))), (heads, np.zeros((4, 4))),
+                          (heads, np.zeros(4)), (heads, np.zeros((5, 3))),
+                          (dn.Tensor(np.zeros((4, 3))), np.zeros((4, 2))),
+                          (dn.Tensor(np.zeros((4, 3))), np.zeros(12)),
+                          (dn.Tensor(np.zeros(4)), np.zeros(5)),
+                          (dn.Tensor(np.zeros((4, 1, 1))), np.zeros(4)),
+                          (dn.Tensor(np.zeros(4)), np.zeros((4, 1, 1)))):
+            with pytest.raises(errors.ShapeMismatch):
+                dn.bce_with_pos_weight(logits, y)
+
+
+def column_bce_reference(columns, owners, shapes, targets, pos_weight, g):
+    """Per-column BCE as a tape of one column cut and one mean BCE per
+    column, its terms added left to right: the loss and each parent's
+    gradient, the column gradients summed in zero-padded arrays.
+
+    `columns[k]` is logit column k, cut from parent `owners[k]` (of shape
+    `shapes[owners[k]]`) at index j; `targets[:, k]` is its target."""
+    loss, grads = None, [None] * len(shapes)
+    for k, ((i, j), x) in enumerate(zip(owners, columns)):
+        y = targets[:, k]
+        softplus_negx = np.logaddexp(0.0, -x)
+        term = (pos_weight * y * softplus_negx
+                + (1.0 - y) * (x + softplus_negx)).mean()
+        loss = term if loss is None else loss + term
+        s = np.empty_like(x)
+        pos = x >= 0
+        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        e = np.exp(x[~pos])
+        s[~pos] = e / (1.0 + e)
+        col = (pos_weight * y * (s - 1.0) + (1.0 - y) * s) * (g / x.size)
+        if len(shapes[i]) == 1:
+            padded = col
+        else:
+            padded = np.zeros(shapes[i])
+            padded[:, j] = col
+        grads[i] = padded if grads[i] is None else grads[i] + padded
+    return loss, grads
+
+
+class TestColumnBce:
+    """`bce_with_pos_weight` sums column means over its logit columns, bit
+    for bit as one op per column would."""
+
+    # one (S, K) tensor, a list of (S, 1) tensors, one 1-D tensor and a
+    # list mixing them; None stands for a 1-D tensor
+    @pytest.mark.parametrize("widths, as_list", [([6], False), ([1] * 5, True),
+                                                 ([None], False),
+                                                 ([2, None, 1, 3], True)])
+    @pytest.mark.parametrize("pos_weight", [1.0, 200.0, 500.0])
+    def test_bytes_match_per_column_reference(self, widths, as_list, pos_weight,
+                                              rng_np):
+        s, c = 37, 0.5
+        parents = [dn.Tensor(rng_np.normal(scale=4, size=(s,) if w is None else (s, w)),
+                             requires_grad=True) for w in widths]
+        parents[0].data[0, ...] = 800.0     # saturated sigmoids
+        parents[0].data[1, ...] = -800.0
+        owners = [(i, j) for i, w in enumerate(widths) for j in range(w or 1)]
+        columns = [parents[i].data if widths[i] is None else parents[i].data[:, j]
+                   for i, j in owners]
+        y = (rng_np.uniform(size=(s, len(owners))) > 0.7).astype(float)
+        logits = parents if as_list else parents[0]
+        if widths == [None]:
+            y = y[:, 0]
+        loss = dn.bce_with_pos_weight(logits, y, pos_weight)
+        dn.backward(dn.scale(loss, c))
+        want, grads = column_bce_reference(
+            columns, owners, [p.data.shape for p in parents],
+            y.reshape(s, -1), pos_weight, c)
+        assert loss.data.tobytes() == np.float64(want).tobytes()
+        for p, gp in zip(parents, grads):
+            assert p.grad.shape == gp.shape
+            assert p.grad.tobytes() == gp.tobytes()
+
+    def test_gradients(self, rng_np):
+        parents = [dn.Tensor(rng_np.normal(scale=2, size=shape), requires_grad=True)
+                   for shape in ((5, 2), (5,), (5, 1), (5, 3))]
+        y = (rng_np.uniform(size=(5, 7)) > 0.5).astype(float)
+
+        def fn():
+            return dn.bce_with_pos_weight(parents, y, 30.0)
+
+        check_grads(fn, parents)
 
 
 class TestDense:

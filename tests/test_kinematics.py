@@ -92,6 +92,18 @@ class TestRot6d:
         with pytest.raises(errors.NotARotation):
             matrix_to_rot6d(np.diag([1.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("field, at", [("t", 0), ("r6", 1), ("r6", 5),
+                                           ("theta", 1)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pose_refuses_non_finite(self, field, at, bad):
+        # NaN fails every comparison, so it would pass both rotation checks
+        values = {"t": np.zeros(3), "r6": np.array([1.0, 0, 0, 0, 1, 0]),
+                  "theta": np.zeros(2)}
+        Pose(**values)
+        values[field][at] = bad
+        with pytest.raises(errors.SchemaError, match=f"pose {field}"):
+            Pose(**values)
+
 
 class TestAxisAngle:
     def test_roundtrip(self, rng_np):

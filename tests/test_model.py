@@ -218,7 +218,7 @@ class TestArLogits:
         # comparing against a head evaluated on manually built features
         pts = s.object_graph.cloud.points
         heads = model.ar_logits(v_o, v_kp, [2, 5, 7, 1, 0], pts)
-        assert [h.data.shape for h in heads] == [(12,)] * 5
+        assert [h.data.shape for h in heads] == [(12, 1)] * 5
         logits = heads[0]
         centered = pts - pts.mean(axis=0)
         scale = np.sqrt((centered ** 2).mean())
@@ -230,7 +230,7 @@ class TestArLogits:
             feats = feats @ model.store[f"ar1.w{i}"].data + model.store[f"ar1.b{i}"].data
             if i < 3:
                 feats = np.maximum(feats, 0.0)
-        assert np.allclose(logits.data, feats[:, 0], atol=1e-12)
+        assert np.allclose(logits.data, feats, atol=1e-12)
 
     def test_prefix_length_enforced(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=0)
@@ -283,7 +283,7 @@ class TestHeadLogits:
         for n in range(1, 6):
             dists[:, n - 1] = contact_distances(pts, prefix[n - 1], scale)
             got = model.head_logits(n, terms, dists)
-            want = heads[n - 1].data
+            want = heads[n - 1].data[:, 0]
             assert got.shape == want.shape == (s,)
             assert got.tobytes() == want.tobytes()
 
@@ -374,14 +374,16 @@ class TestTotalLoss:
         # `_dense_node`
         assert ops["_dense_node"] == gcn_layers + head_layers
         # plus 2 projections; the keypoint rows' gather, score map transpose
-        # and matmul; column and BCE per keypoint; per head the keypoint's
-        # one-row gather (its first dense layer takes the parts
-        # unconcatenated), column and BCE;
-        # 9 adds of loss terms; alpha * loss_f + beta * loss_m
+        # and matmul; per head the keypoint's one-row gather (its first
+        # dense layer takes the parts unconcatenated); one BCE over the
+        # score map's columns and one over the heads' logits;
+        # alpha * loss_f + beta * loss_m
         assert ops["gather_rows"] == 1 + 5
+        assert ops["bce_with_pos_weight"] == 2
+        assert ops["scale"] == 2 and ops["add"] == 1
         assert "concat_cols" not in ops
         assert sum(ops.values()) == (2 * gcn_layers + head_layers + 2 + 3
-                                     + 6 * 2 + 5 * 3 + 9 + 3) == 80
+                                     + 5 + 2 + 3) == 51
 
     def test_gradient_check_tiny(self, rng_np, tiny_ee):
         model = GeoMatchModel(TINY, seed=2)

@@ -17,9 +17,9 @@ print(f"cloud: {len(cloud)} points")
 
 # each vertex connects to its 8 nearest neighbours; the normalized
 # adjacency is what the graph convolutions consume
-graph = normalize_adjacency(build_knn_graph(cloud, k=8))
-adj = graph.normalized_adjacency
-print(f"graph: {graph.edges.shape[0]} directed edges, "
+edges = build_knn_graph(cloud, k=8)
+adj = normalize_adjacency(edges, len(cloud))
+print(f"graph: {edges.shape[0]} directed edges, "
       f"adjacency nnz={adj.nnz} over {adj.shape}")
 dense = adj.to_dense()
 print(f"adjacency symmetric to {np.abs(dense - dense.T).max():.1e}, "

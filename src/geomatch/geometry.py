@@ -1,7 +1,7 @@
 """Point clouds, triangle meshes and k-NN geometry graphs.
 
 Objects and end-effectors share one representation: a point cloud whose
-points become graph vertices, with edges to the k nearest neighbours and a
+points become graph vertices, joined to their k nearest neighbours by a
 symmetrically normalized adjacency for graph convolutions. All coordinates
 are metric meters.
 """
@@ -64,21 +64,10 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class GeometryGraph:
-    """Point cloud plus directed k-NN edges and (once built) A_hat."""
+    """Point cloud plus its normalized adjacency A_hat."""
 
     cloud: PointCloud
-    edges: np.ndarray             # (E, 2) int, src -> dst
-    knn_k: int
-    normalized_adjacency: SparseCOO | None = None
-
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        s = len(self.cloud)
-        if e.size and (e.min() < 0 or e.max() >= s):
-            raise SchemaError("edge index out of range")
-        e = np.ascontiguousarray(e)
-        e.flags.writeable = False
-        object.__setattr__(self, "edges", e)
+    normalized_adjacency: SparseCOO
 
     @property
     def size(self) -> int:
@@ -183,21 +172,23 @@ def nearest_vertices(points, queries) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, 0], np.sqrt(d2[:, 0])
 
 
-def build_knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:
-    """Connect every point to its k nearest other points."""
+def build_knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> np.ndarray:
+    """(S k, 2) directed edges (src, dst): each point to its k nearest others."""
     s = len(cloud)
     if s <= k:
         raise TooFewPoints(f"need more than k={k} points, got {s}")
     nbrs, _ = k_nearest(cloud.points, k)
     src = np.repeat(np.arange(s, dtype=np.int64), k)
-    edges = np.stack([src, nbrs.reshape(-1)], axis=1)
-    return GeometryGraph(cloud=cloud, edges=edges, knn_k=k)
+    return np.stack([src, nbrs.reshape(-1)], axis=1)
 
 
-def normalize_adjacency(graph: GeometryGraph) -> GeometryGraph:
-    """Attach A_hat = D^{-1/2} (A_sym + I) D^{-1/2}, degrees incl. self-loops."""
-    s = graph.size
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+def normalize_adjacency(edges: np.ndarray, s: int) -> SparseCOO:
+    """A_hat = D^{-1/2} (A_sym + I) D^{-1/2} of the S-vertex graph `edges`,
+    degrees incl. self-loops; checks the indices, which SparseCOO does not."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= s):
+        raise SchemaError("edge index out of range")
+    src, dst = edges[:, 0], edges[:, 1]
     loops = np.arange(s, dtype=np.int64)
     keys = np.unique(np.concatenate([src * s + dst, dst * s + src, loops * (s + 1)]))
     rows, cols = np.divmod(keys, s)
@@ -210,13 +201,12 @@ def normalize_adjacency(graph: GeometryGraph) -> GeometryGraph:
     nbr[rows, slot] = cols
     w = np.zeros(nbr.shape)
     w[rows, slot] = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    return GeometryGraph(cloud=graph.cloud, edges=graph.edges, knn_k=graph.knn_k,
-                         normalized_adjacency=SparseCOO(nbr, w))
+    return SparseCOO(nbr, w)
 
 
 def knn_graph(cloud: PointCloud, k: int = DEFAULT_KNN_K) -> GeometryGraph:
-    """build_knn_graph followed by normalize_adjacency."""
-    return normalize_adjacency(build_knn_graph(cloud, k))
+    """The cloud's k-NN graph: build_knn_graph, then normalize_adjacency."""
+    return GeometryGraph(cloud, normalize_adjacency(build_knn_graph(cloud, k), len(cloud)))
 
 
 def estimate_normals(cloud: PointCloud,

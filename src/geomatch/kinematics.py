@@ -393,6 +393,10 @@ class EndEffectorModel:
     def __post_init__(self):
         if len(self.keypoints) != N_KEYPOINTS:
             raise SchemaError(f"expected {N_KEYPOINTS} keypoints")
+        links = [(f"keypoint {i}", kp.link) for i, kp in enumerate(self.keypoints)]
+        for what, link in links + [("palm", self.palm.link)]:
+            if link not in self.chain._slot:
+                raise SchemaError(f"{what}: unknown link {link}")
         fk = forward_kinematics(self.chain, rest_pose(self.chain))
         for i, kp in enumerate(self.keypoints):
             if not 0 <= kp.vertex < len(self.rest_cloud):
@@ -569,7 +573,7 @@ def load_chain(path) -> dict:
                         axis=finite_array(j["axis"], f"joint {j['name']} axis"),
                         limits=(float(j["limits"][0]), float(j["limits"][1])))
                   for j in doc["joints"]]
-    doc["_chain"] = KinematicChain(links, joints)
+        doc["_chain"] = KinematicChain(links, joints)   # checks the tree
     return doc
 
 
@@ -588,10 +592,13 @@ def load_ee_model(path, name: str | None = None,
                      offset=finite_array(kp["offset"], f"keypoint {i} offset"))
             for i, kp in enumerate(doc["keypoints"]))
     rest_cloud = load_cloud(cloud_path)
-    return EndEffectorModel(
-        name=name or os.path.splitext(os.path.basename(str(path)))[0],
-        chain=doc["_chain"], rest_cloud=rest_cloud,
-        keypoints=keypoints, palm=palm, knn_k=knn_k)
+    try:    # runs forward kinematics, so outside `parsing`
+        return EndEffectorModel(
+            name=name or os.path.splitext(os.path.basename(str(path)))[0],
+            chain=doc["_chain"], rest_cloud=rest_cloud,
+            keypoints=keypoints, palm=palm, knn_k=knn_k)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def pose_to_dict(pose: Pose) -> dict:

@@ -156,8 +156,6 @@ class GeoMatchModel:
         only on the closed neighbourhood of the rows it outputs (A_hat's
         padded slots hold the self-loop): one hop more per layer inward."""
         adj = graph.normalized_adjacency
-        if adj is None:
-            raise SchemaError("graph must carry a normalized adjacency")
         pts = graph.cloud.points
         scale = distance_scale(pts)
         if scale <= 0:

@@ -493,6 +493,18 @@ FAULTS = [
      edit_first_row(put("contacts", 0, "xyz", 0, value=NAN))),
     ("ik-nan-theta", "ik.jsonl", edit_first_row(put("pose", "theta", 0, value=NAN))),
     ("ik-inf-t", "ik.jsonl", edit_first_row(put("pose", "t", 2, value=INF))),
+    # names the chain does not have, and a chain or end-effector check that
+    # fails after parsing
+    ("chain-unknown-keypoint-link", "data/grippers/claw.json",
+     edit_json(put("keypoints", 0, "link", value="nope"))),
+    ("chain-unknown-palm-link", "data/grippers/claw.json",
+     edit_json(put("palm", "link", value="nope"))),
+    ("chain-unknown-link-parent", "data/grippers/claw.json",
+     edit_json(put("links", 1, "parent", value="nope"))),
+    ("chain-keypoint-vertex-out-of-range", "data/grippers/claw.json",
+     edit_json(put("keypoints", 0, "vertex", value=10 ** 6))),
+    ("chain-short-link-origin", "data/grippers/claw.json",
+     edit_json(put("links", 1, "origin", "t", value=[0.0, 0.0]))),
 ]
 
 

@@ -1,5 +1,7 @@
 """Geometry graph construction against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,15 +175,15 @@ class TestSampleSurface:
 class TestKnnGraph:
     def test_collinear_hand_case(self):
         cloud = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [4, 0, 0.0]]))
-        graph = build_knn_graph(cloud, 1)
-        assert sorted(map(tuple, graph.edges.tolist())) == [
+        edges = build_knn_graph(cloud, 1)
+        assert sorted(map(tuple, edges.tolist())) == [
             (0, 1), (1, 0), (2, 1), (3, 2)]
 
     def test_equilateral_k2(self):
         cloud = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]]))
-        graph = build_knn_graph(cloud, 2)
+        edges = build_knn_graph(cloud, 2)
         for v in range(3):
-            targets = {b for a, b in graph.edges.tolist() if a == v}
+            targets = {b for a, b in edges.tolist() if a == v}
             assert targets == {0, 1, 2} - {v}
 
     def test_too_few_points(self):
@@ -191,22 +193,32 @@ class TestKnnGraph:
     def test_default_k(self):
         assert geometry.DEFAULT_KNN_K == 8
 
+    def test_graph_is_cloud_and_a_hat(self, rng_np):
+        cloud = PointCloud(rng_np.normal(size=(20, 3)))
+        graph = geometry.knn_graph(cloud, 3)
+        assert [f.name for f in dataclasses.fields(GeometryGraph)] == [
+            "cloud", "normalized_adjacency"]
+        assert graph.cloud is cloud and graph.size == 20
+        want = normalize_adjacency(build_knn_graph(cloud, 3), 20)
+        assert np.array_equal(graph.normalized_adjacency.nbr, want.nbr)
+        assert np.array_equal(graph.normalized_adjacency.w, want.w)
+
     def test_matches_brute_force_random(self, rng_np):
         for trial in range(25):
             s = int(rng_np.integers(10, 200))
             k = int(rng_np.integers(1, min(9, s - 1)))
             pts = rng_np.normal(size=(s, 3))
-            graph = build_knn_graph(PointCloud(pts), k)
+            edges = build_knn_graph(PointCloud(pts), k)
             expected = brute_force_knn(pts, k)
-            got = {(int(a), int(b)) for a, b in graph.edges}
+            got = {(int(a), int(b)) for a, b in edges}
             want = {(i, j) for i, nb in enumerate(expected) for j in nb}
             assert got == want
 
     def test_tie_break_lower_index(self):
         # vertices 1 and 2 are equidistant from 0; the lower index wins
         cloud = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [5, 0, 0.0]]))
-        graph = build_knn_graph(cloud, 1)
-        nbr0 = [b for a, b in graph.edges.tolist() if a == 0]
+        edges = build_knn_graph(cloud, 1)
+        nbr0 = [b for a, b in edges.tolist() if a == 0]
         assert nbr0 == [1]
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 250), st.integers(1, 8),
@@ -215,10 +227,11 @@ class TestKnnGraph:
     def test_matches_stable_argsort(self, seed, s, k, lattice):
         rng = np.random.default_rng(seed)
         pts = lattice_cloud(rng, s) if lattice else rng.normal(size=(s, 3))
-        graph = build_knn_graph(PointCloud(pts), k)
+        edges = build_knn_graph(PointCloud(pts), k)
         want = stable_argsort_knn(pts, k)
-        assert np.array_equal(graph.edges[:, 1].reshape(s, k), want)
-        assert np.array_equal(graph.edges[:, 0], np.repeat(np.arange(s), k))
+        assert edges.shape == (s * k, 2)
+        assert np.array_equal(edges[:, 1].reshape(s, k), want)
+        assert np.array_equal(edges[:, 0], np.repeat(np.arange(s), k))
 
 
     @pytest.mark.parametrize("s", [127, 128, 129, 255, 256, 257, 300])
@@ -285,27 +298,21 @@ class TestNearestVertices:
 class TestNormalizeAdjacency:
     @pytest.mark.parametrize("edge", [[0, 2], [-1, 0]])
     def test_edge_index_out_of_range(self, edge):
-        # the one check on A_hat's indices: SparseCOO trusts its builder
+        # the one check on A_hat's indices: SparseCOO does not check them
         with pytest.raises(errors.SchemaError):
-            GeometryGraph(cloud=PointCloud(np.zeros((2, 3))),
-                          edges=np.array([edge]), knn_k=1)
+            normalize_adjacency(np.array([edge]), 2)
 
     def test_single_vertex(self):
-        g = GeometryGraph(cloud=PointCloud(np.zeros((1, 3))),
-                          edges=np.empty((0, 2), dtype=np.int64), knn_k=1)
-        adj = normalize_adjacency(g).normalized_adjacency.to_dense()
+        adj = normalize_adjacency(np.empty((0, 2), dtype=np.int64), 1).to_dense()
         assert np.allclose(adj, [[1.0]])
 
     def test_two_mutual(self):
-        g = GeometryGraph(cloud=PointCloud(np.zeros((2, 3)) + [[0, 0, 0], [1, 0, 0]]),
-                          edges=np.array([[0, 1], [1, 0]]), knn_k=1)
-        adj = normalize_adjacency(g).normalized_adjacency.to_dense()
+        adj = normalize_adjacency(np.array([[0, 1], [1, 0]]), 2).to_dense()
         assert np.allclose(adj, 0.5)
 
     def test_path_graph_hand_values(self):
-        g = GeometryGraph(cloud=PointCloud(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0.0]])),
-                          edges=np.array([[0, 1], [1, 0], [1, 2], [2, 1]]), knn_k=1)
-        adj = normalize_adjacency(g).normalized_adjacency.to_dense()
+        adj = normalize_adjacency(np.array([[0, 1], [1, 0], [1, 2], [2, 1]]),
+                                  3).to_dense()
         assert adj[0, 0] == pytest.approx(1 / 2)
         assert adj[0, 1] == pytest.approx(1 / np.sqrt(6))
         assert adj[1, 1] == pytest.approx(1 / 3)
@@ -314,9 +321,8 @@ class TestNormalizeAdjacency:
     @settings(max_examples=25, deadline=None)
     def test_symmetric_positive_diagonal(self, seed, s, k):
         rng = np.random.default_rng(seed)
-        graph = normalize_adjacency(
-            build_knn_graph(PointCloud(rng.normal(size=(s, 3))), k))
-        adj = graph.normalized_adjacency.to_dense()
+        adj = normalize_adjacency(
+            build_knn_graph(PointCloud(rng.normal(size=(s, 3))), k), s).to_dense()
         assert np.abs(adj - adj.T).max() < 1e-12
         assert np.diag(adj).min() > 0
 
@@ -326,9 +332,9 @@ class TestNormalizeAdjacency:
     def test_matches_set_based_reference(self, seed, s, k, lattice):
         rng = np.random.default_rng(seed)
         pts = lattice_cloud(rng, s) if lattice else rng.normal(size=(s, 3))
-        graph = normalize_adjacency(build_knn_graph(PointCloud(pts), k))
-        want = set_based_adjacency(graph.edges, s)
-        assert np.array_equal(graph.normalized_adjacency.to_dense(), want)
+        edges = build_knn_graph(PointCloud(pts), k)
+        want = set_based_adjacency(edges, s)
+        assert np.array_equal(normalize_adjacency(edges, s).to_dense(), want)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(10, 120), st.integers(1, 8),
            st.booleans())
@@ -336,9 +342,8 @@ class TestNormalizeAdjacency:
     def test_padded_layout(self, seed, s, k, lattice):
         rng = np.random.default_rng(seed)
         pts = lattice_cloud(rng, s) if lattice else rng.normal(size=(s, 3))
-        graph = geometry.knn_graph(PointCloud(pts), k)
-        adj = graph.normalized_adjacency
-        want = set_based_adjacency(graph.edges, s)
+        adj = geometry.knn_graph(PointCloud(pts), k).normalized_adjacency
+        want = set_based_adjacency(build_knn_graph(PointCloud(pts), k), s)
         degree = np.count_nonzero(want, axis=1)
         assert adj.nbr.shape == adj.w.shape == (s, degree.max())
         assert adj.nnz == degree.sum()

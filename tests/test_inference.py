@@ -8,8 +8,8 @@ import pytest
 from geomatch import errors
 from geomatch.cli import main
 from geomatch.dataset import generate_toy_dataset, load_records
-from geomatch.geometry import (GeometryGraph, PointCloud, knn_graph,
-                               normalize_adjacency)
+from geomatch.geometry import (DEFAULT_KNN_K, GeometryGraph, PointCloud,
+                               build_knn_graph, knn_graph, normalize_adjacency)
 from geomatch.artifacts import read_jsonl
 from geomatch.inference import (propose_grasps, proposal_from_dict,
                                 proposal_to_dict, rollout, sample_keypoint0,
@@ -158,13 +158,14 @@ class TestProposeGrasps:
         model, samples = small_world
         s = samples[0]
         graph = s.object_graph
-        perm = rng_np.permutation(len(graph.cloud))
+        size = graph.size
+        edges = build_knn_graph(graph.cloud, DEFAULT_KNN_K)
+        assert np.array_equal(normalize_adjacency(edges, size).w,
+                              graph.normalized_adjacency.w)
+        perm = rng_np.permutation(size)
         inv = np.argsort(perm)
-        permuted = normalize_adjacency(GeometryGraph(
-            cloud=PointCloud(graph.cloud.points[perm]),
-            edges=np.stack([inv[graph.edges[:, 0]], inv[graph.edges[:, 1]]],
-                           axis=1),
-            knn_k=graph.knn_k))
+        permuted = GeometryGraph(PointCloud(graph.cloud.points[perm]),
+                                 normalize_adjacency(inv[edges], size))
         base = propose_grasps(model, graph, s.ee, ranks=(0, 3))
         moved = propose_grasps(model, permuted, s.ee, ranks=(0, 3))
         for a, b in zip(base, moved):

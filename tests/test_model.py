@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from geomatch import diffnet as dn
 from geomatch import errors
 from geomatch.dataset import generate_toy_dataset, load_records
-from geomatch.geometry import PointCloud, knn_graph
+from geomatch.geometry import (GeometryGraph, PointCloud, build_knn_graph,
+                               knn_graph, normalize_adjacency)
 from geomatch.model import (GeoMatchModel, ModelConfig, TrainingSample,
                             contact_distances, distance_scale, load_model,
                             read_loss_csv, save_model, train, write_loss_csv)
@@ -81,17 +82,17 @@ class TestEncode:
         assert v_kp.data.shape == (6, 4)
 
     def test_permutation_equivariance(self, rng_np, tiny_ee):
-        from geomatch.geometry import GeometryGraph, normalize_adjacency
         model = GeoMatchModel(TINY, seed=0)
         s = tiny_sample(rng_np, ee=tiny_ee)
         graph = s.object_graph
-        perm = rng_np.permutation(len(graph.cloud))
+        size = graph.size
+        edges = build_knn_graph(graph.cloud, 3)
+        assert np.array_equal(normalize_adjacency(edges, size).w,
+                              graph.normalized_adjacency.w)
+        perm = rng_np.permutation(size)
         inv = np.argsort(perm)
-        permuted_cloud = PointCloud(graph.cloud.points[perm])
-        permuted_edges = np.stack([inv[graph.edges[:, 0]],
-                                   inv[graph.edges[:, 1]]], axis=1)
-        permuted = normalize_adjacency(GeometryGraph(
-            cloud=permuted_cloud, edges=permuted_edges, knn_k=graph.knn_k))
+        permuted = GeometryGraph(PointCloud(graph.cloud.points[perm]),
+                                 normalize_adjacency(inv[edges], size))
         kp = s.ee.keypoint_vertices
         v_base, _ = model.encode(graph, s.ee.rest_graph, kp)
         v_perm, _ = model.encode(permuted, s.ee.rest_graph, kp)
@@ -108,13 +109,6 @@ class TestEncode:
         assert obj_half[0].data.tobytes() == v_o.data.tobytes()
         assert kp_half[1].data.tobytes() == v_kp.data.tobytes()
         assert model.encode() == (None, None)
-
-    def test_requires_normalized_adjacency(self, rng_np, tiny_ee):
-        from geomatch.geometry import build_knn_graph
-        model = GeoMatchModel(TINY, seed=0)
-        raw = build_knn_graph(PointCloud(rng_np.normal(size=(12, 3))), 3)
-        with pytest.raises(errors.SchemaError):
-            model.encode(raw, tiny_ee.rest_graph, tiny_ee.keypoint_vertices)
 
 
 def full_graph_keypoint_rows(model, graph, kp):
@@ -143,7 +137,7 @@ class TestKeypointReceptiveField:
         k = min(k, s - 1)
         grip = knn_graph(PointCloud(rng.normal(size=(s, 3))), k)
         if adjacent:
-            nbrs = grip.edges[:, 1].reshape(s, k)
+            nbrs = build_knn_graph(grip.cloud, k)[:, 1].reshape(s, k)
             kp = [int(rng.integers(s))]
             for _ in range(5):
                 kp.append(int(nbrs[kp[-1], rng.integers(k)]))

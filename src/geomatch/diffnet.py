@@ -6,7 +6,8 @@ A closure owns the gradient it is handed and may write to it, so no
 closure hands one array to two parents.
 Only the op set needed by the grasp model exists. Every network layer is one
 `dense` op (matmul, bias row and ReLU on one tape node); a GCN layer feeds it
-the product `spmm(A_hat, h)`. No other op broadcasts.
+the product `spmm(A_hat, h)`. No other op broadcasts. `forward_chains` runs
+the same layer arithmetic without a tape, for rollouts.
 
 A second CPU, where the process may run on two and BLAS runs one thread,
 takes part of the work through the worker thread of `worker`. Independent
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,21 +144,40 @@ def dense_chains(chains) -> list[Tensor]:
     The chains are `worker.split` between the worker thread and this one;
     then this thread builds every layer's tape node, in chain order.
     """
-    plans = []
-    for x, layers in chains:
-        parts = [_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
-        shapes, layouts = [p.data.shape for p in parts], []
-        for w, b, _ in layers:
-            layouts.append(_layout(shapes, w.data, b.data))
-            shapes = [(layouts[-1][0], w.data.shape[1])]
-        plans.append((parts, layers, layouts))
+    inputs = [[_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
+              for x, _ in chains]
+    plans = _plan([([p.data for p in parts], layers)
+                   for parts, (_, layers) in zip(inputs, chains)])
     first, rest = worker.split(_forward_chains, plans)
     results = []
-    for (parts, layers, layouts), outs in zip(plans, first + rest):
+    for parts, (_, layers, layouts), outs in zip(inputs, plans, first + rest):
         for (w, b, relu), layout, out in zip(layers, layouts, outs):
             parts = [_dense_node(parts, w, b, relu, layout, out)]
         results.append(parts[0])
     return results
+
+
+def forward_chains(chains) -> list[np.ndarray]:
+    """Each chain's last output as `dense_chains(chains)` computes it, bit
+    for bit, with no Tensor or tape. Each `x` is a list of float64 arrays
+    or pairs (x_k, x_k @ w[k]), the product with row block k of the first
+    weight w formed by the caller; it is never written to."""
+    return [outs[-1] for outs in _forward_chains(_plan(chains))]
+
+
+def _plan(chains):
+    """(parts, layers, layouts) of each chain (x, layers), every part an
+    (input, formed product or None) pair; raises ShapeMismatch, before any
+    chain runs, where a layer does not fit its input."""
+    plans = []
+    for x, layers in chains:
+        parts = [p if isinstance(p, tuple) else (p, None) for p in x]
+        shapes, layouts = [np.shape(p) for p, _ in parts], []
+        for w, b, _ in layers:
+            layouts.append(_layout(shapes, w.data, b.data))
+            shapes = [(layouts[-1][0], w.data.shape[1])]
+        plans.append((parts, layers, layouts))
+    return plans
 
 
 def _layout(shapes, w: np.ndarray, b: np.ndarray):
@@ -167,7 +188,7 @@ def _layout(shapes, w: np.ndarray, b: np.ndarray):
             or w.ndim != 2 or b.shape != w.shape[1:]
             or sum(s[1] for s in shapes) != w.shape[0]):
         raise ShapeMismatch(f"dense {shapes} @ {w.shape} + {b.shape}")
-    edges = np.cumsum([0] + [s[1] for s in shapes])
+    edges = list(accumulate((s[1] for s in shapes), initial=0))
     return (rows, [slice(lo, hi) for lo, hi in zip(edges, edges[1:])],
             [s[0] == rows for s in shapes])
 
@@ -175,25 +196,29 @@ def _layout(shapes, w: np.ndarray, b: np.ndarray):
 def _forward_chains(plans) -> list[list[np.ndarray]]:
     """The list of each planned chain's layer outputs. A layer sums its
     full parts' products, adds the bias plus its one-row parts' products,
-    then applies the ReLU."""
+    then applies the ReLU. A formed product is used as given and summed
+    into a buffer of this layer's own."""
     outs = []
     for parts, layers, layouts in plans:
-        h, chain = [p.data for p in parts], []
+        h, chain = parts, []
         for (w, b, relu), (_, blocks, full) in zip(layers, layouts):
-            out, shift = None, b.data
-            for p, k, is_full in zip(h, blocks, full):
-                prod = p @ w.data[k]
+            out, shift, owned = None, b.data, False
+            for (x, formed), k, is_full in zip(h, blocks, full):
+                prod = x @ w.data[k] if formed is None else formed
                 if not is_full:
                     shift = shift + prod
                 elif out is None:
-                    out = prod
-                else:
+                    out, owned = prod, formed is None
+                elif owned:
                     out += prod
-            out += shift
+                else:
+                    out = np.add(out, prod, out=prod if formed is None else None)
+                    owned = True
+            out = np.add(out, shift, out=out if owned else None)
             if relu:
                 np.fmax(out, 0.0, out=out)     # not fmax(0.0, out): that keeps -0.0
             chain.append(out)
-            h = [out]
+            h = [(out, None)]
         outs.append(chain)
     return outs
 

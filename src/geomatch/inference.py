@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import diffnet as dn
 from .artifacts import finite_array, write_jsonl
 from .errors import EmptyScores, IndexOutOfRange
 from .geometry import GeometryGraph
@@ -58,31 +59,25 @@ def sample_keypoint0(score_column: np.ndarray, ranks) -> list[int]:
 
 def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
             ee: EndEffectorModel, c0: int, keypoint0_rank: int = -1,
-            embeddings=None, terms=None) -> GraspProposal:
+            pair=None) -> GraspProposal:
     """Greedy head-by-head contact prediction starting from vertex c0.
 
-    `embeddings` is the (v_obj, v_kp) pair from `model.encode` on these
-    graphs and keypoints, and `terms` is `model.head_terms` of that pair;
-    each is computed here when not given. The heads run forward-only, and
-    each chosen contact adds one column to their distance input.
+    `pair` is `pair_inputs` of these graphs, computed here when not given.
+    Each head runs forward-only through `dn.forward_chains`, and each
+    chosen contact adds one column to the heads' distance input.
     """
     pts = object_graph.cloud.points
     if not 0 <= c0 < pts.shape[0]:
         raise IndexOutOfRange(f"c0={c0} outside object graph")
-    if embeddings is None:
-        embeddings = model.encode(object_graph, ee.rest_graph,
-                                  ee.keypoint_vertices)
-    v_obj, v_kp = embeddings
-    if terms is None:
-        terms = model.head_terms(v_obj, v_kp)
-    scores = model.score_map(v_obj, v_kp).data
-    scale = distance_scale(pts)
+    if pair is None:
+        pair = pair_inputs(model, object_graph, ee)
+    scores, scale, heads = pair
     dists = np.zeros((pts.shape[0], model.config.distance_slots))
     contacts = [int(c0)]
     total = float(scores[c0, 0])
-    for n in range(1, model.config.n_keypoints):
+    for n, (formed, layers) in enumerate(heads, start=1):
         dists[:, n - 1] = contact_distances(pts, contacts[-1], scale)
-        logits = model.head_logits(n, terms, dists)
+        logits = dn.forward_chains([(formed + [dists], layers)])[0][:, 0]
         c_n = int(np.argmax(logits))   # argmax takes the lowest index on ties
         contacts.append(c_n)
         total += float(logits[c_n])
@@ -92,22 +87,36 @@ def rollout(model: GeoMatchModel, object_graph: GeometryGraph,
                          contact_points=pts[contacts].copy(), score=total)
 
 
+def pair_inputs(model: GeoMatchModel, object_graph: GeometryGraph,
+                ee: EndEffectorModel, embeddings=None) -> tuple:
+    """What every rollout of one (object, gripper) pair shares: the score
+    map (an array), the object's distance scale and each head n's layers
+    with first-layer parts (v_obj, v_obj @ W_n[:p]) and (v_kp[n], v_kp[n] @
+    W_n[p:2p]), products formed. `embeddings` is (v_obj, v_kp) from
+    `model.encode`; without it the pair is encoded here."""
+    if embeddings is None:
+        embeddings = model.encode(object_graph, ee.rest_graph,
+                                  ee.keypoint_vertices)
+    v_obj, v_kp = embeddings
+    p = model.config.proj_dim
+    heads = []
+    for n in range(1, model.config.n_keypoints):
+        layers, kp = model.head_layers(n), v_kp.data[[n]]
+        w = layers[0][0].data
+        heads.append(([(v_obj.data, v_obj.data @ w[:p]), (kp, kp @ w[p:2 * p])],
+                      layers))
+    return (model.score_map(v_obj, v_kp).data,
+            distance_scale(object_graph.cloud.points), heads)
+
+
 def propose_grasps(model: GeoMatchModel, object_graph: GeometryGraph,
                    ee: EndEffectorModel, ranks=DEFAULT_RANKS,
                    object_id: str = "", embeddings=None) -> list[GraspProposal]:
     """One proposal per requested keypoint-0 rank, from one encoder pass
-    and one `head_terms` of the pair.
-
-    `embeddings` is as in `rollout`; without it the pair is encoded here.
-    """
-    if embeddings is None:
-        embeddings = model.encode(object_graph, ee.rest_graph,
-                                  ee.keypoint_vertices)
-    terms = model.head_terms(*embeddings)
-    scores = model.score_map(*embeddings).data
-    seeds = sample_keypoint0(scores[:, 0], ranks)
-    return [replace(rollout(model, object_graph, ee, c0, int(rank), embeddings,
-                            terms),
+    and one `pair_inputs` of the pair, `embeddings` as there."""
+    pair = pair_inputs(model, object_graph, ee, embeddings)
+    seeds = sample_keypoint0(pair[0][:, 0], ranks)
+    return [replace(rollout(model, object_graph, ee, c0, int(rank), pair=pair),
                     object_id=object_id)
             for rank, c0 in zip(ranks, seeds)]
 

@@ -573,7 +573,10 @@ def load_chain(path) -> dict:
                         axis=finite_array(j["axis"], f"joint {j['name']} axis"),
                         limits=(float(j["limits"][0]), float(j["limits"][1])))
                   for j in doc["joints"]]
-        doc["_chain"] = KinematicChain(links, joints)   # checks the tree
+        try:
+            doc["_chain"] = KinematicChain(links, joints)   # checks the tree
+        except DegenerateInput as exc:      # a zero origin quaternion is bad input
+            raise SchemaError(str(exc)) from exc
     return doc
 
 
@@ -584,12 +587,14 @@ def load_ee_model(path, name: str | None = None,
     with parsing(path):
         cloud_path = os.path.join(os.path.dirname(os.path.abspath(str(path))),
                                   doc["rest_cloud"])
+        # reshape raises ValueError, and so exit 2, on a vector of another length
         palm = Palm(link=doc["palm"]["link"],
-                    normal=finite_array(doc["palm"]["normal"], "palm normal"),
-                    point=finite_array(doc["palm"]["point"], "palm point"))
+                    normal=finite_array(doc["palm"]["normal"], "palm normal").reshape(3),
+                    point=finite_array(doc["palm"]["point"], "palm point").reshape(3))
         keypoints = tuple(
             Keypoint(vertex=int(kp["vertex"]), link=kp["link"],
-                     offset=finite_array(kp["offset"], f"keypoint {i} offset"))
+                     offset=finite_array(kp["offset"],
+                                         f"keypoint {i} offset").reshape(3))
             for i, kp in enumerate(doc["keypoints"]))
     rest_cloud = load_cloud(cloud_path)
     try:    # runs forward kinematics, so outside `parsing`

@@ -20,7 +20,7 @@ import numpy as np
 from . import diffnet as dn
 from .artifacts import parsing, read_json, write_csv, write_json
 from .contact_maps import ContactMapSet
-from .errors import EmptyDataset, IndexOutOfRange, SchemaError, ShapeMismatch
+from .errors import EmptyDataset, IndexOutOfRange, SchemaError
 from .geometry import GeometryGraph
 from .kinematics import EndEffectorModel, N_KEYPOINTS, Pose
 from .rng import Rng
@@ -145,7 +145,6 @@ class GeoMatchModel:
                     shape, uniforms[offset:offset + size]))
                 offset += size
         self._n_enc_layers = len(config.gcn_hidden) + 1
-        self._n_ar_layers = len(config.ar_hidden) + 1
 
     # -- forward pieces -----------------------------------------------------
 
@@ -219,67 +218,19 @@ class GeoMatchModel:
         scale = distance_scale(object_points)
         dists = np.column_stack([contact_distances(object_points, c, scale)
                                  for c in prev[:slots]])
-        chains = []
-        for n in range(1, self.config.n_keypoints):
-            # the first layer's input is [object | keypoint | distances to
-            # the first n contacts, zeros after]; the keypoint's one
-            # embedding row broadcasts over the S vertices
-            layers = [(self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"],
-                       i < self._n_ar_layers - 1)
-                      for i in range(self._n_ar_layers)]
-            chains.append(([v_obj, dn.gather_rows(v_kp, [n]),
-                            np.where(np.arange(slots) < n, dists, 0.0)], layers))
-        return dn.dense_chains(chains)
+        return dn.dense_chains([
+            ([v_obj, dn.gather_rows(v_kp, [n]),
+              np.where(np.arange(slots) < n, dists, 0.0)], self.head_layers(n))
+            for n in range(1, self.config.n_keypoints)])
 
-    # -- forward-only heads, for rollouts -------------------------------------
-
-    def head_terms(self, v_obj: dn.Tensor, v_kp: dn.Tensor) -> dict:
-        """The first-layer terms of each head n that one (object, gripper)
-        pair fixes, as `dn.dense` forms them: {n: (v_obj @ W_n[:p],
-        b_n + v_kp[n] @ W_n[p:2p])}."""
-        p = self.config.proj_dim
-        if (v_obj.data.ndim != 2 or v_obj.data.shape[1] != p
-                or v_kp.data.shape != (self.config.n_keypoints, p)):
-            raise ShapeMismatch(f"head terms of embeddings {v_obj.data.shape} "
-                                f"and {v_kp.data.shape}")
-        terms = {}
-        for n in range(1, self.config.n_keypoints):
-            w = self.store[f"ar{n}.w0"].data
-            terms[n] = (v_obj.data @ w[:p],
-                        self.store[f"ar{n}.b0"].data + v_kp.data[[n]] @ w[p:2 * p])
-        return terms
-
-    def head_logits(self, n: int, terms: dict, dists: np.ndarray) -> np.ndarray:
-        """Head n's `ar_logits(...)[n - 1].data[:, 0]` without a tape, bit
-        for bit.
-
-        `terms` is `head_terms` of the pair; `dists` is the (S,
-        distance_slots) distance input, one `contact_distances` column per
-        previous contact and zeros after. Each layer runs `dn.dense`'s
-        operations in its order.
-        """
-        if not 1 <= n < self.config.n_keypoints:
-            raise IndexOutOfRange(f"autoregressive head index {n}")
-        obj, shift = terms[n]
-        s = dists.shape[0]
-        if obj.shape[0] != s:
-            raise ShapeMismatch(f"head terms hold {obj.shape[0]} rows, the "
-                                f"distances {s}")
-        p2 = 2 * self.config.proj_dim
-        last = self._n_ar_layers - 1
-        for i in range(self._n_ar_layers):
-            w, b = self.store[f"ar{n}.w{i}"].data, self.store[f"ar{n}.b{i}"].data
-            if i == 0:
-                out = dists @ w[p2:]
-                np.add(obj, out, out=out)
-                out += shift
-            else:
-                out = h @ w
-                out += b
-            if i < last:
-                np.fmax(out, 0.0, out=out)
-            h = out
-        return h[:, 0]
+    def head_layers(self, n: int) -> list:
+        """Head n's (w, b, relu) layers, the ReLU on all but the last. The
+        first takes [object embeddings | keypoint n's one row, broadcast
+        over the S vertices | distances to the first n contacts, zeros
+        after]: row blocks [:p], [p:2p] and [2p:] of its weight."""
+        last = len(self.config.ar_hidden)
+        return [(self.store[f"ar{n}.w{i}"], self.store[f"ar{n}.b{i}"], i < last)
+                for i in range(last + 1)]
 
     # -- objective ----------------------------------------------------------
 

@@ -505,6 +505,14 @@ FAULTS = [
      edit_json(put("keypoints", 0, "vertex", value=10 ** 6))),
     ("chain-short-link-origin", "data/grippers/claw.json",
      edit_json(put("links", 1, "origin", "t", value=[0.0, 0.0]))),
+    ("chain-short-palm-normal", "data/grippers/claw.json",
+     edit_json(put("palm", "normal", value=[0.0, 1.0]))),
+    ("chain-short-palm-point", "data/grippers/claw.json",
+     edit_json(put("palm", "point", value=[0.0, 0.0]))),
+    ("chain-short-keypoint-offset", "data/grippers/claw.json",
+     edit_json(put("keypoints", 0, "offset", value=[0.0, 0.0]))),
+    ("chain-zero-link-rotation", "data/grippers/claw.json",
+     edit_json(put("links", 1, "origin", "q", value=[0.0, 0.0, 0.0, 0.0]))),
 ]
 
 

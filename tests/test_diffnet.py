@@ -461,6 +461,40 @@ class TestDenseChains:
                             [t.grad.tobytes() for t in leaves]))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("n_chains", [1, 2, 5])
+    @pytest.mark.parametrize("formed", [(), (0,), (1,), (2,), (0, 1, 2)],
+                             ids=["none", "full", "row", "const", "all"])
+    def test_forward_only_same_bits(self, monkeypatch, n_chains, formed):
+        """`forward_chains` gives each chain's `dense_chains` output bytes,
+        with the first layer's products of the parts `formed` formed by the
+        caller, builds no Tensor and writes no formed product."""
+        chains = self.chains(np.random.default_rng(n_chains), n_chains)
+        want = [h.data.tobytes() for h in dn.dense_chains(chains)]
+        plain, products = [], []
+        for x, layers in chains:
+            x = [p.data if isinstance(p, dn.Tensor) else p for p in x]
+            edges = np.cumsum([0] + [p.shape[1] for p in x])
+            w = layers[0][0].data
+            for k in formed:
+                products.append(x[k] @ w[edges[k]:edges[k + 1]])
+                x[k] = (x[k], products[-1])
+            plain.append((x, layers))
+        before = [p.copy() for p in products]
+        monkeypatch.setattr(dn.Tensor, "__init__",
+                            lambda *a, **kw: pytest.fail("built a Tensor"))
+        assert [h.tobytes() for h in dn.forward_chains(plain)] == want
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(products, before))
+
+    def test_forward_only_lone_formed_part(self, rng_np):
+        x, w, b = (rng_np.normal(size=(5, 4)), rng_np.normal(size=(4, 3)),
+                   rng_np.normal(size=3))
+        product = x @ w
+        before = product.copy()
+        layers = [(dn.Tensor(w), dn.Tensor(b), True)]
+        got = dn.forward_chains([([(x, product)], layers)])[0]
+        assert got.tobytes() == dn.dense(x, *layers[0]).data.tobytes()
+        assert product.tobytes() == before.tobytes()
+
     def test_inner_shape_mismatch_raised_before_any_work(self, rng_np,
                                                          monkeypatch):
         def no_work(*args):

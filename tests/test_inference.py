@@ -5,15 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from geomatch import diffnet as dn
 from geomatch import errors
 from geomatch.cli import main
 from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.geometry import (DEFAULT_KNN_K, GeometryGraph, PointCloud,
                                build_knn_graph, knn_graph, normalize_adjacency)
 from geomatch.artifacts import read_jsonl
-from geomatch.inference import (propose_grasps, proposal_from_dict,
-                                proposal_to_dict, rollout, sample_keypoint0,
-                                save_proposals)
+from geomatch.inference import (pair_inputs, propose_grasps,
+                                proposal_from_dict, proposal_to_dict, rollout,
+                                sample_keypoint0, save_proposals)
 from geomatch.model import GeoMatchModel, ModelConfig, save_model
 
 TINY = ModelConfig(gcn_hidden=(6, 6, 6), gcn_out=8, proj_dim=4,
@@ -99,7 +100,8 @@ class TestRollout:
             scale=0.03, size=(other_size, 3))), 3)
         embeddings = model.encode(other, s.ee.rest_graph, s.ee.keypoint_vertices)
         with pytest.raises(errors.ShapeMismatch):
-            rollout(model, s.object_graph, s.ee, 3, embeddings=embeddings)
+            rollout(model, s.object_graph, s.ee, 3,
+                    pair=pair_inputs(model, s.object_graph, s.ee, embeddings))
         with pytest.raises((errors.ShapeMismatch, errors.IndexOutOfRange)):
             propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11),
                            embeddings=embeddings)
@@ -129,6 +131,18 @@ class TestProposeGrasps:
             assert np.array_equal(alone.contacts, p.contacts)
             assert alone.score == p.score
         assert len(calls) == 4
+
+    def test_rollouts_of_a_pair_build_no_tensor(self, small_world, monkeypatch):
+        model, samples = small_world
+        s = samples[0]
+        want = propose_grasps(model, s.object_graph, s.ee, ranks=(0, 5, 11))
+        pair = pair_inputs(model, s.object_graph, s.ee)
+        monkeypatch.setattr(dn.Tensor, "__init__",
+                            lambda *a, **kw: pytest.fail("built a Tensor"))
+        for p in want:
+            got = rollout(model, s.object_graph, s.ee, int(p.contacts[0]),
+                          p.keypoint0_rank, pair=pair)
+            assert proposal_to_dict(got) == proposal_to_dict(p)
 
     def test_given_embeddings_equal_its_own_pass(self, small_world, monkeypatch):
         model, samples = small_world

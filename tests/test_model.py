@@ -16,6 +16,7 @@ from geomatch import errors
 from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.geometry import (GeometryGraph, PointCloud, build_knn_graph,
                                knn_graph, normalize_adjacency)
+from geomatch.inference import pair_inputs, rollout
 from geomatch.model import (GeoMatchModel, ModelConfig, TrainingSample,
                             contact_distances, distance_scale, load_model,
                             read_loss_csv, save_model, train, write_loss_csv)
@@ -245,8 +246,9 @@ class TestArLogits:
         assert d[4] == 0.0
 
 
-class TestHeadLogits:
-    """The forward-only heads that rollouts run, against `ar_logits`."""
+class TestOneHeadForward:
+    """Rollouts run the heads through `dn.forward_chains`, teacher-forced
+    training through `dn.dense_chains`: the same logits, bit for bit."""
 
     CONFIGS = (TINY, TestKeypointReceptiveField.MID,
                ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=5,
@@ -255,42 +257,40 @@ class TestHeadLogits:
                            ar_hidden=(5,)))
 
     @given(st.sampled_from(CONFIGS), st.integers(0, 2 ** 31 - 1),
-           st.integers(2, 40), st.booleans())
+           st.integers(2, 40))
     @settings(max_examples=60, deadline=None)
-    def test_bytes_match_ar_logits(self, config, seed, s, repeat):
+    def test_rollout_is_the_teacher_forced_argmax(self, tiny_ee, config,
+                                                  seed, s):
+        """Each contact is the argmax of `ar_logits` teacher-forced on the
+        rollout's contacts, and the score is c0's score-map entry plus the
+        selected logits, added in order."""
         rng = np.random.default_rng(seed)
         model = GeoMatchModel(config, seed=seed % 1000)
         for name, p in model.store.items():     # biases start at zero
             if ".b" in name:
                 p.data = rng.normal(size=p.data.shape)
-        pts = rng.normal(scale=rng.uniform(0.01, 1.0), size=(s, 3))
+        graph = knn_graph(PointCloud(
+            rng.normal(scale=rng.uniform(0.01, 1.0), size=(s, 3))), 1)
         v_obj = dn.Tensor(rng.normal(size=(s, config.proj_dim)))
         v_kp = dn.Tensor(rng.normal(size=(6, config.proj_dim)))
-        prefix = rng.integers(0, s, size=5)
-        if repeat:
-            prefix[rng.integers(1, 5)] = prefix[rng.integers(0, 4)]
-        terms = model.head_terms(v_obj, v_kp)
-        scale = distance_scale(pts)
-        dists = np.zeros((s, 5))
-        heads = model.ar_logits(v_obj, v_kp, prefix, pts)
+        c0 = int(rng.integers(0, s))
+        pair = pair_inputs(model, graph, tiny_ee, (v_obj, v_kp))
+        prop = rollout(model, graph, tiny_ee, c0, pair=pair)
+        assert prop.contacts[0] == c0
+        heads = model.ar_logits(v_obj, v_kp, prop.contacts, graph.cloud.points)
         assert len(heads) == 5
-        for n in range(1, 6):
-            dists[:, n - 1] = contact_distances(pts, prefix[n - 1], scale)
-            got = model.head_logits(n, terms, dists)
-            want = heads[n - 1].data[:, 0]
-            assert got.shape == want.shape == (s,)
-            assert got.tobytes() == want.tobytes()
+        total = float(model.score_map(v_obj, v_kp).data[c0, 0])
+        for n, logits in enumerate(heads, start=1):
+            assert logits.shape == (s, 1)
+            assert prop.contacts[n] == int(np.argmax(logits.data[:, 0]))
+            total += float(logits.data[prop.contacts[n], 0])
+        assert prop.score.hex() == total.hex()
 
-    def test_errors_match_ar_logits(self, rng_np):
+    def test_contacts_out_of_range(self, rng_np):
         model = GeoMatchModel(TINY, seed=0)
         pts = rng_np.normal(size=(7, 3))
         v_obj, v_kp = dn.Tensor(rng_np.normal(size=(7, 4))), dn.Tensor(
             rng_np.normal(size=(6, 4)))
-        terms = model.head_terms(v_obj, v_kp)
-        dists = np.zeros((7, 5))
-        for n in (0, 6):
-            with pytest.raises(errors.IndexOutOfRange):
-                model.head_logits(n, terms, dists)
         for c in (7, -1):
             for at in range(5):
                 contacts = [0] * 5
@@ -299,11 +299,6 @@ class TestHeadLogits:
                     model.ar_logits(v_obj, v_kp, contacts, pts)
             with pytest.raises(errors.IndexOutOfRange):
                 contact_distances(pts, c, distance_scale(pts))
-        for rows in (1, 8):
-            with pytest.raises(errors.ShapeMismatch):
-                model.head_logits(1, terms, np.zeros((rows, 5)))
-        with pytest.raises(errors.ShapeMismatch):
-            model.head_terms(v_obj, dn.Tensor(np.zeros((5, 4))))
 
 
 class TestTotalLoss:

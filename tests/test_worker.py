@@ -22,8 +22,9 @@ import pytest
 
 from geomatch import diffnet as dn
 from geomatch import sparse, worker
+from geomatch.cli import main
 from geomatch.dataset import load_records
-from geomatch.model import GeoMatchModel, ModelConfig
+from geomatch.model import GeoMatchModel, ModelConfig, save_model
 from test_model import tiny_sample
 from test_trace_names import LAYERS
 
@@ -156,6 +157,29 @@ def test_same_bits_with_split_products(monkeypatch, rng_np, small_blocks,
     assert len(on_worker) == len(products) > 0
     jobs.clear()
     assert_same_bits_in_three_modes(monkeypatch, SMALL, samples, jobs)
+
+
+def test_infer_same_bytes_in_three_modes(monkeypatch, toy_dataset, tmp_path,
+                                        small_blocks):
+    """`infer` writes the same proposals with the worker, with every job
+    run at submission and without a spare CPU."""
+    save_model(GeoMatchModel(SMALL, seed=3), tmp_path / "w")
+
+    def infer(name):
+        out = tmp_path / name
+        assert main(["infer", "--weights", str(tmp_path / "w"), "--manifest",
+                     toy_dataset.base_dir, "--split", "all", "--ranks",
+                     "0,5,11", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    jobs = []
+    record_jobs(monkeypatch, jobs)
+    threaded = infer("threaded.jsonl")
+    assert any(t != threading.get_ident() for _, t in jobs)
+    monkeypatch.setattr(worker, "_POOL", InlineExecutor())
+    assert infer("inline.jsonl") == threaded
+    monkeypatch.setattr(worker, "SPARE_CPU", False)
+    assert infer("alone.jsonl") == threaded
 
 
 class RecordingPool:

@@ -213,15 +213,21 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _proposal(doc, ees, clouds):
+    """A proposal read from a file, its gripper and its object's cloud."""
+    p = inf.proposal_from_dict(doc)
+    cloud = clouds[p.object_id]
+    if p.contacts.min() < 0 or p.contacts.max() >= len(cloud):
+        raise SchemaError(f"contacts {p.contacts.tolist()} outside {len(cloud)} vertices")
+    return p, ees[p.ee_id], cloud
+
+
 def cmd_ik(args) -> int:
     _, _, clouds, ees = _stage_inputs(args)
 
-    def job(doc):
-        p = inf.proposal_from_dict(doc)
-        return p, ees[p.ee_id], clouds[p.object_id]
-
     rows = []
-    for p, ee, cloud in read_jsonl(args.proposals, job):
+    for p, ee, cloud in read_jsonl(args.proposals,
+                                   lambda doc: _proposal(doc, ees, clouds)):
         result = solve_ik(ee, p.contact_points, cloud, max_iter=args.max_iter)
         row = ik_result_to_dict(result)
         # carry the proposal context so later stages need no extra inputs
@@ -238,8 +244,8 @@ def cmd_eval(args) -> int:
     cfg, _, clouds, ees = _stage_inputs(args)
 
     def job(rep):
-        p = inf.proposal_from_dict(rep)
-        return p, pose_from_dict(rep["pose"]), ees[p.ee_id], clouds[p.object_id]
+        p, ee, cloud = _proposal(rep, ees, clouds)
+        return p, pose_from_dict(rep["pose"]), ee, cloud
 
     jobs = read_jsonl(args.ik, job)
     eval_cfg = cfg.eval_config()

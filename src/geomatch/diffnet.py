@@ -10,12 +10,12 @@ the product `spmm(A_hat, h)`. No other op broadcasts. `forward_chains` runs
 the same layer arithmetic without a tape, for rollouts.
 
 A second CPU, where the process may run on two and BLAS runs one thread,
-takes part of the work through the worker thread of `worker`. Independent
-chains of dense layers (`dense_chains`, the five heads) and the parameters
-in `adam_step` are `worker.split` between it and the main thread; while
-the main thread computes a dense layer's input gradients, the worker
-computes its weight gradient (`worker.beside`). Every Tensor and tape node
-is built on the main thread, and every result keeps its bits.
+takes part of the work through the worker thread of `worker`. Dense
+chains, each large one in two row halves, and the parameters in
+`adam_step` are `worker.split` between it and the main thread; while the
+main thread computes a dense layer's input gradients, the worker computes
+its weight gradient (`worker.beside`). Every Tensor and tape node is built
+on the main thread, and every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -141,16 +141,15 @@ def dense_chains(chains) -> list[Tensor]:
     before. Returns each chain's last output, with every layer on the tape
     as `dense` puts it there.
 
-    The chains are `worker.split` between the worker thread and this one;
-    then this thread builds every layer's tape node, in chain order.
+    The chains run as `_run` shares them out; then this thread builds
+    every layer's tape node, in chain order.
     """
     inputs = [[_as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
               for x, _ in chains]
-    plans = _plan([([p.data for p in parts], layers)
-                   for parts, (_, layers) in zip(inputs, chains)])
-    first, rest = worker.split(_forward_chains, plans)
+    plans = _run([([p.data for p in parts], layers)
+                  for parts, (_, layers) in zip(inputs, chains)])
     results = []
-    for parts, (_, layers, layouts), outs in zip(inputs, plans, first + rest):
+    for parts, (_, layers, layouts, outs) in zip(inputs, plans):
         for (w, b, relu), layout, out in zip(layers, layouts, outs):
             parts = [_dense_node(parts, w, b, relu, layout, out)]
         results.append(parts[0])
@@ -162,22 +161,7 @@ def forward_chains(chains) -> list[np.ndarray]:
     for bit, with no Tensor or tape. Each `x` is a list of float64 arrays
     or pairs (x_k, x_k @ w[k]), the product with row block k of the first
     weight w formed by the caller; it is never written to."""
-    return [outs[-1] for outs in _forward_chains(_plan(chains))]
-
-
-def _plan(chains):
-    """(parts, layers, layouts) of each chain (x, layers), every part an
-    (input, formed product or None) pair; raises ShapeMismatch, before any
-    chain runs, where a layer does not fit its input."""
-    plans = []
-    for x, layers in chains:
-        parts = [p if isinstance(p, tuple) else (p, None) for p in x]
-        shapes, layouts = [np.shape(p) for p, _ in parts], []
-        for w, b, _ in layers:
-            layouts.append(_layout(shapes, w.data, b.data))
-            shapes = [(layouts[-1][0], w.data.shape[1])]
-        plans.append((parts, layers, layouts))
-    return plans
+    return [outs[-1] for *_, outs in _run(chains)]
 
 
 def _layout(shapes, w: np.ndarray, b: np.ndarray):
@@ -193,34 +177,63 @@ def _layout(shapes, w: np.ndarray, b: np.ndarray):
             [s[0] == rows for s in shapes])
 
 
-def _forward_chains(plans) -> list[list[np.ndarray]]:
-    """The list of each planned chain's layer outputs. A layer sums its
-    full parts' products, adds the bias plus its one-row parts' products,
-    then applies the ReLU. A formed product is used as given and summed
-    into a buffer of this layer's own."""
-    outs = []
-    for parts, layers, layouts in plans:
-        h, chain = parts, []
-        for (w, b, relu), (_, blocks, full) in zip(layers, layouts):
-            out, shift, owned = None, b.data, False
+# A chain whose S x (its weights' elements) reaches this runs in two row
+# halves: a full-size head from S = 203 (at S = 128 halves slowed a rollout
+# head step by 20%). The cut is a multiple of 8 rows, where the OpenBLAS
+# kernels tried (SkylakeX, Haswell, Sandybridge) keep the whole product's bits.
+_HALVE_ELEMENTS = 1 << 25
+
+
+def _run(chains):
+    """(parts, layers, layouts, outputs) of each chain (x, layers), every
+    part an (input, formed product or None) pair, once every layer's
+    output is filled; raises ShapeMismatch, before any chain runs, where a
+    layer does not fit its input. The work items are (plan, rows), each
+    chain's rows whole or in two halves from `_HALVE_ELEMENTS` on, and
+    they are `worker.split` by size."""
+    plans, items, sizes = [], [], []
+    for x, layers in chains:
+        parts = [p if isinstance(p, tuple) else (p, None) for p in x]
+        shapes, layouts = [np.shape(p) for p, _ in parts], []
+        for w, b, _ in layers:
+            layouts.append(_layout(shapes, w.data, b.data))
+            shapes = [(layouts[-1][0], w.data.shape[1])]
+        rows, weights = layouts[0][0], sum(w.data.size for w, _, _ in layers)
+        plans.append((parts, layers, layouts,
+                      [np.empty((rows, w.data.shape[1])) for w, _, _ in layers]))
+        cut = rows // 16 * 8 if rows * weights >= _HALVE_ELEMENTS else 0
+        for lo, hi in ((0, cut), (cut, rows)) if cut else ((0, rows),):
+            items.append((plans[-1], slice(lo, hi)))
+            sizes.append((hi - lo) * weights)
+    worker.split(_forward_chains, items, sizes=sizes)
+    return plans
+
+
+def _forward_chains(items) -> None:
+    """Write rows `rows` of every layer output of each planned chain (plan,
+    rows). Dense layers are row-local, so those rows of the chain's inputs
+    are all they read. A layer sums its full parts' products, adds the
+    bias plus its one-row parts' products, then applies the ReLU. A formed
+    product is used as given."""
+    for (parts, layers, layouts, outs), rows in items:
+        h = [(x[rows], formed if formed is None else formed[rows]) if is_full
+             else (x, formed) for (x, formed), is_full in zip(parts, layouts[0][2])]
+        for (w, b, relu), (_, blocks, full), out in zip(layers, layouts, outs):
+            out, acc, shift = out[rows], None, b.data
             for (x, formed), k, is_full in zip(h, blocks, full):
-                prod = x @ w.data[k] if formed is None else formed
                 if not is_full:
-                    shift = shift + prod
-                elif out is None:
-                    out, owned = prod, formed is None
-                elif owned:
-                    out += prod
-                else:
-                    out = np.add(out, prod, out=prod if formed is None else None)
-                    owned = True
-            out = np.add(out, shift, out=out if owned else None)
+                    shift = shift + (x @ w.data[k] if formed is None else formed)
+                elif formed is not None:
+                    acc = formed if acc is None else np.add(acc, formed, out=out)
+                elif acc is out:
+                    out += x @ w.data[k]
+                else:   # the first computed product goes to `out`; a + b is b + a
+                    np.matmul(x, w.data[k], out=out)
+                    acc = out if acc is None else np.add(out, acc, out=out)
+            np.add(acc, shift, out=out)
             if relu:
                 np.fmax(out, 0.0, out=out)     # not fmax(0.0, out): that keeps -0.0
-            chain.append(out)
             h = [(out, None)]
-        outs.append(chain)
-    return outs
 
 
 def _dense_node(parts, w: Tensor, b: Tensor, relu: bool, layout,

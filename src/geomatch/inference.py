@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffnet as dn
 from .artifacts import finite_array, write_jsonl
-from .errors import EmptyScores, IndexOutOfRange
+from .errors import EmptyScores, IndexOutOfRange, SchemaError
 from .geometry import GeometryGraph
 from .kinematics import EndEffectorModel, N_KEYPOINTS
 from .model import GeoMatchModel, contact_distances, distance_scale
@@ -133,7 +133,10 @@ def proposal_to_dict(p: GraspProposal) -> dict:
 
 
 def proposal_from_dict(doc: dict) -> GraspProposal:
-    contacts = np.array([c["vertex"] for c in doc["contacts"]], dtype=np.int64)
+    vertices = [c["vertex"] for c in doc["contacts"]]
+    if not all(type(v) is int for v in vertices):   # no bool, no float
+        raise SchemaError(f"contact vertices must be integers, got {vertices}")
+    contacts = np.array(vertices, dtype=np.int64)
     points = finite_array([c["xyz"] for c in doc["contacts"]],
                           "contact coordinates").reshape(N_KEYPOINTS, 3)
     return GraspProposal(object_id=doc["object"], ee_id=doc["ee"],

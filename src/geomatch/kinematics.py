@@ -613,6 +613,9 @@ def pose_to_dict(pose: Pose) -> dict:
 
 
 def pose_from_dict(doc: dict) -> Pose:
-    return Pose(t=np.array(doc["t"], dtype=np.float64),
-                r6=np.array(doc["r6"], dtype=np.float64),
-                theta=np.array(doc["theta"], dtype=np.float64))
+    try:
+        return Pose(t=np.array(doc["t"], dtype=np.float64),
+                    r6=np.array(doc["r6"], dtype=np.float64),
+                    theta=np.array(doc["theta"], dtype=np.float64))
+    except (DegenerateInput, NotARotation) as exc:     # bad data in a file
+        raise SchemaError(f"pose r6: {exc}") from exc

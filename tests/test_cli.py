@@ -513,6 +513,22 @@ FAULTS = [
      edit_json(put("keypoints", 0, "offset", value=[0.0, 0.0]))),
     ("chain-zero-link-rotation", "data/grippers/claw.json",
      edit_json(put("links", 1, "origin", "q", value=[0.0, 0.0, 0.0, 0.0]))),
+    # a contact vertex that is not a vertex of the object cloud
+    ("proposals-vertex-past-cloud", "proposals.jsonl",
+     edit_first_row(put("contacts", 3, "vertex", value=99999))),
+    ("proposals-negative-vertex", "proposals.jsonl",
+     edit_first_row(put("contacts", 0, "vertex", value=-3))),
+    ("proposals-float-vertex", "proposals.jsonl",
+     edit_first_row(put("contacts", 1, "vertex", value=1.7))),
+    ("proposals-bool-vertex", "proposals.jsonl",
+     edit_first_row(put("contacts", 2, "vertex", value=True))),
+    ("ik-vertex-past-cloud", "ik.jsonl",
+     edit_first_row(put("contacts", 5, "vertex", value=99999))),
+    # a 6D rotation that decodes to no rotation
+    ("records-zero-r6", "data/records.jsonl",
+     edit_first_row(put("pose", "r6", value=[0.0] * 6))),
+    ("ik-parallel-r6", "ik.jsonl",
+     edit_first_row(put("pose", "r6", value=[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]))),
 ]
 
 

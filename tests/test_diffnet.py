@@ -512,6 +512,62 @@ class TestDenseChains:
         assert dn.dense_chains([]) == []
 
 
+class TestRowHalves:
+    """A chain whose rows times weight elements reach `dn._HALVE_ELEMENTS`
+    runs as two row halves cut at a multiple of 8 rows, and keeps the bits
+    of the chain run over whole rows. The shapes are the full-size
+    network's: five heads (64 + 64 + 5 -> 256 -> 256 -> 256 -> 1) and the
+    encoder's dense layers."""
+
+    @staticmethod
+    def layers(rng, widths):
+        last = len(widths) - 2
+        return [(dn.Tensor(rng.normal(scale=a ** -0.5, size=(a, z))),
+                 dn.Tensor(rng.normal(scale=0.1, size=z)), i < last)
+                for i, (a, z) in enumerate(zip(widths, widths[1:]))]
+
+    def chains(self, rng, rows):
+        """Five heads and the encoder's 3 -> 256, 256 -> 256 and 256 -> 512
+        layers, as `dense_chains` chains."""
+        v_obj = rng.normal(size=(rows, 64))
+        heads = [([v_obj, rng.normal(size=(1, 64)), rng.normal(size=(rows, 5))],
+                  self.layers(rng, [133, 256, 256, 256, 1])) for _ in range(5)]
+        encoder = [([rng.normal(size=(rows, a))], self.layers(rng, [a, z]))
+                   for a, z in ((3, 256), (256, 256), (256, 512))]
+        return heads + encoder
+
+    @staticmethod
+    def run(chains):
+        """The bytes of `dense_chains`, and of `forward_chains` with the
+        products of the first two parts formed over whole rows, as
+        `inference.pair_inputs` forms them."""
+        trained = [h.data.tobytes() for h in dn.dense_chains(chains)]
+        formed = []
+        for x, layers in chains:
+            w, edges = layers[0][0].data, np.cumsum([0] + [p.shape[1] for p in x])
+            formed.append(([(p, p @ w[lo:hi]) if k < 2 else p for k, (p, lo, hi)
+                            in enumerate(zip(x, edges, edges[1:]))], layers))
+        return trained, [h.tobytes() for h in dn.forward_chains(formed)]
+
+    @pytest.mark.parametrize("rows, cut", [(2048, 1024), (1001, 496)])
+    def test_same_bytes_as_whole_rows(self, monkeypatch, rows, cut):
+        chains = self.chains(np.random.default_rng(rows), rows)
+        seen = []
+        job = dn._forward_chains
+        monkeypatch.setattr(dn, "_forward_chains", lambda items: (
+            seen.extend((id(plan[1]), r.start, r.stop) for plan, r in items),
+            job(items))[1])
+        halves = self.run(chains)
+        for _, layers in chains:
+            whole = rows * sum(w.data.size for w, _, _ in layers) < dn._HALVE_ELEMENTS
+            want = [(0, rows)] if whole else [(0, cut), (cut, rows)]
+            # each chain once in `dense_chains`, once in `forward_chains`
+            assert [(a, b) for key, a, b in seen if key == id(layers)] == want * 2
+        assert len(seen) > 2 * len(chains)      # some chains ran in halves
+        monkeypatch.setattr(dn, "_HALVE_ELEMENTS", 1 << 62)
+        assert self.run(chains) == halves
+
+
 class TestGcnLayer:
     def test_identity_propagation(self):
         s = 4

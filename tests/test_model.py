@@ -256,11 +256,30 @@ class TestOneHeadForward:
                ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=3,
                            ar_hidden=(5,)))
 
+    # the full-size heads on a one-layer encoder, which these tests skip
+    FULL_HEADS = ModelConfig(gcn_hidden=(6,), gcn_out=8)
+
     @given(st.sampled_from(CONFIGS), st.integers(0, 2 ** 31 - 1),
            st.integers(2, 40))
     @settings(max_examples=60, deadline=None)
     def test_rollout_is_the_teacher_forced_argmax(self, tiny_ee, config,
                                                   seed, s):
+        self.assert_teacher_forced_argmax(tiny_ee, config, seed, s)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rollout_is_the_teacher_forced_argmax_in_row_halves(self, tiny_ee,
+                                                                seed):
+        """At S = 2048 the heads run in two row halves, in training and in
+        every rollout step, while `pair_inputs` forms the first layer's
+        products over whole rows."""
+        s = 2048
+        weights = sum(w.data.size for w, _, _ in
+                      GeoMatchModel(self.FULL_HEADS).head_layers(1))
+        assert s * weights >= dn._HALVE_ELEMENTS
+        self.assert_teacher_forced_argmax(tiny_ee, self.FULL_HEADS, seed, s)
+
+    @staticmethod
+    def assert_teacher_forced_argmax(tiny_ee, config, seed, s):
         """Each contact is the argmax of `ar_logits` teacher-forced on the
         rollout's contacts, and the score is c0's score-map entry plus the
         selected logits, added in order."""

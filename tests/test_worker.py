@@ -1,12 +1,13 @@
 """The worker thread of `geomatch.worker`.
 
-Through `worker.split` the worker runs half of the autoregressive head
-chains in the forward pass, the first half of every sparse product's row
-blocks and half of Adam; through `worker.beside` it runs each dense
-layer's weight-gradient product. The reference for every result is the
-same code with the executor replaced by one that runs each job at
-submission, on the calling thread, and the same code without a spare CPU.
-No other module of the package reaches the thread pool.
+Through `worker.split` the worker runs about half of every dense chain
+forward (the first row half of each large chain, whole chains below the
+size gate), the first half of every sparse product's row blocks and half
+of Adam; through `worker.beside` it runs each dense layer's
+weight-gradient product. The reference for every result is the same code
+with the executor replaced by one that runs each job at submission, on the
+calling thread, and the same code without a spare CPU. No other module of
+the package reaches the thread pool.
 """
 
 import importlib
@@ -157,6 +158,22 @@ def test_same_bits_with_split_products(monkeypatch, rng_np, small_blocks,
     assert len(on_worker) == len(products) > 0
     jobs.clear()
     assert_same_bits_in_three_modes(monkeypatch, SMALL, samples, jobs)
+
+
+def test_same_bits_in_row_halves(monkeypatch, rng_np, fast_switching):
+    """One step of the full network at S_O = 512, where the heads and the
+    object encoder's 256-wide dense layers each run in two row halves."""
+    second_halves = []
+    job = dn._forward_chains
+    monkeypatch.setattr(dn, "_forward_chains", lambda items: (
+        second_halves.extend(rows.start for _, rows in items if rows.start),
+        job(items))[1])
+    jobs = []
+    record_jobs(monkeypatch, jobs)
+    samples = [tiny_sample(rng_np, s_o=512, s_g=64)]
+    assert_same_bits_in_three_modes(monkeypatch, ModelConfig(), samples, jobs)
+    # 5 heads and 3 encoder layers, in each of three modes
+    assert second_halves == [256] * 8 * 3
 
 
 def test_infer_same_bytes_in_three_modes(monkeypatch, toy_dataset, tmp_path,
@@ -453,7 +470,7 @@ class TestWorkerErrors:
                 time.sleep(0.05)
                 finished.append(True)
             elif len(items) > 1:
-                # the encoders' one-chain `dense` calls run here unsplit
+                # below the gate an encoder `dense` call is one item, run here
                 raise Boom("main")
             else:
                 return job(items, *args)

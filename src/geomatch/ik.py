@@ -11,7 +11,8 @@ parameter from Newton steps on the secular equation over that SVD (More,
 ||s|| (Branch, Coleman & Li, 1999). A problem may supply its Jacobian;
 otherwise it comes from finite differences. Grasp IK supplies the analytic
 keypoint Jacobian, computed in the same forward-kinematics pass as the
-residual.
+residual, and solves for a rotation increment that it folds into the root
+rotation after each accepted step.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .errors import InfeasibleStart, NonFiniteResidual, SchemaError
 from .geometry import PointCloud
 from .kinematics import (EndEffectorModel, N_KEYPOINTS, Pose, PREGRASP_OFFSET,
                          _norm, axis_angle_to_matrix, heuristic_init_pose,
-                         keypoint_jacobian, keypoint_positions,
-                         matrix_to_axis_angle, matrix_to_rot6d,
+                         keypoint_jacobian, keypoint_positions, matrix_to_rot6d,
                          pose_to_dict, pregrasp_targets)
 
 STATUS_CONVERGED = "Converged"
@@ -51,6 +51,9 @@ class LeastSquaresProblem:
     x0: np.ndarray
     # d residual / dx; None means numeric_jacobian
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    # maps each accepted x to a point with the same residual, where the next
+    # Jacobian is taken (a manifold increment folded into its base point)
+    recenter: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=np.float64).reshape(-1)
@@ -189,9 +192,11 @@ def _clip_strict(x, lower, upper):
 def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
     """Minimize 0.5 ||r(q)||^2 over a box, keeping iterates strictly inside.
 
-    Accepted steps never increase the objective. Termination: `_GTOL` on the
-    scaled gradient or `_FTOL` on the relative cost drop report Converged; a
-    step below `_XTOL` reports SmallStep; otherwise MaxIterations.
+    Accepted steps never increase the objective; each accepted point is
+    replaced by `problem.recenter(point)` where the problem has one.
+    Termination: `_GTOL` on the scaled gradient or `_FTOL` on the relative
+    cost drop report Converged; a step below `_XTOL` reports SmallStep;
+    otherwise MaxIterations.
     """
     lower, upper = problem.lower, problem.upper
     x = _clip_strict(problem.x0, lower, upper)
@@ -276,6 +281,8 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
         step_norm = _norm(p_best)
         if actual > 0:
             x, r, cost, jac = x_trial, r_trial, cost_trial, None
+            if problem.recenter is not None:
+                x = problem.recenter(x)
             result.x_history.append(x.copy())
             result.cost_history.append(cost)
             if actual <= _FTOL * max(cost, 1e-300) and predicted <= _FTOL * max(cost, 1e-300):
@@ -318,20 +325,19 @@ class IKResult:
     per_keypoint: np.ndarray    # meters, distance to each target
 
 
-def _pose_from_vector(q: np.ndarray) -> Pose:
-    rot = axis_angle_to_matrix(q[3:6])
-    return Pose(t=q[:3], r6=matrix_to_rot6d(rot), theta=q[6:])
-
-
 def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = None,
              offset: float = PREGRASP_OFFSET, max_iter: int = 100) -> IKResult:
     """Fit the gripper pose so its keypoints reach the given contacts.
 
-    The decision vector is (t, root axis-angle, theta) with the translation
-    in a [-10, 10] m box, the axis-angle components in [-pi, pi] and theta
-    inside the joint limits. Targets are first pushed `offset` meters along
-    the object normals (pass offset=0 to aim at the contacts directly). The
-    start point is the palm-alignment heuristic, so the cloud is required.
+    The decision vector is (t, delta, theta): the translation in a
+    [-10, 10] m box, an unbounded rotation increment delta that turns the
+    root rotation R_k to exp([delta]x) R_k, and theta inside the joint
+    limits. Each accepted step folds delta into R_k and sets it back to 0,
+    so every Jacobian is taken at delta = 0 (Sola, Deray & Atchuthan, "A
+    micro Lie theory for state estimation in robotics", 2018). Targets are
+    first pushed `offset` meters along the object normals (pass offset=0 to
+    aim at the contacts directly). The start point is the palm-alignment
+    heuristic, so the cloud is required.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (N_KEYPOINTS, 3):
@@ -345,29 +351,35 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     init_pose = heuristic_init_pose(ee, object_cloud, targets)
 
     lo_theta, hi_theta = ee.chain.joint_limits()
-    lower = np.concatenate([np.full(3, -TRANSLATION_BOUND),
-                            np.full(3, -math.pi), lo_theta])
-    upper = np.concatenate([np.full(3, TRANSLATION_BOUND),
-                            np.full(3, math.pi), hi_theta])
-    x0 = np.concatenate([init_pose.t,
-                         matrix_to_axis_angle(init_pose.root_matrix()),
-                         init_pose.theta])
+    lower = np.concatenate([np.full(3, -TRANSLATION_BOUND), np.full(3, -np.inf), lo_theta])
+    upper = np.concatenate([np.full(3, TRANSLATION_BOUND), np.full(3, np.inf), hi_theta])
+    x0 = np.concatenate([init_pose.t, np.zeros(3), init_pose.theta])
 
-    # the residual and its Jacobian at the last point, from one FK pass; an
-    # accepted trial point is where solve_trf asks for the next Jacobian
-    last = {"q": None}
+    # "base" is R_k; the rest is the last point q's root rotation
+    # exp([delta]x) R_k, residual and Jacobian, from one FK pass. solve_trf
+    # recenters an accepted trial point right after evaluating it, so that
+    # point is the last, and its Jacobian is the one at delta = 0 about the
+    # new R_k, which solve_trf asks for next
+    last = {"base": init_pose.root_matrix(), "q": None}
 
     def at(q: np.ndarray) -> dict:
         if q.tobytes() != last["q"]:
-            kp, jac = keypoint_jacobian(ee, q)
-            last.update(q=q.tobytes(), r=(kp - effective).reshape(-1), jac=jac)
+            rot = axis_angle_to_matrix(q[3:6]) @ last["base"]
+            kp, jac = keypoint_jacobian(ee, (q[:3], rot, q[6:]))
+            last.update(q=q.tobytes(), rot=rot, r=(kp - effective).reshape(-1), jac=jac)
         return last
+
+    def recenter(q: np.ndarray) -> np.ndarray:
+        last["base"] = at(q)["rot"]
+        q = np.concatenate([q[:3], np.zeros(3), q[6:]])
+        last["q"] = q.tobytes()
+        return q
 
     problem = LeastSquaresProblem(residual=lambda q: at(q)["r"],
                                   jacobian=lambda q: at(q)["jac"],
-                                  lower=lower, upper=upper, x0=x0)
+                                  lower=lower, upper=upper, x0=x0, recenter=recenter)
     res = solve_trf(problem, max_iter=max_iter)
-    pose = _pose_from_vector(res.x)
+    pose = Pose(t=res.x[:3], r6=matrix_to_rot6d(last["base"]), theta=res.x[6:])
     per_kp = np.linalg.norm(keypoint_positions(ee, pose) - effective, axis=1)
     return IKResult(pose=pose, residual_norm=res.residual_norm,
                     iterations=res.iterations, status=res.status,

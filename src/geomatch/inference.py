@@ -9,6 +9,7 @@ autoregressive heads.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,12 +137,17 @@ def proposal_from_dict(doc: dict) -> GraspProposal:
     vertices = [c["vertex"] for c in doc["contacts"]]
     if not all(type(v) is int for v in vertices):   # no bool, no float
         raise SchemaError(f"contact vertices must be integers, got {vertices}")
+    rank, score = doc["rank"], doc["score"]
+    if type(rank) is not int:
+        raise SchemaError(f"rank must be an integer, got {rank!r}")
+    if type(score) not in (int, float) or not math.isfinite(score):     # no bool
+        raise SchemaError(f"score must be a finite number, got {score!r}")
     contacts = np.array(vertices, dtype=np.int64)
     points = finite_array([c["xyz"] for c in doc["contacts"]],
                           "contact coordinates").reshape(N_KEYPOINTS, 3)
     return GraspProposal(object_id=doc["object"], ee_id=doc["ee"],
-                         keypoint0_rank=int(doc["rank"]), contacts=contacts,
-                         contact_points=points, score=float(doc["score"]))
+                         keypoint0_rank=rank, contacts=contacts,
+                         contact_points=points, score=float(score))
 
 
 def save_proposals(proposals, path) -> None:

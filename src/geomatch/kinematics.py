@@ -2,10 +2,10 @@
 
 A gripper pose is (t, r6, theta): root translation, root rotation in the
 continuous 6D representation (first two rotation-matrix columns), and one
-value per non-fixed joint. Inverse kinematics works on the pose vector
-q = (t, w, theta) instead, with the root rotation as an axis-angle w;
-forward kinematics accepts either form. Chains are plain trees loaded from
-JSON; see load_chain for the schema.
+value per non-fixed joint. Forward kinematics also takes the triple
+(t, R, theta) with the root rotation as a matrix R, the form inverse
+kinematics works on. Chains are plain trees loaded from JSON; see
+load_chain for the schema.
 """
 
 from __future__ import annotations
@@ -107,44 +107,6 @@ def _rotations(w: np.ndarray) -> np.ndarray:
 def axis_angle_to_matrix(w) -> np.ndarray:
     """Rodrigues formula; w is axis * angle."""
     return _rotations(np.asarray(w, dtype=np.float64).reshape(1, 3))[0]
-
-
-def matrix_to_axis_angle(rot) -> np.ndarray:
-    """Inverse Rodrigues via quaternion extraction; result norm <= pi."""
-    rot = np.asarray(rot, dtype=np.float64).reshape(3, 3)
-    t = np.trace(rot)
-    if t > 0:
-        s = math.sqrt(t + 1.0) * 2
-        w = 0.25 * s
-        x = (rot[2, 1] - rot[1, 2]) / s
-        y = (rot[0, 2] - rot[2, 0]) / s
-        z = (rot[1, 0] - rot[0, 1]) / s
-    elif rot[0, 0] >= rot[1, 1] and rot[0, 0] >= rot[2, 2]:
-        s = math.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2]) * 2
-        w = (rot[2, 1] - rot[1, 2]) / s
-        x = 0.25 * s
-        y = (rot[0, 1] + rot[1, 0]) / s
-        z = (rot[0, 2] + rot[2, 0]) / s
-    elif rot[1, 1] >= rot[2, 2]:
-        s = math.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2]) * 2
-        w = (rot[0, 2] - rot[2, 0]) / s
-        x = (rot[0, 1] + rot[1, 0]) / s
-        y = 0.25 * s
-        z = (rot[1, 2] + rot[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1]) * 2
-        w = (rot[1, 0] - rot[0, 1]) / s
-        x = (rot[0, 2] + rot[2, 0]) / s
-        y = (rot[1, 2] + rot[2, 1]) / s
-        z = 0.25 * s
-    if w < 0:
-        w, x, y, z = -w, -x, -y, -z
-    v = np.array([x, y, z])
-    vn = _norm(v)
-    if vn < 1e-12:
-        return np.zeros(3)
-    angle = 2.0 * math.atan2(vn, w)
-    return (angle / vn) * v
 
 
 def rotation_between(a, b) -> np.ndarray:
@@ -263,7 +225,7 @@ class KinematicChain:
         # motion in its child's slot
         self._joint_slots = np.array([self._slot[j.child] for j in self.actuated],
                                      dtype=np.int64)
-        self._turned = np.concatenate([[0], self._joint_slots[self._revolute]])
+        self._turned = self._joint_slots[self._revolute]
         self._slid = self._joint_slots[~self._revolute]
         column = {j.child: i for i, j in enumerate(self.actuated)}
         self._on_path = {self.root: np.zeros(self.dof, dtype=bool)}
@@ -320,15 +282,16 @@ class LinkFrames(dict):
         self.stack = stack
 
 
-def forward_kinematics(chain: KinematicChain, pose: Pose | np.ndarray) -> LinkFrames:
-    """World 4x4 transform per link, at a Pose or a pose vector (t, w, theta).
+def forward_kinematics(chain: KinematicChain, pose: Pose | tuple) -> LinkFrames:
+    """World 4x4 transform per link, at a Pose or at arrays (t, R, theta)
+    with the root rotation as a 3x3 matrix R.
 
     Composition per non-root link: T_parent @ origin(link) @ motion(joint),
     one tree level at a time. Joint values outside limits by more than 1e-9
     raise LimitViolation.
     """
-    q = None if isinstance(pose, Pose) else np.asarray(pose, dtype=float).reshape(-1)
-    t, theta = (pose.t, pose.theta) if q is None else (q[:3], q[6:])
+    t, rot, theta = ((pose.t, pose.root_matrix(), pose.theta) if isinstance(pose, Pose)
+                     else pose)
     if theta.size != chain.dof:
         raise SchemaError(
             f"theta has {theta.size} values, chain has {chain.dof} joints")
@@ -340,14 +303,11 @@ def forward_kinematics(chain: KinematicChain, pose: Pose | np.ndarray) -> LinkFr
     # axis * value per joint: a rotation vector or a translation
     w = chain._axes * theta[:, None]
     rev = chain._revolute
-    if q is None:
-        rots = np.concatenate([pose.root_matrix()[None], _rotations(w[rev])])
-    else:
-        rots = _rotations(np.concatenate([q[None, 3:6], w[rev]]))
     motion = np.empty_like(chain._origins)
     motion[:] = _EYE4
-    motion[chain._turned, :3, :3] = rots
+    motion[0, :3, :3] = rot
     motion[0, :3, 3] = t
+    motion[chain._turned, :3, :3] = _rotations(w[rev])
     if chain._slid.size:
         motion[chain._slid, :3, 3] = w[~rev]
     frames = np.empty_like(motion)
@@ -443,7 +403,7 @@ def _keypoints(ee: EndEffectorModel, frames: np.ndarray) -> np.ndarray:
     return (m[:, :3, :3] @ offsets)[:, :, 0] + m[:, :3, 3]
 
 
-def keypoint_positions(ee: EndEffectorModel, pose: Pose | np.ndarray) -> np.ndarray:
+def keypoint_positions(ee: EndEffectorModel, pose: Pose | tuple) -> np.ndarray:
     """World coordinates of the 6 keypoints at the given pose, (6, 3)."""
     return _keypoints(ee, forward_kinematics(ee.chain, pose).stack)
 
@@ -453,44 +413,32 @@ def keypoint_positions(ee: EndEffectorModel, pose: Pose | np.ndarray) -> np.ndar
 _CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
-def _left_jacobian(w: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3) at w: exp([w + d]x) = exp([J_l(w) d]x) exp([w]x)."""
-    theta = math.sqrt(w.dot(w))
-    if theta < 1e-2:    # series; the closed forms lose digits to cancellation
-        t2 = theta * theta
-        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        a = (1.0 - math.cos(theta)) / (theta * theta)
-        b = (theta - math.sin(theta)) / theta ** 3
-    x, y, z = w.tolist()
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return _EYE3 + a * k + b * (k @ k)
+def keypoint_jacobian(ee: EndEffectorModel, pose: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Keypoints (6, 3) and their Jacobian (18, 6 + dof) at arrays
+    pose = (t, R, theta).
 
-
-def keypoint_jacobian(ee: EndEffectorModel, q) -> tuple[np.ndarray, np.ndarray]:
-    """Keypoints (6, 3) and their Jacobian (18, 6 + dof) at the pose vector q.
-
-    q = (t, w, theta); row 3i + k of the Jacobian is coordinate k of keypoint
-    i, and both come from one forward-kinematics pass. With x a keypoint, the
-    columns are (Lynch & Park, Modern Robotics, ch. 5):
+    The columns are those of (t, delta, theta), where delta is a rotation
+    increment about the root rotation R, exp([delta]x) R, taken at
+    delta = 0. Row 3i + k is coordinate k of keypoint i, and both come from
+    one forward-kinematics pass. With x a keypoint, the columns are (Lynch &
+    Park, Modern Robotics, ch. 5):
     - t: the identity;
-    - w: -[x - t]x J_l(w), which equals -R [p]x J_r(w) with p = R^T (x - t);
+    - delta: -[x - t]x, each column e_k x (x - t);
     - a revolute joint: a x (x - o), a = R_child @ axis and o the origin of
       the joint's child frame (exact for non-unit axes too);
     - a prismatic joint: a;
     - a joint not on the path from the root to x's link: zero.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
     chain = ee.chain
-    frames = forward_kinematics(chain, q).stack
+    frames = forward_kinematics(chain, pose).stack
     x = _keypoints(ee, frames)
     child = frames[chain._joint_slots]
-    # per column from 3 on: an axis, and the point x turns about; w's
-    # columns are J_l(w)'s columns about t, the joints' R_child @ axis about o
-    axes = np.concatenate([_left_jacobian(q[3:6]), np.einsum(
+    # per column from 3 on: an axis, and the point x turns about; delta's
+    # columns are the unit axes about t, the joints' R_child @ axis about o
+    axes = np.concatenate([_EYE3, np.einsum(
         "jkl,jl->jk", child[:, :3, :3], chain._axes).T], axis=1)    # [xyz, column]
-    pivots = np.concatenate([q[:3, None].repeat(3, axis=1), child[:, :3, 3].T], axis=1)
+    pivots = np.concatenate([pose[0][:, None].repeat(3, axis=1), child[:, :3, 3].T],
+                            axis=1)
     arm = x[:, :, None] - pivots                        # [keypoint, xyz, column]
     # axis x arm, the cross products written out as np.cross computes them
     a, b = axes.take(_CROSS_A, axis=0), arm.take(_CROSS_B, axis=1)

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import os
 
 # the runtime budgets in the acceptance suite assume single-threaded BLAS;
@@ -9,6 +11,20 @@ import numpy as np
 import pytest
 
 from geomatch import dataset
+
+
+@pytest.fixture(scope="session")
+def blas_kernel() -> str:
+    """The OpenBLAS kernel that numpy's bundled library runs, e.g. `SkylakeX`;
+    the variable OPENBLAS_CORETYPE forces another for one process."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "no bundled OpenBLAS"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 @pytest.fixture(scope="session")

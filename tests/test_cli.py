@@ -522,6 +522,10 @@ FAULTS = [
      edit_first_row(put("contacts", 1, "vertex", value=1.7))),
     ("proposals-bool-vertex", "proposals.jsonl",
      edit_first_row(put("contacts", 2, "vertex", value=True))),
+    # a rank that is not a JSON integer, a score that is not a number
+    ("proposals-float-rank", "proposals.jsonl", edit_first_row(put("rank", value=1.7))),
+    ("proposals-bool-rank", "proposals.jsonl", edit_first_row(put("rank", value=True))),
+    ("ik-bool-score", "ik.jsonl", edit_first_row(put("score", value=True))),
     ("ik-vertex-past-cloud", "ik.jsonl",
      edit_first_row(put("contacts", 5, "vertex", value=99999))),
     # a 6D rotation that decodes to no rotation

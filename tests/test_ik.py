@@ -247,6 +247,27 @@ class TestSolveTrf:
         assert np.allclose(exact.x, numeric.x, atol=1e-6)
         assert exact.status == numeric.status
 
+    def test_recenter_folds_each_accepted_step(self):
+        # a point on the unit circle at angle base + x: each accepted x is
+        # folded into base, so every iterate after the start is x = 0
+        base, target, calls = [0.0], 2.5, [0]
+
+        def residual(q):
+            angle = base[0] + q[0]
+            return np.array([np.cos(angle) - np.cos(target), np.sin(angle) - np.sin(target)])
+
+        def recenter(q):
+            calls[0] += 1
+            base[0] += q[0]
+            return np.zeros(1)
+
+        res = solve_trf(LeastSquaresProblem(residual, [-np.inf], [np.inf], [0.0],
+                                            recenter=recenter))
+        assert res.status == STATUS_CONVERGED
+        assert base[0] == pytest.approx(target, abs=1e-6)
+        assert calls[0] == len(res.x_history) - 1 > 1
+        assert all(x[0] == 0.0 for x in res.x_history) and res.x[0] == 0.0
+
     def test_nonfinite_jacobian_raises(self):
         p = LeastSquaresProblem(residual=lambda q: q - 1.0, lower=np.array([-2.0]),
                                 upper=np.array([2.0]), x0=np.array([0.0]),
@@ -354,8 +375,8 @@ def solution_digest(res) -> str:
 
 def pinned_solves(pincer, claw):
     """(name, ee, targets, cloud, offset, max_iter) of the pinned IK solves:
-    reachable targets for each gripper at both offsets, a start on the
-    rotation bound and solves cut off by max_iter."""
+    reachable targets for each gripper at both offsets, a start at a half
+    turn and solves cut off by max_iter."""
     helper, rng, out = TestSolveIk(), Rng(4242), []
     for ee in (pincer, claw):
         for offset in (0.0, PREGRASP_OFFSET):
@@ -365,7 +386,7 @@ def pinned_solves(pincer, claw):
                             helper.synthetic_object(targets), offset, 100))
         targets = keypoint_positions(ee, helper.random_reachable_pose(ee, rng))
         # every normal along the rest palm normal: the heuristic start turns
-        # the palm by pi about x, onto the axis-angle bound
+        # the palm by pi about x
         flipped = PointCloud(targets, np.tile([0.0, 0.0, 1.0], (6, 1)))
         out.append((f"{ee.name}-bound", ee, targets, flipped, 0.0, 100))
         out.append((f"{ee.name}-cut", ee, targets, helper.synthetic_object(targets),
@@ -373,45 +394,115 @@ def pinned_solves(pincer, claw):
     return out
 
 
-# status, iterations and solution_digest of each pinned solve; the digests
-# are of one build (numpy 2.4, OpenBLAS 0.3.31, x86-64 with FMA), and
-# another BLAS may round differently
+# status and iterations of each pinned solve, and its solution_digest per
+# OpenBLAS kernel (numpy 2.4, OpenBLAS 0.3.31, x86-64): the kernels round
+# some products differently, and only the digests differ between them
 PINNED_SOLVES = {
-    "pincer-0.0-0": (STATUS_CONVERGED, 7,
-        "6a09f8e52a97c50424333e1657183216e296ed5db58891a5a3d54250c80a80f6"),
-    "pincer-0.0-1": (STATUS_CONVERGED, 10,
-        "b105f35bb15b3f0b4562e244e3bc397cd2a3832054903b55ed3230adb9d82e4c"),
-    "pincer-0.005-0": (STATUS_CONVERGED, 9,
-        "f8f03bbb4406f9d57cda8fcb9821bbe08d52e5657153bd871d5b84375ba9a4c0"),
-    "pincer-0.005-1": (STATUS_CONVERGED, 7,
-        "8e91db985203794d4fdbb8b0260d911671216709ba86292d44bbfae22179ed1b"),
-    "pincer-bound": (STATUS_CONVERGED, 11,
-        "b2376e5cac11756e163fffd9819b714b2f85172f1bdcdd2b89d8398f8ac31a6f"),
-    "pincer-cut": (STATUS_MAX_ITERATIONS, 3,
-        "457ae4a19855c14583943b42cea7d641af52173d390cdd6d62ccfe627f8fc60b"),
-    "claw-0.0-0": (STATUS_CONVERGED, 5,
-        "6dfe98a9649fdb8c68c9769bad32bcec854dffd4a9ca0140b8673960a75c37e4"),
-    "claw-0.0-1": (STATUS_CONVERGED, 6,
-        "28297e30655117e1ddae69a4b61a5363ce445a969dd823a67c1f1b36e9ac2328"),
-    "claw-0.005-0": (STATUS_CONVERGED, 6,
-        "6053301fb4a0e459a3e02e06cbbeb230ca110f616160622a636e8433a4da774c"),
-    "claw-0.005-1": (STATUS_CONVERGED, 13,
-        "36ea1024126f1ed1f127f4e804d434003d9d5ec147f32017031cb4869d959302"),
-    "claw-bound": (STATUS_CONVERGED, 29,
-        "3b028d303d544ed63bb6e3f8f43e2d6bc7b5990f12e90ebffb4a063bfde5612a"),
-    "claw-cut": (STATUS_MAX_ITERATIONS, 3,
-        "f97dd8e73f08f266d8acf579b95abbad1e5365b4d15e1983f793896f98522a89"),
+    "pincer-0.0-0": (STATUS_CONVERGED, 7),
+    "pincer-0.0-1": (STATUS_CONVERGED, 9),
+    "pincer-0.005-0": (STATUS_CONVERGED, 9),
+    "pincer-0.005-1": (STATUS_CONVERGED, 7),
+    "pincer-bound": (STATUS_CONVERGED, 8),
+    "pincer-cut": (STATUS_MAX_ITERATIONS, 3),
+    "claw-0.0-0": (STATUS_CONVERGED, 5),
+    "claw-0.0-1": (STATUS_CONVERGED, 6),
+    "claw-0.005-0": (STATUS_CONVERGED, 6),
+    "claw-0.005-1": (STATUS_CONVERGED, 11),
+    "claw-bound": (STATUS_CONVERGED, 14),
+    "claw-cut": (STATUS_MAX_ITERATIONS, 3),
+}
+PINNED_DIGESTS = {
+    "SkylakeX": {
+        "pincer-0.0-0":
+            "ddc6f8dacf04ae4dd4fcb17ecdca1e9bb80801c250b1642f968fb3e150f10acb",
+        "pincer-0.0-1":
+            "ac3766d22065c31e7db1083a7b23d8e1f0c54e7b7c47992229fad6e8c4001b32",
+        "pincer-0.005-0":
+            "ecf78a6d5a959db928b051a67bbf9d4ed26da702d6a7876f8a8b3a419d4a0adc",
+        "pincer-0.005-1":
+            "029a0ccd136b1fe8043885150cd5fafe33443f538d3b9fc77b5044c1fedc69e1",
+        "pincer-bound":
+            "e2f7ea352d6786e0ad348106217a3d34ff073aa930c90e94e17d0b39347f046c",
+        "pincer-cut":
+            "f47486d07b3b509bd723a51b314e585f01d74cd350275944a7c6b10262074edf",
+        "claw-0.0-0":
+            "c38571390e87f580b9c52246f81be23c46b2868e903bba2fc7d572aa8e93722d",
+        "claw-0.0-1":
+            "4c13df6edac2a50816d6608ac326bbfbab1dd24f2906b271190f953fffa7f0bf",
+        "claw-0.005-0":
+            "dc676b902c87da7ecbfd9f7a5e472feb872a8b5dcdf15ca6df1746667dee4199",
+        "claw-0.005-1":
+            "87ca8955f9f524d523fa374e2467bf2898bcd024381eb9ec1672e5f5e7eed55d",
+        "claw-bound":
+            "ca71497a338987a565e68be7bffa4115e86c39cdf79201cd19818ebcfdfef0c8",
+        "claw-cut":
+            "d9f6f2eea391d1237002ad724c6b6c3be12a57cdbccabcde2741232d5da0bbf9",
+    },
+    "Haswell": {
+        "pincer-0.0-0":
+            "63dca4f5c4593dbca5af391aecfab40e43eff8b0143094b2f77ec6ec2501ddd7",
+        "pincer-0.0-1":
+            "1e7865de841b8cdc7e2ac49331f756853846b38821dc1b0a03b7a91a21ca439d",
+        "pincer-0.005-0":
+            "68ae9cc1c47dd6a41abda68dc93f651eb288e8d24cd634146e4a6f5813a788c1",
+        "pincer-0.005-1":
+            "5121448be6e8eb67ea16fcac28a461f6f5d9f02e6554dd171e7c4bb84d4f7c71",
+        "pincer-bound":
+            "52049885e2ff7a19ef30bd5bf4c959d2d92347c2ac4c08a4bf1a44925b5722ef",
+        "pincer-cut":
+            "930038cc93d35f2e92c947116b67df44caac4a741b74a7cdee0cada8d944a333",
+        "claw-0.0-0":
+            "05c0d2802ef74aca144f7a0433ca6a9fde90240922b9cc9d7db37471037e0416",
+        "claw-0.0-1":
+            "724f26d0698105d9529fc76f4e78787194e06cd1474aec43c5490cfd68b4b86d",
+        "claw-0.005-0":
+            "a6894134e1b2b0a49227fdb8feaea1fee13e753646f27a024073e725051c45f4",
+        "claw-0.005-1":
+            "615f34926afe7e32603cd460ed46e1169040614ec227958c24e583a4863ea276",
+        "claw-bound":
+            "7d8c92531ec709c0a00bd63804bf73e5a147d8742c3fb210c3e560b4d2db028d",
+        "claw-cut":
+            "1992f1283a1df0448939e11e1b26019979f71026e2eec0b4db703eea188df557",
+    },
+    "Sandybridge": {
+        "pincer-0.0-0":
+            "88ea2838718d943f07b321f25264aa54578d07fe73bd0d8b5ea8edfa9ac4648b",
+        "pincer-0.0-1":
+            "68b68ee9df88afa9bc48d93b01d8a49b6938933745843816f7b80da265e0d81c",
+        "pincer-0.005-0":
+            "784f8bf28ef40f322d4ebb1173579ff752c84eb46e5580022b7dc700e5d43443",
+        "pincer-0.005-1":
+            "df069cd9f65d09adc6f9a09a7565c9ce12357d291219362ae3456656c10ab9be",
+        "pincer-bound":
+            "e682474b8e9af3c8fbfae65cc9b3bc8a659d25970fa1e19ba168c182508428c6",
+        "pincer-cut":
+            "68aeefbcef52d8d1b0ebbf3d66f0345a52c251a7c4cf8e5b9930252ccfadb530",
+        "claw-0.0-0":
+            "3c802200d84aeab728965e0b1bab0f46d4619ff8513f71b43a470c1f9ef918d9",
+        "claw-0.0-1":
+            "a2cdf764659814771e49cf0b1d2db2288df02b1e55cd6fb85375345100c6b432",
+        "claw-0.005-0":
+            "854ae468f222b255379d21745a38c685e542820c4e4e1a9b97121121fc9f9bfe",
+        "claw-0.005-1":
+            "59b1c7ae1a26335ddf48889968b8cf4a26c3dfe38a57e48ffea0d2de99bb7581",
+        "claw-bound":
+            "2081a9c309d2a62a34b9fe6c8a9bf4ee083f054ea59b5ff4924b46ebe289254d",
+        "claw-cut":
+            "fcfea36b30cbef7915e4076c766df0743fc73807fb906de618e7823f50872112",
+    },
 }
 
 
 class TestPinnedSolves:
-    def test_iterates_unchanged(self, pincer, claw):
+    def test_iterates_unchanged(self, pincer, claw, blas_kernel):
+        assert blas_kernel in PINNED_DIGESTS, f"no digests pinned for the {blas_kernel} kernel"
         got = {}
         for name, ee, targets, cloud, offset, max_iter in pinned_solves(pincer, claw):
             if name.endswith("bound"):
+                # trace 1 + 2 cos(angle) = -1: the start is a half turn
                 start = kinematics.heuristic_init_pose(ee, cloud, targets)
-                w = kinematics.matrix_to_axis_angle(start.root_matrix())
-                assert np.pi - np.abs(w).max() < 1e-9
+                assert abs(np.trace(start.root_matrix()) + 1.0) < 1e-12
             res = solve_ik(ee, targets, cloud, offset=offset, max_iter=max_iter)
             got[name] = (res.status, res.iterations, solution_digest(res))
-        assert got == PINNED_SOLVES
+        assert got == {name: (*PINNED_SOLVES[name], PINNED_DIGESTS[blas_kernel][name])
+                       for name in PINNED_SOLVES}

@@ -1,6 +1,5 @@
 """Rotation codecs and forward kinematics against closed forms."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -16,10 +15,9 @@ from geomatch.kinematics import (EndEffectorModel, Joint, KinematicChain,
                                  axis_angle_to_matrix, forward_kinematics,
                                  heuristic_init_pose, keypoint_jacobian,
                                  keypoint_positions, load_chain, load_ee_model,
-                                 matrix_to_axis_angle, matrix_to_rot6d,
-                                 pregrasp_targets, quat_to_matrix, rest_pose,
-                                 rot6d_to_matrix, rotation_between, save_chain,
-                                 _left_jacobian)
+                                 matrix_to_rot6d, pregrasp_targets,
+                                 quat_to_matrix, rest_pose, rot6d_to_matrix,
+                                 rotation_between, save_chain)
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -106,20 +104,24 @@ class TestRot6d:
 
 
 class TestAxisAngle:
-    def test_roundtrip(self, rng_np):
+    def test_matches_scipy(self, rng_np):
         for _ in range(300):
             w = rng_np.normal(size=3)
-            w *= rng_np.uniform(0, math.pi * 0.999) / np.linalg.norm(w)
-            back = matrix_to_axis_angle(axis_angle_to_matrix(w))
-            assert np.allclose(back, w, atol=1e-8)
+            w *= rng_np.uniform(0, 3 * math.pi) / np.linalg.norm(w)
+            assert np.allclose(axis_angle_to_matrix(w),
+                               Rotation.from_rotvec(w).as_matrix(), rtol=0, atol=1e-14)
 
-    def test_near_pi(self):
-        w = np.array([math.pi - 1e-7, 0.0, 0.0])
-        back = matrix_to_axis_angle(axis_angle_to_matrix(w))
-        assert np.allclose(back, w, atol=1e-6)
+    def test_below_1e_12(self, rng_np):
+        for norm in (0.0, 1e-300, 1e-15, 9e-13):
+            w = norm * Rotation.random(rng=rng_np).apply([1.0, 0.0, 0.0])
+            assert np.allclose(axis_angle_to_matrix(w),
+                               Rotation.from_rotvec(w).as_matrix(), rtol=0, atol=1e-15)
 
-    def test_zero(self):
-        assert np.allclose(matrix_to_axis_angle(np.eye(3)), 0.0)
+    def test_near_pi(self, rng_np):
+        for norm in (math.pi - 1e-7, math.pi, math.pi + 1e-7):
+            w = norm * Rotation.random(rng=rng_np).apply([1.0, 0.0, 0.0])
+            assert np.allclose(axis_angle_to_matrix(w),
+                               Rotation.from_rotvec(w).as_matrix(), rtol=0, atol=1e-14)
 
 
 class TestRotationBetween:
@@ -243,15 +245,6 @@ def random_pose(ee, rng):
     return Pose(rng.normal(size=3) * 0.1, matrix_to_rot6d(rot), rng.uniform(lo, hi))
 
 
-# sha256 of the frames at 25 seeded pose vectors per gripper, links in name
-# order; of one build (numpy 2.4, OpenBLAS 0.3.31, x86-64 with FMA), and
-# another BLAS may round differently
-FK_VECTOR_DIGESTS = {
-    "pincer": "759ff5e93da9cd598ffc455733496f73a42e2e3b2c6f2d0d154fde6c305de7e2",
-    "claw": "bfc3bf29c70c49848af6bfb7bf581c19619a354a8ec4327eabbd476c9053ed46",
-}
-
-
 class TestOriginCache:
     def test_fk_bit_identical_to_per_call_origins(self, pincer, claw, rng_np):
         # the claw's finger origins have non-identity quaternions
@@ -264,36 +257,22 @@ class TestOriginCache:
                 for name in ref:
                     assert np.array_equal(fk[name], ref[name]), name
 
-    def test_pose_vector_path_pinned(self, pincer, claw):
-        # the path IK runs; the Pose path is checked against reference_fk
-        rng = np.random.default_rng(77)
-        got = {}
-        for ee in (pincer, claw):
-            lo, hi = ee.chain.joint_limits()
-            digest = hashlib.sha256()
+    def test_matrix_form_same_bytes_as_pose(self, pincer, claw, rng_np):
+        # (t, R, theta) is the form IK runs; the Pose path is checked
+        # against reference_fk
+        for ee in (pincer, claw, MIXED_HAND):
             for _ in range(25):
-                q = np.concatenate([rng.normal(size=3) * 0.1,
-                                    rng.uniform(-math.pi, math.pi, 3),
-                                    rng.uniform(lo, hi)])
-                fk = forward_kinematics(ee.chain, q)
-                for name in sorted(fk):
-                    digest.update(fk[name].tobytes())
-            got[ee.name] = digest.hexdigest()
-        assert got == FK_VECTOR_DIGESTS
+                pose = random_pose(ee, rng_np)
+                fk = forward_kinematics(ee.chain, (pose.t, pose.root_matrix(), pose.theta))
+                assert fk.keys() == forward_kinematics(ee.chain, pose).keys()
+                assert (fk.stack.tobytes()
+                        == forward_kinematics(ee.chain, pose).stack.tobytes())
 
-    def test_pose_vector_matches_pose(self, claw, rng_np):
-        for _ in range(10):
-            pose = random_pose(claw, rng_np)
-            q = np.concatenate([pose.t, matrix_to_axis_angle(pose.root_matrix()),
-                                pose.theta])
-            assert np.allclose(keypoint_positions(claw, q),
-                               keypoint_positions(claw, pose), atol=1e-12)
-
-    def test_pose_vector_checks_limits(self, claw):
-        q = np.zeros(6 + claw.chain.dof)
-        q[6] = 10.0
+    def test_matrix_form_checks_limits(self, claw):
+        theta = np.zeros(claw.chain.dof)
+        theta[0] = 10.0
         with pytest.raises(errors.LimitViolation):
-            keypoint_jacobian(claw, q)
+            keypoint_jacobian(claw, (np.zeros(3), np.eye(3), theta))
 
 
 def mixed_hand():
@@ -340,40 +319,49 @@ MIXED_HAND = mixed_hand()
 
 class TestKeypointJacobian:
     @given(ee_name=st.sampled_from(["pincer", "claw", "mixed"]),
-           w_kind=st.sampled_from(["zero", "tiny", "corner", "box"]),
+           rot_kind=st.sampled_from(["identity", "random", "half_turn"]),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_finite_differences(self, pincer, claw, ee_name, w_kind, seed):
+    def test_matches_finite_differences(self, pincer, claw, ee_name, rot_kind, seed):
         ee = {"pincer": pincer, "claw": claw, "mixed": MIXED_HAND}[ee_name]
         rng = np.random.default_rng(seed)
         lo, hi = ee.chain.joint_limits()
-        w = {"zero": np.zeros(3),
-             "tiny": 1e-6 * Rotation.random(rng=rng).apply([1.0, 0.0, 0.0]),
-             "corner": math.pi * rng.choice([-1.0, 1.0], size=3),  # |w| = pi sqrt(3)
-             "box": rng.uniform(-math.pi, math.pi, 3)}[w_kind]
-        q = np.concatenate([rng.normal(size=3) * 0.1, w, rng.uniform(lo, hi)])
-        kp, jac = keypoint_jacobian(ee, q)
-        assert np.array_equal(kp, keypoint_positions(ee, q))
-        # the oracle's box only decides where differences are one-sided
-        oracle = LeastSquaresProblem(
-            residual=lambda v: keypoint_positions(ee, v).reshape(-1),
-            lower=np.concatenate([np.full(6, -10.0), lo]),
-            upper=np.concatenate([np.full(6, 10.0), hi]), x0=q)
+        axis = Rotation.random(rng=rng).apply([1.0, 0.0, 0.0])
+        rot = {"identity": np.eye(3),
+               "random": Rotation.random(rng=rng).as_matrix(),
+               "half_turn": Rotation.from_rotvec(math.pi * axis).as_matrix()}[rot_kind]
+        t, theta = rng.normal(size=3) * 0.1, rng.uniform(lo, hi)
+        kp, jac = keypoint_jacobian(ee, (t, rot, theta))
+        assert np.array_equal(kp, keypoint_positions(ee, (t, rot, theta)))
         assert jac.shape == (18, 6 + ee.chain.dof)
-        assert np.abs(jac - numeric_jacobian(oracle, q)).max() < 1e-6
+        # t and theta; the oracle's box only decides where differences are
+        # one-sided
+        oracle = LeastSquaresProblem(
+            residual=lambda v: keypoint_positions(ee, (v[:3], rot, v[3:])).reshape(-1),
+            lower=np.concatenate([np.full(3, -10.0), lo]),
+            upper=np.concatenate([np.full(3, 10.0), hi]), x0=np.concatenate([t, theta]))
+        fd = numeric_jacobian(oracle, oracle.x0)
+        assert np.abs(jac[:, :3] - fd[:, :3]).max() < 1e-6
+        assert np.abs(jac[:, 6:] - fd[:, 3:]).max() < 1e-6
+        # delta: central differences of the keypoints at exp([+-eps e_k]x) R
+        eps = 1e-7
+        for k in range(3):
+            plus, minus = (keypoint_positions(ee, (t, Rotation.from_rotvec(
+                sign * eps * np.eye(3)[k]).as_matrix() @ rot, theta)) for sign in (1, -1))
+            fd_k = (plus - minus).reshape(-1) / (2 * eps)
+            assert np.abs(jac[:, 3 + k] - fd_k).max() < 1e-6
 
     def test_same_bytes_as_cross_form(self, pincer, claw, rng_np):
         # the cross products are written out; np.cross computes the same
         # products and differences, so every byte (zero signs too) matches
-        def cross_form(ee, q):
+        def cross_form(ee, pose):
             chain = ee.chain
-            fk = forward_kinematics(chain, q)
+            fk = forward_kinematics(chain, pose)
             x = np.array([fk[kp.link][:3, :3] @ kp.offset + fk[kp.link][:3, 3]
                           for kp in ee.keypoints])
             cols = np.empty((6, 6 + chain.dof, 3))
             cols[:, :3] = np.eye(3)
-            cols[:, 3:6] = np.cross(_left_jacobian(q[3:6]).T[None],
-                                    (x - q[:3])[:, None])
+            cols[:, 3:6] = np.cross(np.eye(3)[None], (x - pose[0])[:, None])
             child = np.array([fk[j.child] for j in chain.actuated])
             axes = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes)
             swept = np.cross(axes[None], x[:, None] - child[None, :, :3, 3])
@@ -385,18 +373,17 @@ class TestKeypointJacobian:
         for ee in (pincer, claw, MIXED_HAND):
             lo, hi = ee.chain.joint_limits()
             for _ in range(25):
-                q = np.concatenate([rng_np.normal(size=3) * 0.1,
-                                    rng_np.uniform(-math.pi, math.pi, 3),
-                                    rng_np.uniform(lo, hi)])
-                kp, jac = keypoint_jacobian(ee, q)
-                ref_kp, ref_jac = cross_form(ee, q)
+                pose = (rng_np.normal(size=3) * 0.1,
+                        Rotation.random(rng=rng_np).as_matrix(), rng_np.uniform(lo, hi))
+                kp, jac = keypoint_jacobian(ee, pose)
+                ref_kp, ref_jac = cross_form(ee, pose)
                 assert kp.tobytes() == ref_kp.tobytes()
                 assert jac.shape == ref_jac.shape
                 assert jac.tobytes() == ref_jac.tobytes()
 
     def test_joint_columns_vanish_off_path(self):
-        q = np.concatenate([np.zeros(6), rest_pose(MIXED_HAND.chain).theta])
-        _, jac = keypoint_jacobian(MIXED_HAND, q)
+        pose = (np.zeros(3), np.eye(3), rest_pose(MIXED_HAND.chain).theta)
+        _, jac = keypoint_jacobian(MIXED_HAND, pose)
         joints = [j.name for j in MIXED_HAND.chain.actuated]
         on_path = {"base": set(), "slider": {"slide"}, "arm": {"slide", "elbow"},
                    "tip": {"slide", "elbow"}, "wrist": {"twist"},

@@ -190,7 +190,7 @@ def _run(chains):
     output is filled; raises ShapeMismatch, before any chain runs, where a
     layer does not fit its input. The work items are (plan, rows), each
     chain's rows whole or in two halves from `_HALVE_ELEMENTS` on, and
-    they are `worker.split` by size."""
+    they are `worker.split` by size; a single item runs here."""
     plans, items, sizes = [], [], []
     for x, layers in chains:
         parts = [p if isinstance(p, tuple) else (p, None) for p in x]
@@ -205,7 +205,10 @@ def _run(chains):
         for lo, hi in ((0, cut), (cut, rows)) if cut else ((0, rows),):
             items.append((plans[-1], slice(lo, hi)))
             sizes.append((hi - lo) * weights)
-    worker.split(_forward_chains, items, sizes=sizes)
+    if len(items) == 1:
+        _forward_chains(items)
+    else:
+        worker.split(_forward_chains, items, sizes=sizes)
     return plans
 
 

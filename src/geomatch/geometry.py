@@ -148,18 +148,21 @@ def k_nearest(points, k: int, queries=None) -> tuple[np.ndarray, np.ndarray]:
             d2 += diff
         if queries is None:
             d2[np.arange(rows.shape[0]), np.arange(a, a + rows.shape[0])] = np.inf
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        dist = np.take_along_axis(d2, part, axis=1)
-        part = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
-        # the partition picks an arbitrary subset of the points tied at the
-        # k-th distance; rows with such a tie are redone by a stable sort,
-        # which keeps the lower index first among equal distances
-        kth = dist.max(axis=1)
-        tied = (d2 == kth[:, None]).sum(axis=1) > (dist == kth[:, None]).sum(axis=1)
-        if tied.any():
-            part[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        if k == 1:      # argmin takes the first, so the lower index, on ties
+            part = d2.argmin(axis=1)[:, None]
+        else:
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            dist = np.take_along_axis(d2, part, axis=1)
+            part = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+            # the partition picks an arbitrary subset of the points tied at
+            # the k-th distance; rows with such a tie are redone by a stable
+            # sort, which keeps the lower index first among equal distances
+            kth = dist.max(axis=1)
+            tied = (d2 == kth[:, None]).sum(axis=1) > (dist == kth[:, None]).sum(axis=1)
+            if tied.any():
+                part[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         near[a:a + rows.shape[0]] = part
-        near_d2[a:a + rows.shape[0]] = np.take_along_axis(d2, part, axis=1)
+        near_d2[a:a + rows.shape[0]] = d2[np.arange(rows.shape[0])[:, None], part]
     return near, near_d2
 
 

@@ -13,11 +13,20 @@ otherwise it comes from finite differences. Grasp IK supplies the analytic
 keypoint Jacobian, computed in the same forward-kinematics pass as the
 residual, and solves for a rotation increment that it folds into the root
 rotation after each accepted step.
+
+An iteration is mostly small numpy calls, so the loop makes few of them.
+What depends on the point alone (the scaling, the SVD terms with the
+Gauss-Newton step, the scaled descent direction, the room to each bound)
+is computed once per accepted point and reused by every step tried from
+it. Componentwise box work runs on Python lists. Every reduction stays
+the numpy call whose bits it has (norms as v.dot(v), np.add.reduce, the
+BLAS products), so each iterate is the same, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,7 +35,7 @@ import numpy as np
 from .errors import InfeasibleStart, NonFiniteResidual, SchemaError
 from .geometry import PointCloud
 from .kinematics import (EndEffectorModel, N_KEYPOINTS, Pose, PREGRASP_OFFSET,
-                         _norm, axis_angle_to_matrix, heuristic_init_pose,
+                         _norm, _rotations, heuristic_init_pose,
                          keypoint_jacobian, keypoint_positions, matrix_to_rot6d,
                          pose_to_dict, pregrasp_targets)
 
@@ -124,16 +133,24 @@ def _jacobian(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _secular(a2: np.ndarray, sv2: np.ndarray, lam: float) -> tuple[float, float]:
-    """||p(lam)||^2 = sum a^2 / (sv^2 + lam)^2 and sum a^2 / (sv^2 + lam)^3."""
-    w = 1.0 / (sv2 + lam)
-    t = a2 * w * w
+    """||p(lam)||^2 = sum a^2 / (sv^2 + lam)^2 and sum a^2 / (sv^2 + lam)^3.
+
+    w and t have the bits of 1.0 / (sv2 + lam) and a2 * w * w."""
+    w = np.reciprocal(sv2 + lam)
+    t = a2 * w
+    t *= w
     return float(np.add.reduce(t)), float(t.dot(w))
 
 
 def _svd_terms(jac: np.ndarray, r: np.ndarray):
-    """(singular values, zeta = U^T r, V^T) of J, the first two as lists."""
+    """What `_solve_tr_subproblem` needs of J and r at any radius, from the
+    SVD of J: singular values and zeta = U^T r as lists, -V, and the
+    Gauss-Newton step with its norm."""
     u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    return sv.tolist(), (u.T @ r).tolist(), vt
+    sv, zeta, neg_v = sv.tolist(), (u.T @ r).tolist(), -vt.T
+    cut = max(sv[0] if sv else 0.0, 1.0) * 1e-14
+    s_gn = neg_v @ [z / s if s > cut else 0.0 for z, s in zip(zeta, sv)]
+    return sv, zeta, neg_v, s_gn, _norm(s_gn)
 
 
 def _solve_tr_subproblem(terms, radius: float):
@@ -145,15 +162,14 @@ def _solve_tr_subproblem(terms, radius: float):
     lam = 0, where ||p|| > radius, the iterates rise to the root without
     overshooting it.
     """
-    sv, zeta, vt = terms
-    cut = max(sv[0] if sv else 0.0, 1.0) * 1e-14
-    s_gn = -vt.T @ [z / s if s > cut else 0.0 for z, s in zip(zeta, sv)]
-    if _norm(s_gn) <= radius:
+    sv, zeta, neg_v, s_gn, gn_norm = terms
+    if gn_norm <= radius:
         return s_gn, False
 
-    a = [s * z for s, z in zip(sv, zeta)]
+    a = list(map(operator.mul, sv, zeta))
     # a term with a = 0 adds nothing to p
-    a2, sv2 = np.array([(c * c, s * s) for c, s in zip(a, sv) if c]).reshape(-1, 2).T
+    a2 = np.array([c * c for c in a if c])
+    sv2 = np.array([s * s for c, s in zip(a, sv) if c])
     lam = 0.0
     for _ in range(_SECULAR_STEPS):
         norm2, slope = _secular(a2, sv2, lam)
@@ -162,31 +178,43 @@ def _solve_tr_subproblem(terms, radius: float):
             break
         lam += (norm - radius) / radius * norm2 / slope
     coef = [c / (s * s + lam) if c else 0.0 for c, s in zip(a, sv)]
-    return -vt.T @ coef, True
+    return neg_v @ coef, True
 
 
-def _max_feasible_stride(x, p, lower, upper) -> tuple[float, list]:
-    """Largest tau with x + tau p inside the box, plus the hit mask, on lists."""
-    taus = [(hi - xi) / pi if pi > 0 else (lo - xi) / pi if pi < 0 else math.inf
-            for xi, pi, lo, hi in zip(x, p, lower, upper)]
-    tau = min(taus, default=math.inf)
-    return tau, [t <= tau * (1 + 1e-12) for t in taus]
+def _max_feasible_stride(p, room_hi, room_lo) -> tuple[float, list]:
+    """Largest tau with x + tau p inside the box and each component's own,
+    on lists, from the room to the bounds: room_hi = upper - x and
+    room_lo = lower - x."""
+    taus = [hi / c if c > 0 else lo / c if c < 0 else math.inf
+            for c, hi, lo in zip(p, room_hi, room_lo)]
+    return min(taus, default=math.inf), taus
+
+
+def _inside(x, lower, upper) -> bool:
+    """lower < x < upper componentwise, on lists."""
+    return all(map(operator.lt, lower, x)) and all(map(operator.lt, x, upper))
 
 
 def _clip_strict(x, lower, upper):
-    out = np.array(x, dtype=np.float64)
-    for j in range(out.size):
-        lo, hi = lower[j], upper[j]
+    out = []
+    for xj, lo, hi in zip(x.tolist(), lower.tolist(), upper.tolist()):
         if math.isfinite(lo) and math.isfinite(hi):
             eps = _STRICT_NUDGE * (hi - lo)
         else:
             finite = [abs(b) for b in (lo, hi) if math.isfinite(b)]
             eps = _STRICT_NUDGE * max(1.0, *finite) if finite else _STRICT_NUDGE
-        if out[j] <= lo:
-            out[j] = lo + eps
-        elif out[j] >= hi:
-            out[j] = hi - eps
-    return out
+        out.append(lo + eps if xj <= lo else hi - eps if xj >= hi else xj)
+    return np.array(out)
+
+
+def _residual(problem: LeastSquaresProblem, x: np.ndarray, where: str):
+    """r(x) as a float vector and its cost 0.5 ||r||^2. A finite r @ r shows
+    every component finite; otherwise they are checked one by one."""
+    r = np.asarray(problem.residual(x), dtype=np.float64).reshape(-1)
+    rr = float(r @ r)
+    if not math.isfinite(rr):
+        _check_finite(r, where)
+    return r, 0.5 * rr
 
 
 def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
@@ -202,12 +230,12 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
     x = _clip_strict(problem.x0, lower, upper)
     if not ((lower < x) & (x < upper)).all():
         raise InfeasibleStart("could not nudge the start strictly inside")
-    r = _check_finite(problem.residual(x), "at the start")
-    cost = 0.5 * float(r @ r)
+    r, cost = _residual(problem, x, "at the start")
     result = TrfResult(x=x, residual_norm=math.sqrt(2 * cost), iterations=0,
                        status=STATUS_MAX_ITERATIONS,
                        x_history=[x.copy()], cost_history=[cost])
-    radius = max(1.0, _norm(x))
+    x_norm = _norm(x)
+    radius = max(1.0, x_norm)
     # recomputed only where x moved: after a rejected step x, r and the
     # Jacobian are the same, so is everything derived from them
     jac = None
@@ -225,56 +253,60 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
             x_l, g_l = x.tolist(), grad.tolist()
             v = [hi - xi if g < 0 and has_hi else xi - lo if g > 0 and has_lo
                  else 1.0 for xi, g, (lo, hi, has_lo, has_hi) in zip(x_l, g_l, box)]
-            if max((abs(g * c) for g, c in zip(g_l, v)), default=0.0) < _GTOL:
+            if max(map(abs, map(operator.mul, g_l, v)), default=0.0) < _GTOL:
                 result.status = STATUS_CONVERGED
                 break
             d = np.sqrt(v)
             terms = _svd_terms(jac * d, r)
             g_scaled = d * grad
             gn = _norm(g_scaled)
+            # the scaled steepest descent direction, before its scale
+            descent = list(map(operator.mul, map(operator.neg, d.tolist()),
+                               g_scaled.tolist()))
+            room_hi = list(map(operator.sub, up_l, x_l))
+            room_lo = list(map(operator.sub, lo_l, x_l))
         s, _ = _solve_tr_subproblem(terms, radius)
-        p = d * s
 
         # candidate steps: p, stepped back from the box if it leaves it, and
         # reflected off the bound it crosses
-        p_l = p.tolist()
-        tau, hit = _max_feasible_stride(x_l, p_l, lo_l, up_l)
+        p_l = (d * s).tolist()
+        tau, taus = _max_feasible_stride(p_l, room_hi, room_lo)
         if tau >= 1.0:
             steps = [p_l]
         else:
-            stride = [_INTERIOR * tau * c for c in p_l]
+            stride = list(map((_INTERIOR * tau).__mul__, p_l))
             steps = [stride]
             # reflect the crossing components once, then clip
-            reflected = [-c if h else c for c, h in zip(p_l, hit)]
-            wall = [a + b for a, b in zip(x_l, stride)]
-            tau2, _ = _max_feasible_stride(wall, reflected, lo_l, up_l)
+            hit = tau * (1 + 1e-12)
+            reflected = [-c if t <= hit else c for c, t in zip(p_l, taus)]
+            wall = list(map(operator.add, x_l, stride))
+            tau2, _ = _max_feasible_stride(reflected, list(map(operator.sub, up_l, wall)),
+                                           list(map(operator.sub, lo_l, wall)))
             beta = min(1.0 - tau, _INTERIOR * tau2)
             if beta > 0:
-                steps.append([a + beta * b for a, b in zip(stride, reflected)])
+                steps.append(list(map(operator.add, stride, map(beta.__mul__, reflected))))
         # scaled steepest-descent fallback keeps progress available
         if gn > 0:
-            scale = radius / gn
-            p_grad = [-a * b * scale for a, b in zip(d.tolist(), g_scaled.tolist())]
-            tau_g, _ = _max_feasible_stride(x_l, p_grad, lo_l, up_l)
-            steps.append([min(1.0, _INTERIOR * tau_g) * c for c in p_grad])
+            p_grad = list(map((radius / gn).__mul__, descent))
+            tau_g, _ = _max_feasible_stride(p_grad, room_hi, room_lo)
+            steps.append(list(map(min(1.0, _INTERIOR * tau_g).__mul__, p_grad)))
 
         # the least model cost wins among the candidates strictly inside the
         # box, the first on a tie; each row's jac @ step and sum of squares
         # are those of a single step
-        steps = np.array(steps)
-        trials = x + steps
-        model = np.add.reduce(((jac @ steps[:, :, None])[:, :, 0] + r) ** 2, axis=1)
-        by_cost = sorted(range(len(steps)), key=model.tolist().__getitem__)
-        best = next((i for i in by_cost if all(
-            lo < c < hi for lo, c, hi in zip(lo_l, trials[i].tolist(), up_l))), None)
-        if best is None:
+        p_all = np.array(steps)
+        model = np.add.reduce(((jac @ p_all[:, :, None])[:, :, 0] + r) ** 2, axis=1).tolist()
+        for best in sorted(range(len(steps)), key=model.__getitem__):
+            x_trial = list(map(operator.add, x_l, steps[best]))
+            if _inside(x_trial, lo_l, up_l):
+                break
+        else:
             result.status = STATUS_SMALL_STEP
             break
-        predicted = cost - 0.5 * float(model[best])
-        p_best, x_trial = steps[best], trials[best]
+        predicted = cost - 0.5 * model[best]
+        p_best, x_trial = p_all[best], np.array(x_trial)
 
-        r_trial = _check_finite(problem.residual(x_trial), "at a trial point")
-        cost_trial = 0.5 * float(r_trial @ r_trial)
+        r_trial, cost_trial = _residual(problem, x_trial, "at a trial point")
         actual = cost - cost_trial
         rho = actual / predicted if predicted > 0 else -1.0
 
@@ -283,6 +315,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
             x, r, cost, jac = x_trial, r_trial, cost_trial, None
             if problem.recenter is not None:
                 x = problem.recenter(x)
+            x_norm = _norm(x)
             result.x_history.append(x.copy())
             result.cost_history.append(cost)
             if actual <= _FTOL * max(cost, 1e-300) and predicted <= _FTOL * max(cost, 1e-300):
@@ -291,7 +324,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
             if cost <= 1e-300:
                 result.status = STATUS_CONVERGED
                 break
-        if step_norm <= _XTOL * (_XTOL + _norm(x)):
+        if step_norm <= _XTOL * (_XTOL + x_norm):
             result.status = STATUS_SMALL_STEP if actual <= 0 else STATUS_CONVERGED
             break
         # the radius bounds the scaled step s = p / d, so it follows ||s||
@@ -300,7 +333,7 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
             radius = 0.25 * _norm(p_best / d)
         elif rho > 0.75:
             radius = max(radius, 2.0 * _norm(p_best / d))
-        if radius < 1e-14 * max(1.0, _norm(x)):
+        if radius < 1e-14 * max(1.0, x_norm):
             result.status = STATUS_SMALL_STEP
             break
 
@@ -314,6 +347,8 @@ def solve_trf(problem: LeastSquaresProblem, max_iter: int = 100) -> TrfResult:
 # ---------------------------------------------------------------------------
 
 TRANSLATION_BOUND = 10.0    # meters; an effectively free root translation
+# the bound on each of t and delta
+_ROOT_BOX = np.array([TRANSLATION_BOUND] * 3 + [np.inf] * 3)
 
 
 @dataclass(frozen=True)
@@ -351,8 +386,8 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     init_pose = heuristic_init_pose(ee, object_cloud, targets)
 
     lo_theta, hi_theta = ee.chain.joint_limits()
-    lower = np.concatenate([np.full(3, -TRANSLATION_BOUND), np.full(3, -np.inf), lo_theta])
-    upper = np.concatenate([np.full(3, TRANSLATION_BOUND), np.full(3, np.inf), hi_theta])
+    lower = np.concatenate([-_ROOT_BOX, lo_theta])
+    upper = np.concatenate([_ROOT_BOX, hi_theta])
     x0 = np.concatenate([init_pose.t, np.zeros(3), init_pose.theta])
 
     # "base" is R_k; the rest is the last point q's root rotation
@@ -363,15 +398,17 @@ def solve_ik(ee: EndEffectorModel, targets, object_cloud: PointCloud | None = No
     last = {"base": init_pose.root_matrix(), "q": None}
 
     def at(q: np.ndarray) -> dict:
-        if q.tobytes() != last["q"]:
-            rot = axis_angle_to_matrix(q[3:6]) @ last["base"]
+        key = q.tobytes()
+        if key != last["q"]:
+            rot = _rotations(q[None, 3:6])[0] @ last["base"]
             kp, jac = keypoint_jacobian(ee, (q[:3], rot, q[6:]))
-            last.update(q=q.tobytes(), rot=rot, r=(kp - effective).reshape(-1), jac=jac)
+            last.update(q=key, rot=rot, r=(kp - effective).reshape(-1), jac=jac)
         return last
 
     def recenter(q: np.ndarray) -> np.ndarray:
         last["base"] = at(q)["rot"]
-        q = np.concatenate([q[:3], np.zeros(3), q[6:]])
+        q = q.copy()
+        q[3:6] = 0.0
         last["q"] = q.tobytes()
         return q
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,15 +93,21 @@ def _rotations(w: np.ndarray) -> np.ndarray:
     Each matrix has the bits of np.eye(3) + sin(t) * k + (1 - cos(t)) * (k @ k)
     with k = [w / t]x, and np.vecdot takes each row's w.dot(w) as that dot
     product. Below t = 1e-12 the first-order expansion I + [w]x is exact to
-    1e-24; coefficients 1 and 0 give it with its bits.
+    1e-24; coefficients 1 and 0 give it with its bits. One row (a rotation
+    increment) takes floats and a 3 x 3 k, which needs fewer numpy calls
+    than (n, 1, 1) coefficients and a stack of k.
     """
-    m = np.array([(a, b, 0.0, -z, y, z, 0.0, -x, -y, x, 0.0) for a, b, x, y, z in (
-        (1.0, 0.0, x, y, z) if t < 1e-12 else
-        (math.sin(t), 1 - math.cos(t), x / t, y / t, z / t)
-        for (x, y, z), t in zip(w.tolist(), map(math.sqrt, np.vecdot(w, w).tolist())))])
-    m = m.reshape(-1, 11)
-    k = m[:, 2:].reshape(-1, 3, 3)
-    return _EYE3 + m[:, :1, None] * k + m[:, 1:2, None] * (k @ k)
+    rows = [(1.0, 0.0, 0.0, -z, y, z, 0.0, -x, -y, x, 0.0) if t < 1e-12 else
+            (math.sin(t), 1 - math.cos(t),
+             0.0, -z / t, y / t, z / t, 0.0, -x / t, -y / t, x / t, 0.0)
+            for (x, y, z), t in zip(w.tolist(), map(math.sqrt, np.vecdot(w, w).tolist()))]
+    if len(rows) == 1:
+        (a, b, *k), = rows
+        k = np.array(k).reshape(3, 3)
+    else:
+        m = np.array(rows).reshape(-1, 11)
+        a, b, k = m[:, :1, None], m[:, 1:2, None], m[:, 2:].reshape(-1, 3, 3)
+    return (_EYE3 + a * k + b * (k @ k)).reshape(-1, 3, 3)
 
 
 def axis_angle_to_matrix(w) -> np.ndarray:
@@ -213,6 +219,7 @@ class KinematicChain:
         self._slot = {name: i for i, name in enumerate(self._order)}
         self._origins = np.array([_homogeneous(quat_to_matrix(l.origin_q), l.origin_t)
                                   for l in map(self.link, self._order)])
+        self._identities = np.tile(_EYE4, (len(self._order), 1, 1))
         # each level: its run of slots, its parents' slots and its origins
         parent = np.array([self._slot[self.link(name).parent] for name in order])
         ends = np.cumsum([1] + widths).tolist()
@@ -254,6 +261,8 @@ class Pose:
     t: np.ndarray
     r6: np.ndarray
     theta: np.ndarray
+    # r6 decoded, once
+    _root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, size in (("t", 3), ("r6", 6), ("theta", -1)):
@@ -262,9 +271,10 @@ class Pose:
         rot = rot6d_to_matrix(self.r6)   # raises DegenerateInput if invalid
         if np.abs(rot.T @ rot - _EYE3).max() > 1e-9:
             raise NotARotation("decoded rotation fails orthonormality at 1e-9")
+        object.__setattr__(self, "_root", rot)
 
     def root_matrix(self) -> np.ndarray:
-        return rot6d_to_matrix(self.r6)
+        return self._root.copy()
 
 
 def _homogeneous(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -302,18 +312,17 @@ def forward_kinematics(chain: KinematicChain, pose: Pose | tuple) -> LinkFrames:
                 f"joint {j.name}: value {value:.6g} outside [{lo:.6g}, {hi:.6g}]")
     # axis * value per joint: a rotation vector or a translation
     w = chain._axes * theta[:, None]
-    rev = chain._revolute
-    motion = np.empty_like(chain._origins)
-    motion[:] = _EYE4
+    motion = chain._identities.copy()
     motion[0, :3, :3] = rot
     motion[0, :3, 3] = t
-    motion[chain._turned, :3, :3] = _rotations(w[rev])
     if chain._slid.size:
-        motion[chain._slid, :3, 3] = w[~rev]
+        motion[chain._slid, :3, 3] = w[~chain._revolute]
+        w = w[chain._revolute]
+    motion[chain._turned, :3, :3] = _rotations(w)
     frames = np.empty_like(motion)
-    frames[0] = motion[0] @ chain._origins[0]
+    np.matmul(motion[0], chain._origins[0], out=frames[0])
     for a, b, parents, origins in chain._levels:
-        frames[a:b] = frames[parents] @ origins @ motion[a:b]
+        np.matmul(frames.take(parents, axis=0) @ origins, motion[a:b], out=frames[a:b])
     return LinkFrames(chain, frames)
 
 
@@ -377,10 +386,12 @@ class EndEffectorModel:
     @functools.cached_property
     def _keypoint_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """FK slot of each keypoint's link, the offsets as columns (6, 3, 1)
-        and the (6, 1, dof) mask of the joints that move each keypoint."""
+        and the (6, 1, dof) mask of the joints that move each keypoint, 1.0
+        or 0.0."""
         return (np.array([self.chain._slot[kp.link] for kp in self.keypoints]),
                 np.array([kp.offset for kp in self.keypoints]).reshape(-1, 3, 1),
-                np.array([[self.chain._on_path[kp.link]] for kp in self.keypoints]))
+                np.array([[self.chain._on_path[kp.link]] for kp in self.keypoints],
+                         dtype=np.float64))
 
     @functools.cached_property
     def _rest_palm(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,7 +410,7 @@ def _keypoints(ee: EndEffectorModel, frames: np.ndarray) -> np.ndarray:
     """Keypoints (6, 3) from an FK stack; the (3, 3) @ (3, 1) products are
     the matrix-vector products of m[:3, :3] @ offset."""
     slots, offsets, _ = ee._keypoint_frames
-    m = frames[slots]
+    m = frames.take(slots, axis=0)      # frames[slots], with less overhead
     return (m[:, :3, :3] @ offsets)[:, :, 0] + m[:, :3, 3]
 
 
@@ -432,23 +443,25 @@ def keypoint_jacobian(ee: EndEffectorModel, pose: tuple) -> tuple[np.ndarray, np
     chain = ee.chain
     frames = forward_kinematics(chain, pose).stack
     x = _keypoints(ee, frames)
-    child = frames[chain._joint_slots]
+    child = frames.take(chain._joint_slots, axis=0)
     # per column from 3 on: an axis, and the point x turns about; delta's
     # columns are the unit axes about t, the joints' R_child @ axis about o
-    axes = np.concatenate([_EYE3, np.einsum(
-        "jkl,jl->jk", child[:, :3, :3], chain._axes).T], axis=1)    # [xyz, column]
-    pivots = np.concatenate([pose[0][:, None].repeat(3, axis=1), child[:, :3, 3].T],
-                            axis=1)
+    axes = np.empty((3, 3 + chain.dof))                # [xyz, column]
+    axes[:, :3] = _EYE3
+    axes[:, 3:] = np.einsum("jkl,jl->jk", child[:, :3, :3], chain._axes).T
+    pivots = np.empty((3, 3 + chain.dof))
+    pivots[:, :3] = pose[0][:, None]
+    pivots[:, 3:] = child[:, :3, 3].T
     arm = x[:, :, None] - pivots                        # [keypoint, xyz, column]
     # axis x arm, the cross products written out as np.cross computes them
     a, b = axes.take(_CROSS_A, axis=0), arm.take(_CROSS_B, axis=1)
-    swept = a[:3] * b[:, :3] - a[3:] * b[:, 3:]
     jac = np.empty((N_KEYPOINTS, 3, 6 + chain.dof))     # [keypoint, xyz, column]
     jac[:, :, :3] = _EYE3
-    jac[:, :, 3:] = swept
+    np.subtract(a[:3] * b[:, :3], a[3:] * b[:, 3:], out=jac[:, :, 3:])
+    joints = jac[:, :, 6:]
     if chain._slid.size:    # a prismatic joint's column is its axis
-        jac[:, :, 6:] = np.where(chain._revolute, swept[:, :, 3:], axes[:, 3:])
-    jac[:, :, 6:] *= ee._keypoint_frames[2]
+        joints[:] = np.where(chain._revolute, joints, axes[:, 3:])
+    joints *= ee._keypoint_frames[2]
     return x, jac.reshape(3 * N_KEYPOINTS, -1)
 
 
@@ -474,7 +487,9 @@ def heuristic_init_pose(ee: EndEffectorModel, object_cloud: PointCloud,
     if object_cloud.normals is None:
         raise SchemaError("object cloud lacks normals")
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
-    (idx,), _ = nearest_vertices(object_cloud.points, targets.mean(axis=0))
+    # the sum and division of targets.mean(axis=0)
+    (idx,), _ = nearest_vertices(object_cloud.points,
+                                 np.add.reduce(targets, axis=0) / len(targets))
     vertex = object_cloud.points[idx]
     obj_normal = object_cloud.normals[idx]
 

@@ -13,8 +13,7 @@ import pytest
 from geomatch import dataset
 
 
-@pytest.fixture(scope="session")
-def blas_kernel() -> str:
+def openblas_kernel() -> str:
     """The OpenBLAS kernel that numpy's bundled library runs, e.g. `SkylakeX`;
     the variable OPENBLAS_CORETYPE forces another for one process."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
@@ -25,6 +24,23 @@ def blas_kernel() -> str:
         return "no bundled OpenBLAS"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+def pytest_report_header(config):
+    # the kernel-keyed pins check this kernel's digests
+    return f"OpenBLAS kernel: {openblas_kernel()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q, as tier-1 runs, hides the header: name the kernel at the end
+    if config.option.verbose < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
+@pytest.fixture(scope="session")
+def blas_kernel() -> str:
+    """`openblas_kernel()`, the key of the kernel-bound pins."""
+    return openblas_kernel()
 
 
 @pytest.fixture(scope="session")

@@ -263,6 +263,20 @@ class TestKNearest:
         assert np.array_equal(idx, want)
         assert np.array_equal(dist2, np.take_along_axis(d2, want, axis=1))
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 300), st.integers(1, 9),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_is_first_column_of_two(self, seed, s, q, with_queries):
+        # k = 1 takes a path of its own; on a lattice most rows tie for the
+        # nearest, and both paths must pick the same point with the same bytes
+        rng = np.random.default_rng(seed)
+        both = lattice_cloud(rng, s + q)
+        pts = both[:s]
+        queries = both[s:] + rng.integers(0, 2, size=(q, 3)) if with_queries else None
+        one, two = geometry.k_nearest(pts, 1, queries), geometry.k_nearest(pts, 2, queries)
+        for got, want in zip(one, two):
+            assert got.tobytes() == np.ascontiguousarray(want[:, :1]).tobytes()
+
     def test_points_skip_themselves(self):
         # a duplicate of point 0 is point 1's nearest, never point 1 itself
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])

@@ -373,6 +373,12 @@ def solution_digest(res) -> str:
     return hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in parts)).hexdigest()
 
 
+def history_digest(trf) -> str:
+    """sha256 of a solve's accepted iterates and their costs, in order."""
+    parts = (trf.x_history, trf.cost_history)
+    return hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in parts)).hexdigest()
+
+
 def pinned_solves(pincer, claw):
     """(name, ee, targets, cloud, offset, max_iter) of the pinned IK solves:
     reachable targets for each gripper at both offsets, a start at a half
@@ -394,9 +400,10 @@ def pinned_solves(pincer, claw):
     return out
 
 
-# status and iterations of each pinned solve, and its solution_digest per
-# OpenBLAS kernel (numpy 2.4, OpenBLAS 0.3.31, x86-64): the kernels round
-# some products differently, and only the digests differ between them
+# status and iterations of each pinned solve, and its solution_digest and
+# history_digest per OpenBLAS kernel (numpy 2.4, OpenBLAS 0.3.31, x86-64):
+# the kernels round some products differently, and only the digests differ
+# between them
 PINNED_SOLVES = {
     "pincer-0.0-0": (STATUS_CONVERGED, 7),
     "pincer-0.0-1": (STATUS_CONVERGED, 9),
@@ -492,10 +499,96 @@ PINNED_DIGESTS = {
     },
 }
 
+PINNED_HISTORY_DIGESTS = {
+    "SkylakeX": {
+        "pincer-0.0-0":
+            "4d81f1e7ff326e4da30abe7b477448be23f4ab2af3a2b80d6c9eff0a2d193e10",
+        "pincer-0.0-1":
+            "203a7a6415aee6d9ab107a95c2a08357bd9ac6fea0a27d34e24d37595b3f9b72",
+        "pincer-0.005-0":
+            "cb604d4818b965547a0d6e76a6368f219532e57a7a6fdaa24f51711527aca340",
+        "pincer-0.005-1":
+            "dce381c28d41981a2454fccc28bbd24c13e748fea509ffc552b3e6a0fb0c3ea0",
+        "pincer-bound":
+            "5f01e019c06918b6cfff03085a697c81f62f47d0cfa38b1e5cdb7b03034ab53e",
+        "pincer-cut":
+            "d7cdee02a1c9c23468a4a60b1cb490fdc3ff99c695722e739cec92bb4234b5f9",
+        "claw-0.0-0":
+            "583b8997a8b310737503941269ea57a97a50fbc2da8e9f3e99650a81d2f889c0",
+        "claw-0.0-1":
+            "63372837f1ce0541392e987b1236b6cdbd6266e8a68a216f81a444d418ebc2a5",
+        "claw-0.005-0":
+            "23f52f0fa9480debe6213b8872f41cdbb43a8026caacc995d1e5a5f3edc3ce47",
+        "claw-0.005-1":
+            "7480166d26b1482d3562b02445cdccc11196407a2bbadf6e73590059e510f930",
+        "claw-bound":
+            "26afaeaddfe685926d56d4bb96fb88de37e793df94e5aad353a21c8b37ec2082",
+        "claw-cut":
+            "1ce80871a6a3b0bafbbd294633f4fd23d8ea67f74b1736626e5667c911f80877",
+    },
+    "Haswell": {
+        "pincer-0.0-0":
+            "ae76b5fc4b36ec0909a54d2c6c973fe63bbd3ab0d244d4c1b2427d04f252c482",
+        "pincer-0.0-1":
+            "cfec9a528623ef75675e7240c0bbfd2c710624341ded0d7debbabafa460948d8",
+        "pincer-0.005-0":
+            "f6eb8d797e4fcf56f27dc856e6d67d145f01e3573aa388f5fbec8e3ce8eea460",
+        "pincer-0.005-1":
+            "efe98797f46591799d9452d90ad671b94052b00a1e9d3f728d2c3146e90b6b84",
+        "pincer-bound":
+            "854bc605de74584d7ed37d5501bbb44321fa897eaa14ebc07b2df016797615c8",
+        "pincer-cut":
+            "95063a8470ef0194cedd01fdcc0cff081ff95a7b9ab1e946272545f875079a07",
+        "claw-0.0-0":
+            "18033b677ae1483ebbb966ef0f9b5f11851c18958c913cee370927518a99384a",
+        "claw-0.0-1":
+            "44d974babaa3db8d4ea768aaf9173bd445e911aa7b8c1cf3f60f19d0db02c0e2",
+        "claw-0.005-0":
+            "64d0cc402c886f5cef92f3d3bc4f8231ae2e576a735342a79a431b5c1cd2ad63",
+        "claw-0.005-1":
+            "c379d29f0d56f25b11c9ef9a8d7be381281ab00c4bf9f55c7d22680423a9f44a",
+        "claw-bound":
+            "966436128c473abcd353d90484ae59d833ade38da783e10a388ec97ee0f94f74",
+        "claw-cut":
+            "9c01109653f2e34d2f9a1417f41c7d5a804f7f1fc13073e945111bb27ede9624",
+    },
+    "Sandybridge": {
+        "pincer-0.0-0":
+            "3f9dc0937ce17d244da607f6cdc01f05fc1e662a651a1150e52b382e6fbcf144",
+        "pincer-0.0-1":
+            "b5698ab74310b512075e96caa3547852b4851b40ddf6aed41c105b9c1dfb059b",
+        "pincer-0.005-0":
+            "51f611ccb1bbaadf3387b3cd405bcc5167a13b443b2fca9c8421b4255850f94e",
+        "pincer-0.005-1":
+            "909e1239454b06ec9949ea6a9f6d26331dba31e69586b64a3ee95deb2abeb897",
+        "pincer-bound":
+            "1208b87c2f511cc0969a86f1cd2844e893d5133f72e025c624ff0a13a33e8c83",
+        "pincer-cut":
+            "3051c7f6b017abe8e176ef0e639c64a16edf79031d96166a8416b9c3071a0575",
+        "claw-0.0-0":
+            "1aaff35a0e191b3d2ce13fbfcfc8ba4432081f50bde7db6bc417533758f5680d",
+        "claw-0.0-1":
+            "0e85d508a3b5c612740a478aaf8e4430a4e39c38a691c63eee1e3bacb14fab09",
+        "claw-0.005-0":
+            "9bedc106daf792dad93a6ac911899cfcfbc2707df985699da537a4c8e7b59767",
+        "claw-0.005-1":
+            "8bce356c9c8c3fc905e10949c5397aef38aeabaa7098c19ed3aee79d9133a689",
+        "claw-bound":
+            "c323a148c7e5a7b289e6f6390ebf0e303358e0827ac38650f62e046322e1787d",
+        "claw-cut":
+            "4c022a7ed86f73a976b8b4c05a70cb4c4f81c7a2ee1a3d7c5844e9159edd9bc7",
+    },
+}
+
 
 class TestPinnedSolves:
-    def test_iterates_unchanged(self, pincer, claw, blas_kernel):
+    def test_iterates_unchanged(self, pincer, claw, blas_kernel, monkeypatch):
         assert blas_kernel in PINNED_DIGESTS, f"no digests pinned for the {blas_kernel} kernel"
+        # each solve's TrfResult, for the iterates on the way to the pose
+        trf = []
+        solve = ik.solve_trf
+        monkeypatch.setattr(ik, "solve_trf",
+                            lambda *args, **kw: trf.append(solve(*args, **kw)) or trf[-1])
         got = {}
         for name, ee, targets, cloud, offset, max_iter in pinned_solves(pincer, claw):
             if name.endswith("bound"):
@@ -503,6 +596,8 @@ class TestPinnedSolves:
                 start = kinematics.heuristic_init_pose(ee, cloud, targets)
                 assert abs(np.trace(start.root_matrix()) + 1.0) < 1e-12
             res = solve_ik(ee, targets, cloud, offset=offset, max_iter=max_iter)
-            got[name] = (res.status, res.iterations, solution_digest(res))
-        assert got == {name: (*PINNED_SOLVES[name], PINNED_DIGESTS[blas_kernel][name])
+            got[name] = (res.status, res.iterations, solution_digest(res),
+                         history_digest(trf[-1]))
+        assert got == {name: (*PINNED_SOLVES[name], PINNED_DIGESTS[blas_kernel][name],
+                              PINNED_HISTORY_DIGESTS[blas_kernel][name])
                        for name in PINNED_SOLVES}

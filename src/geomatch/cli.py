@@ -367,10 +367,12 @@ def _ranks(text: str) -> tuple[int, ...]:
     return ranks
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not (text.isdigit() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"not an integer >= {low}: {text!r}")
+        return int(text)
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -415,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="weights output directory")
     p.add_argument("--ee-filter", help="comma list of end-effector ids "
                                        "(default: all)")
-    p.add_argument("--log-every", type=int, default=0,
+    p.add_argument("--log-every", type=_int_at_least(0), default=0,
                    help="a loss line on stderr every N epochs (default 0 = quiet)")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ik", help="solve IK for each proposal")
     p.add_argument("--proposals", required=True, help="proposals JSONL from infer")
     p.add_argument("--manifest", required=True, help="dataset dir or manifest.json")
-    p.add_argument("--max-iter", type=_positive_int, default=100,
+    p.add_argument("--max-iter", type=_int_at_least(1), default=100,
                    help="solver iteration cap (default 100)")
     p.add_argument("--out", required=True, help="output IK reports JSONL file")
     common(p)

@@ -11,11 +11,10 @@ the same layer arithmetic without a tape, for rollouts.
 
 A second CPU, where the process may run on two and BLAS runs one thread,
 takes part of the work through the worker thread of `worker`. Dense
-chains, each large one in two row halves, and the parameters in
-`adam_step` are `worker.split` between it and the main thread; while the
-main thread computes a dense layer's input gradients, the worker computes
-its weight gradient (`worker.beside`). Every Tensor and tape node is built
-on the main thread, and every result keeps its bits.
+chains, each large one in two row halves, a dense layer's gradient
+products and the parameters in `adam_step` are `worker.split` between it
+and the main thread. Every Tensor and tape node is built on the main
+thread, and every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ def _run(chains):
     output is filled; raises ShapeMismatch, before any chain runs, where a
     layer does not fit its input. The work items are (plan, rows), each
     chain's rows whole or in two halves from `_HALVE_ELEMENTS` on, and
-    they are `worker.split` by size; a single item runs here."""
+    they are `worker.split` by size."""
     plans, items, sizes = [], [], []
     for x, layers in chains:
         parts = [p if isinstance(p, tuple) else (p, None) for p in x]
@@ -205,10 +204,7 @@ def _run(chains):
         for lo, hi in ((0, cut), (cut, rows)) if cut else ((0, rows),):
             items.append((plans[-1], slice(lo, hi)))
             sizes.append((hi - lo) * weights)
-    if len(items) == 1:
-        _forward_chains(items)
-    else:
-        worker.split(_forward_chains, items, sizes=sizes)
+    worker.split(_forward_chains, items, sizes)
     return plans
 
 
@@ -253,10 +249,15 @@ def _dense_node(parts, w: Tensor, b: Tensor, relu: bool, layout,
         g_ks = [g if is_full else g_sum[None] for is_full in full]
         products = [(p.data.T, g_k, g_w[k])
                     for p, k, g_k in zip(parts, blocks, g_ks)]
-        with worker.beside(_matmuls, products):
+        g_x = []
+        for p, k, g_k in zip(parts, blocks, g_ks):
             # constant parts (the cloud, the head's distances) get no gradient
-            g_x = [(p, g_k @ w.data[k].T)
-                   for p, k, g_k in zip(parts, blocks, g_ks) if p.requires_grad]
+            if p.requires_grad:
+                g_p = np.empty(p.data.shape)
+                g_x.append((p, g_p))
+                products.append((g_k, w.data[k].T, g_p))
+        # each product's size is its multiply-adds, m * k * n
+        worker.split(_matmuls, products, [a.size * b.shape[1] for a, b, _ in products])
         return [(w, g_w), (b, g_sum)] + g_x
 
     return Tensor(out, _parents=(*parts, w, b), _backward=back)
@@ -462,8 +463,7 @@ def adam_step(store: ParameterStore, lr: float = 1e-4) -> None:
             store._v[name] = np.zeros(p.data.shape)
     params = [(p.data, p.grad, store._m[name], store._v[name])
               for name, p in store.items()]
-    worker.split(_adam_update, params, lr, c1, c2,
-                 sizes=[x.size for x, _, _, _ in params])
+    worker.split(_adam_update, params, [x.size for x, _, _, _ in params], lr, c1, c2)
     store.zero_grad()
 
 

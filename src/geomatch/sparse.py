@@ -26,7 +26,9 @@ def _product(nbr: np.ndarray, w: np.ndarray, dense: np.ndarray,
         raise ShapeMismatch(f"cannot multiply {shape} by {dense.shape}")
     out = np.empty((shape[0], dense.shape[1]))
     step = max(1, _BLOCK_ELEMENTS // (w.shape[1] * max(1, dense.shape[1])))
-    worker.split(_blocks, range(0, shape[0], step), nbr, w, dense, out, step)
+    starts = range(0, shape[0], step)
+    worker.split(_blocks, starts, [min(step, shape[0] - a) for a in starts],
+                 nbr, w, dense, out, step)
     return out
 
 

@@ -1,21 +1,19 @@
-"""One worker thread beside the main thread, where a CPU is spare.
+"""One worker thread next to the main thread, where a CPU is spare.
 
 `diffnet` and `sparse` hand it part of their work through `split`, which
-cuts a list of items in two and runs the first part on the worker, and
-`beside`, which runs one job there while the main thread runs a block. A
-job runs only `np.matmul`, ufuncs and indexing on arrays the main thread
-allocated and neither writes nor frees until it has waited for the job; it
-calls no traced function and builds no Tensor, so anything that wraps those
-(a tracer) sees every call on the main thread. Each job performs the same
-operations on the same operands as a single-threaded run, so every result
-keeps its bits.
+cuts a list of items in two by size and runs the first part on the worker
+while the main thread runs the rest. A job runs only `np.matmul`, ufuncs
+and indexing on arrays the main thread allocated and neither writes nor
+frees until it has waited for the job; it calls no traced function and
+builds no Tensor, so anything that wraps those (a tracer) sees every call
+on the main thread. Each job performs the same operations on the same
+operands as a single-threaded run, so every result keeps its bits.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from itertools import accumulate
 
 
@@ -36,46 +34,28 @@ def spare_cpu() -> bool:
 _POOL: ThreadPoolExecutor | None = None
 # Without a spare CPU a hand-off costs time and overlaps nothing (2-vCPU
 # Xeon VM): on one CPU the worker made toy training about 4% slower, and
-# beside BLAS threads on both CPUs it made a train stage 16-20% slower.
+# next to BLAS threads on both CPUs it made a train stage 16-20% slower.
 SPARE_CPU = spare_cpu()
 
 
-@contextmanager
-def beside(job, *args):
-    """Run `job(*args)` on the worker thread while the block runs here, and
-    yield a function that returns the job's result once the block has
-    left. On leaving, wait for the job and raise its exception (with its
-    own type), if the block raised none. Without a spare CPU, run the job
-    here first instead."""
+def split(job, items, sizes, *args) -> None:
+    """Run `job(items[:cut], *args)` on the worker thread while
+    `job(items[cut:], *args)` runs here, then wait for it and raise its
+    exception (with its own type), if this part raised none. The cut is the
+    one whose first part's total of `sizes` is nearest half of all, the
+    lower on a tie. A cut of 0, or no spare CPU, runs `job(items, *args)`
+    here, once."""
     global _POOL
-    if not SPARE_CPU:
-        result = job(*args)
-        yield lambda: result
+    ends = list(accumulate(sizes, initial=0))
+    cut = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
+    if not cut or not SPARE_CPU:
+        job(items, *args)
         return
     if _POOL is None:
         _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geomatch-worker")
-    future = _POOL.submit(job, *args)
+    future = _POOL.submit(job, items[:cut], *args)
     try:
-        yield future.result
+        job(items[cut:], *args)
     finally:
-        future.exception()      # waits, and lets the block's exception pass
+        future.exception()      # waits, and lets this part's exception pass
     future.result()
-
-
-def split(job, items, *args, sizes=None):
-    """Run `job(items[:cut], *args)` on the worker thread, as `beside`
-    runs a job, while `job(items[cut:], *args)` runs here; return both
-    results, in item order. The cut is len(items) // 2 or, given each
-    item's size, the one whose first part's total is nearest half of all,
-    the lower on a tie. An empty first part is not handed over: it runs
-    here, first."""
-    if sizes is None:
-        cut = len(items) // 2
-    else:
-        ends = list(accumulate(sizes, initial=0))
-        cut = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
-    if not cut:
-        return job(items[:0], *args), job(items, *args)
-    with beside(job, items[:cut], *args) as first:
-        rest = job(items[cut:], *args)
-    return first(), rest

@@ -691,3 +691,12 @@ def test_max_iter_at_least_one(artifacts, tmp_path, capsys, value):
                  "--manifest", str(artifacts / "data"), "--max-iter", value,
                  "--out", str(out)], capsys, "--max-iter")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-2", "1.5", "x"])
+def test_log_every_nonnegative(artifacts, tmp_path, capsys, value):
+    # --log-every -2 used to log every 2nd epoch, as 2 does
+    out = tmp_path / "weights"
+    usage_error(["train", "--manifest", str(artifacts / "data"), "--out", str(out),
+                 "--log-every", value], capsys, "--log-every")
+    assert not out.exists()

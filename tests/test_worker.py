@@ -1,20 +1,23 @@
 """The worker thread of `geomatch.worker`.
 
-Through `worker.split` the worker runs about half of every dense chain
-forward (the first row half of each large chain, whole chains below the
-size gate), the first half of every sparse product's row blocks and half
-of Adam; through `worker.beside` it runs each dense layer's
-weight-gradient product. The reference for every result is the same code
-with the executor replaced by one that runs each job at submission, on the
-calling thread, and the same code without a spare CPU. No other module of
-the package reaches the thread pool.
+Through `worker.split`, the one hand-off, the worker runs about half of
+every dense chain forward (the first row half of each large chain, whole
+chains below the size gate), the first half by multiply-adds of each dense
+layer's gradient products (its weight-gradient products come first), the
+first half of every sparse product's row blocks and half of Adam. The
+reference for every result is the same code with the executor replaced by
+one that runs each job at submission, on the calling thread, and the same
+code without a spare CPU. No other module of the package reaches the
+thread pool.
 """
 
+import hashlib
 import importlib
 import re
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import pytest
 from geomatch import diffnet as dn
 from geomatch import sparse, worker
 from geomatch.cli import main
-from geomatch.dataset import load_records
+from geomatch.dataset import generate_toy_dataset, load_records
 from geomatch.model import GeoMatchModel, ModelConfig, save_model
 from test_model import tiny_sample
 from test_trace_names import LAYERS
@@ -176,17 +179,70 @@ def test_same_bits_in_row_halves(monkeypatch, rng_np, fast_switching):
     assert second_halves == [256] * 8 * 3
 
 
+class TestPinnedTraining:
+    """Losses, values and Adam moments after full-size steps, hashed: four
+    steps on the S = 64 toy fixture, and one at S_O = 512, where the heads
+    and the wide encoder layers run in row halves. The digests are per
+    OpenBLAS kernel (numpy 2.4, OpenBLAS 0.3.31, x86-64): the kernels round
+    some products differently."""
+
+    DIGESTS = {
+        "SkylakeX": {
+            "toy": "1e7abbd855086696cbb3679050d37ae1e85cf3e830592ed3f2e53e6618478b8f",
+            "halves": "0fbabb1862979907649ccedc3b5d4af900bae2df8fac6d6c078582807b9e1d09",
+        },
+        "Haswell": {
+            "toy": "92e1c2a752e74fbee551fe9474ee8133e764211d8b7e27c1700e0cd2d10e470f",
+            "halves": "7805e7d324be1705e43fe8293e6fb0e4acb52a3feca81a7b6f7d61b139040529",
+        },
+        "Sandybridge": {
+            "toy": "1bbf43468312703dd7d5615f8ee12f578bd45dbc0e654e20b5c65c790a7fc67b",
+            "halves": "d15205d703f1cbe6bfcef82c5d5d6f1fd4ff69c41b4fcd41d98dbdba4b9798bb",
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["toy", "halves"])
+    def test_training_unchanged(self, toy_samples, rng_np, blas_kernel, case):
+        assert blas_kernel in self.DIGESTS, f"no digests pinned for the {blas_kernel} kernel"
+        samples = (toy_samples if case == "toy"
+                   else [tiny_sample(rng_np, s_o=512, s_g=64)])
+        losses, values, m, v = train_state(ModelConfig(), samples, 11)
+        digest = hashlib.sha256(b"".join(losses + values + m + v)).hexdigest()
+        assert digest == self.DIGESTS[blas_kernel][case], f"{case} on the {blas_kernel} kernel"
+
+
+@pytest.mark.parametrize("case", ["small", "halves"])
 def test_infer_same_bytes_in_three_modes(monkeypatch, toy_dataset, tmp_path,
-                                        small_blocks):
+                                        small_blocks, case):
     """`infer` writes the same proposals with the worker, with every job
-    run at submission and without a spare CPU."""
-    save_model(GeoMatchModel(SMALL, seed=3), tmp_path / "w")
+    run at submission and without a spare CPU: a small network on the
+    S = 64 fixture, and the full-size network at S_O = 256, where rows x
+    weight elements reach 2^25 and every head step of a rollout runs in
+    two row halves."""
+    if case == "small":
+        config, data = SMALL, toy_dataset
+    else:
+        config = ModelConfig()
+        data = generate_toy_dataset(seed=11, out_dir=tmp_path / "data", s_o=256,
+                                    s_g=64, object_ids=["sphere_small"])
+    save_model(GeoMatchModel(config, seed=3), tmp_path / "w")
+    halves = []     # (layers, first row) of every chain item run
+    job = dn._forward_chains
+    monkeypatch.setattr(dn, "_forward_chains", lambda items: (
+        halves.extend((len(plan[1]), rows.start) for plan, rows in items),
+        job(items))[1])
 
     def infer(name):
         out = tmp_path / name
+        halves.clear()
         assert main(["infer", "--weights", str(tmp_path / "w"), "--manifest",
-                     toy_dataset.base_dir, "--split", "all", "--ranks",
+                     data.base_dir, "--split", "all", "--ranks",
                      "0,5,11", "--out", str(out)]) == 0
+        if case == "halves":
+            # the five heads are the only chains of more than one layer
+            steps = 5 * len(out.read_text().splitlines())
+            assert Counter(row for layers, row in halves if layers > 1) == {
+                0: steps, 128: steps}
         return out.read_bytes()
 
     jobs = []
@@ -210,19 +266,42 @@ class RecordingPool:
         return InlineExecutor().submit(fn, *args)
 
 
-def parts(items):
-    """A `split` job: the part it was given, with its thread."""
-    return list(items), threading.get_ident()
+def split_parts(items, sizes, *args):
+    """The parts `worker.split(job, items, sizes, *args)` ran, in item
+    order, each (items, whether it ran on the worker, args), as the job
+    recorded them."""
+    seen, main = [], threading.get_ident()
+
+    def job(part, *job_args):
+        seen.append((list(part), threading.get_ident() != main, job_args))
+
+    worker.split(job, items, sizes, *args)
+    seen.sort(key=lambda part: not part[1])     # the worker runs the first
+    assert [x for part, _, _ in seen for x in part] == list(items)
+    return seen
+
+
+def cut_of(items, sizes):
+    """The cut `split` made: the length of the part the worker ran, or 0
+    where the job ran once, here."""
+    seen = split_parts(items, sizes)
+    if len(seen) == 1:
+        assert not seen[0][1]
+        return 0
+    (first, on_worker, _), (_, here_on_worker, _) = seen
+    assert on_worker and not here_on_worker
+    return len(first)
 
 
 class TestSplit:
     @pytest.mark.parametrize("n", range(7))
     def test_equal_sizes_cut_in_half(self, n):
-        (first, worker_thread), (rest, here) = worker.split(parts, range(n))
-        assert first == list(range(n // 2)) and rest == list(range(n // 2, n))
-        assert here == threading.get_ident()
+        seen = split_parts(range(n), [1] * n)
         if n > 1:
-            assert worker_thread != here
+            assert seen == [(list(range(n // 2)), True, ()),
+                            (list(range(n // 2, n)), False, ())]
+        else:
+            assert seen == [(list(range(n)), False, ())]
 
     @pytest.mark.parametrize("sizes, cut", [
         ([], 0), ([3], 0), ([1, 1], 1), ([5, 1], 1), ([1, 5], 1),
@@ -231,7 +310,7 @@ class TestSplit:
         ([2, 2, 2, 2], 2), ([0, 0, 4], 0), ([1, 1, 1, 9], 3),
     ])
     def test_given_sizes_cut_nearest_half(self, sizes, cut):
-        assert worker.split(len, list(sizes), sizes=sizes) == (cut, len(sizes) - cut)
+        assert cut_of(list(range(len(sizes))), sizes) == cut
 
     @pytest.mark.parametrize("config", [ModelConfig(), SMALL], ids=["full", "small"])
     def test_store_cut_matches_argmin(self, config):
@@ -240,45 +319,42 @@ class TestSplit:
         ends = np.cumsum([0] + sizes)
         cut = int(np.argmin(np.abs(2 * ends - ends[-1])))
         assert 0 < cut < len(sizes)
-        assert worker.split(len, sizes, sizes=sizes) == (cut, len(sizes) - cut)
+        assert cut_of(sizes, sizes) == cut
 
-    def test_empty_first_part_submits_nothing(self, monkeypatch):
+    def test_cut_zero_submits_nothing(self, monkeypatch):
         pool = RecordingPool()
         monkeypatch.setattr(worker, "_POOL", pool)
-        assert worker.split(list, [7]) == ([], [7])
-        assert worker.split(list, [7, 8], sizes=[0, 5]) == ([], [7, 8])
+        assert split_parts([7], [1]) == [([7], False, ())]
+        assert split_parts([7, 8], [0, 5]) == [([7, 8], False, ())]
         assert pool.submitted == []
-        assert worker.split(list, [7, 8]) == ([7], [8])
-        assert pool.submitted == [(list, [7])]
+        assert split_parts([7, 8], [1, 1], "a") == [([7], False, ("a",)),
+                                                    ([8], False, ("a",))]
+        assert [items for _, items in pool.submitted] == [[7]]
 
-    def test_same_results_in_every_mode(self, monkeypatch):
+    @pytest.mark.parametrize("sizes", ["equal", "given"])
+    def test_same_results_in_every_mode(self, monkeypatch, sizes):
         items = [np.arange(k, dtype=float) for k in range(1, 9)]
+        sizes = [1] * len(items) if sizes == "equal" else [x.size for x in items]
 
-        def job(part, scale):
-            return [x * scale + 1.0 for x in part]
+        def job(part, out, scale):
+            for i in part:
+                out[i] = items[i] * scale + 1.0
 
-        def run(sizes):
-            first, rest = worker.split(job, items, 0.5, sizes=sizes)
-            return [x.tobytes() for x in first + rest]
+        def run():
+            out = [None] * len(items)
+            worker.split(job, range(len(items)), sizes, out, 0.5)
+            return [x.tobytes() for x in out]
 
         want = [(x * 0.5 + 1.0).tobytes() for x in items]
-        sizes = [x.size for x in items]
-        assert run(None) == run(sizes) == want
+        assert run() == want
         monkeypatch.setattr(worker, "_POOL", InlineExecutor())
-        assert run(None) == run(sizes) == want
+        assert run() == want
         monkeypatch.setattr(worker, "SPARE_CPU", False)
-        assert run(None) == run(sizes) == want
+        assert run() == want
 
-    def test_no_spare_cpu_runs_both_parts_here_in_order(self, monkeypatch):
+    def test_no_spare_cpu_runs_the_job_once_here(self, monkeypatch):
         monkeypatch.setattr(worker, "SPARE_CPU", False)
-        seen = []
-
-        def job(part):
-            seen.append((list(part), threading.get_ident()))
-
-        worker.split(job, range(5))
-        assert seen == [([0, 1], threading.get_ident()),
-                        ([2, 3, 4], threading.get_ident())]
+        assert split_parts(range(5), [1] * 5, 3) == [([0, 1, 2, 3, 4], False, (3,))]
 
     def test_main_thread_error_waits_for_the_first_part(self):
         finished = []
@@ -290,28 +366,27 @@ class TestSplit:
             finished.append(part)
 
         with pytest.raises(Boom, match="main"):
-            worker.split(job, [1, 2])
+            worker.split(job, [1, 2], [1, 1])
         assert finished == [[1]]
 
     def test_worker_error_surfaces_with_its_type(self):
         def job(part):
             if threading.current_thread() is not threading.main_thread():
                 raise Boom("worker")
-            return part
 
         with pytest.raises(Boom, match="worker"):
-            worker.split(job, [1, 2])
+            worker.split(job, [1, 2], [1, 1])
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geomatch"
 HAND_OFFS = re.compile(r"\b(import threading|from threading|concurrent\.futures"
-                       r"|SPARE_CPU|_POOL)\b")
+                       r"|SPARE_CPU|_POOL|worker\.(?!split\b)\w+)\b")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_worker_reaches_the_thread(path):
-    """Every hand-off goes through `worker.split` or `worker.beside`, so a
-    new hand-rolled one fails here first."""
+    """Every hand-off goes through `worker.split`, the one name other
+    modules use from `worker`, so a new hand-rolled one fails here first."""
     hits = [ln for ln, line in enumerate(path.read_text().splitlines(), start=1)
             if HAND_OFFS.search(line)]
     if path.name == "worker.py":

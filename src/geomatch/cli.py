@@ -19,6 +19,7 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from . import dataset as ds
+from . import diffnet as dn
 from . import evaluation as ev
 from . import inference as inf
 from . import model as gm
@@ -195,14 +196,16 @@ def cmd_infer(args) -> int:
     object_ids = sorted(set(
         r.object_id for r in manifest.records_for_split(args.split)))
     # one encoder pass per cloud: each object's and each gripper's half
-    # pairs with every half of the other kind
-    v_kps = {ee_id: model.encode(gripper_graph=ee.rest_graph,
-                                 keypoint_vertices=ee.keypoint_vertices)[1]
+    # pairs with every half of the other kind. A half is kept as a leaf
+    # Tensor, so no encoder tape stays alive while the rollouts run.
+    v_kps = {ee_id: dn.Tensor(model.encode(
+                 gripper_graph=ee.rest_graph,
+                 keypoint_vertices=ee.keypoint_vertices)[1].data)
              for ee_id, ee in sorted(ees.items())}
     proposals = []
     for obj_id in object_ids:
         graph = knn_graph(clouds[obj_id], cfg.knn_k)
-        v_obj, _ = model.encode(graph)
+        v_obj = dn.Tensor(model.encode(graph)[0].data)
         for ee_id, v_kp in v_kps.items():
             proposals.extend(inf.propose_grasps(
                 model, graph, ees[ee_id], ranks, object_id=obj_id,

@@ -492,19 +492,19 @@ def _adam_update(params, lr, c1, c2) -> None:
 # ---------------------------------------------------------------------------
 
 def save_weights(store: ParameterStore, directory) -> None:
+    """manifest.json and weights.bin: every parameter's little-endian
+    float64 values in store order, each written from its own array."""
     os.makedirs(directory, exist_ok=True)
     manifest = []
     offset = 0
-    blobs = []
     for name, p in store.items():
-        raw = p.data.astype("<f8").tobytes()
         manifest.append({"name": name, "shape": list(p.data.shape),
                          "byte_offset": offset})
-        offset += len(raw)
-        blobs.append(raw)
+        offset += 8 * p.data.size
     write_json(os.path.join(directory, "manifest.json"), manifest)
     with open(os.path.join(directory, "weights.bin"), "wb") as fh:
-        fh.write(b"".join(blobs))
+        for _, p in store.items():
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
 def check_weight_files(directory, shapes: dict) -> list[int]:
@@ -549,8 +549,9 @@ def load_weights(store: ParameterStore, directory) -> None:
     names = store.names()
     starts = check_weight_files(
         directory, {name: p.data.shape for name, p in store.items()})
-    with open(os.path.join(directory, "weights.bin"), "rb") as fh:
-        values = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+    # one array, which every parameter views; no copy where "<f8" is native
+    values = np.fromfile(os.path.join(directory, "weights.bin"),
+                         dtype="<f8").astype(np.float64, copy=False)
     for name, start, end in zip(names, starts, starts[1:]):
         # a NaN would pass the ReLU as 0.0 and hide the damage
         if not np.isfinite(values[start:end]).all():

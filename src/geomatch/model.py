@@ -283,6 +283,7 @@ def train(model: GeoMatchModel, samples: list[TrainingSample],
             dn.backward(total)
             dn.adam_step(model.store, lr=lr)
             sums += (total.item(), loss_f.item(), loss_m.item())
+            del total, loss_f, loss_m   # this step's tape goes before the next forward
         mean = sums / len(order)
         history.append({"epoch": epoch, "loss_total": float(mean[0]),
                         "loss_f": float(mean[1]), "loss_m": float(mean[2])})

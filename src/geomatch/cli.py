@@ -54,9 +54,9 @@ class RunConfig:
     lr: float = gm.DEFAULT_LR
     epochs: int = gm.DEFAULT_EPOCHS
     ranks: tuple = inf.DEFAULT_RANKS
-    friction_mu: float = 0.5
-    cone_edges: int = 8
-    snap_radius: float = 0.01
+    friction_mu: float = ev.EvalConfig.friction_mu
+    cone_edges: int = ev.EvalConfig.cone_edges
+    snap_radius: float = ev.EvalConfig.snap_radius
 
     _RANGES = {
         "knn_k": (1, 64), "m": (1, 4096), "threshold": (1e-6, 1.0),

@@ -10,11 +10,12 @@ the product `spmm(A_hat, h)`. No other op broadcasts. `forward_chains` runs
 the same layer arithmetic without a tape, for rollouts.
 
 A second CPU, where the process may run on two and BLAS runs one thread,
-takes part of the work through the worker thread of `worker`. Dense
-chains, each large one in two row halves, a dense layer's gradient
-products and the parameters in `adam_step` are `worker.split` between it
-and the main thread. Every Tensor and tape node is built on the main
-thread, and every result keeps its bits.
+takes part of the work through the worker thread of `worker`; this is the
+one module that hands it work. Dense chains, each large one in two row
+halves, a dense layer's gradient products and the parameters in
+`adam_step` are `worker.split` between it and the main thread. Every
+Tensor and tape node is built on the main thread, and every result keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -177,8 +178,10 @@ def _layout(shapes, w: np.ndarray, b: np.ndarray):
 
 
 # A chain whose S x (its weights' elements) reaches this runs in two row
-# halves: a full-size head from S = 203 (at S = 128 halves slowed a rollout
-# head step by 20%). The cut is a multiple of 8 rows, where the OpenBLAS
+# halves: a full-size head from S = 203. At S = 128 halves gained nothing
+# steady: rollouts took 4.8-7.6 ms in halves, 6.3-6.7 ms whole (2-vCPU VM),
+# and two short products split over the threads took 795-953 us against
+# 352 us for one alone. The cut is a multiple of 8 rows, where the OpenBLAS
 # kernels tried (SkylakeX, Haswell, Sandybridge) keep the whole product's bits.
 _HALVE_ELEMENTS = 1 << 25
 

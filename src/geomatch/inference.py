@@ -101,7 +101,7 @@ def pair_inputs(model: GeoMatchModel, object_graph: GeometryGraph,
     v_obj, v_kp = embeddings
     p = model.config.proj_dim
     heads = []
-    for n in range(1, model.config.n_keypoints):
+    for n in range(1, N_KEYPOINTS):
         layers, kp = model.head_layers(n), v_kp.data[[n]]
         w = layers[0][0].data
         heads.append(([(v_obj.data, v_obj.data @ w[:p]), (kp, kp @ w[p:2 * p])],

@@ -43,11 +43,10 @@ class ModelConfig:
     gcn_out: int = 512
     proj_dim: int = 64
     ar_hidden: tuple[int, ...] = (256, 256, 256)
-    n_keypoints: int = N_KEYPOINTS
 
     @property
     def distance_slots(self) -> int:
-        return self.n_keypoints - 1
+        return N_KEYPOINTS - 1
 
     @property
     def ar_input_dim(self) -> int:
@@ -56,21 +55,20 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {"gcn_hidden": list(self.gcn_hidden), "gcn_out": self.gcn_out,
                 "proj_dim": self.proj_dim, "ar_hidden": list(self.ar_hidden),
-                "n_keypoints": self.n_keypoints}
+                "n_keypoints": N_KEYPOINTS}
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
         config = ModelConfig(gcn_hidden=tuple(int(n) for n in doc["gcn_hidden"]),
                              gcn_out=int(doc["gcn_out"]),
                              proj_dim=int(doc["proj_dim"]),
-                             ar_hidden=tuple(int(n) for n in doc["ar_hidden"]),
-                             n_keypoints=int(doc["n_keypoints"]))
+                             ar_hidden=tuple(int(n) for n in doc["ar_hidden"]))
         if min(*config.gcn_hidden, *config.ar_hidden, config.gcn_out,
-               config.proj_dim, config.n_keypoints) < 1:
+               config.proj_dim) < 1:
             raise ValueError(f"layer widths must be positive: {doc}")
         # every later stage reads six contacts per proposal
-        if config.n_keypoints != N_KEYPOINTS:
-            raise ValueError(f"n_keypoints is {config.n_keypoints}, "
+        if int(doc["n_keypoints"]) != N_KEYPOINTS:
+            raise ValueError(f"n_keypoints is {doc['n_keypoints']}, "
                              f"the grippers have {N_KEYPOINTS}")
         return config
 
@@ -85,7 +83,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{enc}_enc.b{i}"] = (enc_dims[i + 1],)
         shapes[f"{enc}_proj.w"] = (config.gcn_out, config.proj_dim)
     ar_dims = [config.ar_input_dim, *config.ar_hidden, 1]
-    for n in range(1, config.n_keypoints):
+    for n in range(1, N_KEYPOINTS):
         for i in range(len(ar_dims) - 1):
             shapes[f"ar{n}.w{i}"] = (ar_dims[i], ar_dims[i + 1])
             shapes[f"ar{n}.b{i}"] = (ar_dims[i + 1],)
@@ -178,7 +176,7 @@ class GeoMatchModel:
                gripper_graph: GeometryGraph | None = None, keypoint_vertices=None
                ) -> tuple[dn.Tensor | None, dn.Tensor | None]:
         """Projected embeddings of every object vertex (S_O x p) and of the
-        gripper's keypoint vertices (n_keypoints x p, in keypoint order).
+        gripper's keypoint vertices (N_KEYPOINTS x p, in keypoint order).
 
         Each half is computed only when its input is given (the object
         graph; the gripper graph with its keypoint vertices) and is None
@@ -199,15 +197,15 @@ class GeoMatchModel:
         return v_obj, v_kp
 
     def score_map(self, v_obj: dn.Tensor, v_kp: dn.Tensor) -> dn.Tensor:
-        """(S_O, n_keypoints) dot-product contact scores."""
+        """(S_O, N_KEYPOINTS) dot-product contact scores."""
         return dn.matmul(v_obj, dn.transpose(v_kp))
 
     def ar_logits(self, v_obj: dn.Tensor, v_kp: dn.Tensor, contacts,
                   object_points: np.ndarray) -> list[dn.Tensor]:
-        """Per-object-vertex logits of every head n = 1..n_keypoints - 1,
+        """Per-object-vertex logits of every head n = 1..N_KEYPOINTS - 1,
         one (S, 1) tensor each, head n given contacts[:n]; `v_kp` holds the
         keypoint embeddings from `encode`. `contacts` holds the contacts of
-        keypoints 0 to n_keypoints - 2, in keypoint order, or of every
+        keypoints 0 to N_KEYPOINTS - 2, in keypoint order, or of every
         keypoint (the last is not read). The heads run as one
         `dn.dense_chains` call."""
         slots = self.config.distance_slots
@@ -221,7 +219,7 @@ class GeoMatchModel:
         return dn.dense_chains([
             ([v_obj, dn.gather_rows(v_kp, [n]),
               np.where(np.arange(slots) < n, dists, 0.0)], self.head_layers(n))
-            for n in range(1, self.config.n_keypoints)])
+            for n in range(1, N_KEYPOINTS)])
 
     def head_layers(self, n: int) -> list:
         """Head n's (w, b, relu) layers, the ReLU on all but the last. The

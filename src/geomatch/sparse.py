@@ -1,15 +1,13 @@
 """Sparse matrix in padded-neighbour form, for graph adjacency.
 
-A product runs in blocks of rows, which `worker.split` shares between the
-worker thread and the main thread. Each block is one `np.matmul` call
-whichever thread runs it, so the product keeps its bits.
+A product runs on the calling thread in blocks of rows, each block one
+`np.matmul` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import worker
 from .errors import ShapeMismatch
 
 _BLOCK_ELEMENTS = 1 << 16    # 512 KB of float64
@@ -17,27 +15,18 @@ _BLOCK_ELEMENTS = 1 << 16    # 512 KB of float64
 
 def _product(nbr: np.ndarray, w: np.ndarray, dense: np.ndarray,
              shape: tuple[int, int]) -> np.ndarray:
-    """The (shape[0], F) product of padded arrays (nbr, w) with dense.
-
-    Each block of rows has its gathered neighbour rows sized to stay in
-    cache."""
+    """The (shape[0], F) product of padded arrays (nbr, w) with dense: one
+    batched (1, D) @ (D, F) product per block of rows, each block's
+    gathered neighbour rows sized to stay in cache."""
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != shape[1]:
         raise ShapeMismatch(f"cannot multiply {shape} by {dense.shape}")
     out = np.empty((shape[0], dense.shape[1]))
     step = max(1, _BLOCK_ELEMENTS // (w.shape[1] * max(1, dense.shape[1])))
-    starts = range(0, shape[0], step)
-    worker.split(_blocks, starts, [min(step, shape[0] - a) for a in starts],
-                 nbr, w, dense, out, step)
-    return out
-
-
-def _blocks(starts, nbr, w, dense, out, step) -> None:
-    """Rows a:a + step of the product into `out`, for each a in `starts`:
-    one batched (1, D) @ (D, F) product per block."""
-    for a in starts:
+    for a in range(0, shape[0], step):
         np.matmul(w[a:a + step, None, :], dense[nbr[a:a + step]],
                   out=out[a:a + step, None, :])
+    return out
 
 
 class SparseCOO:

@@ -1,13 +1,14 @@
 """One worker thread next to the main thread, where a CPU is spare.
 
-`diffnet` and `sparse` hand it part of their work through `split`, which
-cuts a list of items in two by size and runs the first part on the worker
-while the main thread runs the rest. A job runs only `np.matmul`, ufuncs
-and indexing on arrays the main thread allocated and neither writes nor
-frees until it has waited for the job; it calls no traced function and
-builds no Tensor, so anything that wraps those (a tracer) sees every call
-on the main thread. Each job performs the same operations on the same
-operands as a single-threaded run, so every result keeps its bits.
+`diffnet` alone hands it work, through `split`: chain forwards, dense
+backward products and Adam. `split` cuts a list of items in two by size
+and runs the first part on the worker while the main thread runs the
+rest. A job runs only `np.matmul`, ufuncs and indexing on arrays the main
+thread allocated and neither writes nor frees until it has waited for the
+job; it calls no traced function and builds no Tensor, so anything that
+wraps those (a tracer) sees every call on the main thread. Each job
+performs the same operations on the same operands as a single-threaded
+run, so every result keeps its bits.
 """
 
 from __future__ import annotations

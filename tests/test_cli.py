@@ -283,8 +283,12 @@ class TestWeightFileFaults:
         # ik reads six contacts per proposal; infer must not write three
         from geomatch.model import GeoMatchModel, ModelConfig, save_model
         config = ModelConfig(gcn_hidden=(6,), gcn_out=8, proj_dim=4,
-                             ar_hidden=(6,), n_keypoints=3)
+                             ar_hidden=(6,))
         save_model(GeoMatchModel(config, seed=1), tmp_path / "w")
+        path = tmp_path / "w" / "model_config.json"
+        doc = json.loads(path.read_text())
+        doc["n_keypoints"] = 3
+        path.write_text(json.dumps(doc))
         assert self.infer(pipeline_dir, tmp_path / "w") == 2
         assert "model_config.json" in capsys.readouterr().err
         assert not (tmp_path / "w" / "proposals.jsonl").exists()

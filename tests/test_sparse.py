@@ -1,8 +1,6 @@
 """The padded-neighbour adjacency operator and its row blocks against dense
 products."""
 
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,8 +49,9 @@ class TestProducts:
 
 
 class TestSplitRows:
-    """A product of two blocks or more runs its first half on the worker
-    thread; the reference is one loop over every block on this thread."""
+    """A product runs every row block on the calling thread, also where
+    the worker has a spare CPU; the reference is one loop over every
+    block on this thread."""
 
     @pytest.fixture(autouse=True)
     def spare_cpu(self, monkeypatch):
@@ -98,26 +97,19 @@ class TestSplitRows:
         assert adj.matmul(h).tobytes() == want.tobytes()
         assert adj.rmatmul(h).tobytes() == want.tobytes()
 
-    def test_one_block_submits_no_job(self, monkeypatch, rng_np):
-        submitted = []
+    def test_no_product_submits_a_job(self, monkeypatch, rng_np):
+        class NoPool:
+            def submit(self, *args):
+                pytest.fail("a sparse product submitted a job")
 
-        class RecordingPool:
-            def submit(self, fn, *args):
-                submitted.append(fn)
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(worker, "_POOL", RecordingPool())
+        monkeypatch.setattr(worker, "_POOL", NoPool())
         adj = knn_graph(PointCloud(rng_np.normal(size=(40, 3))), 3).normalized_adjacency
         h = rng_np.normal(size=(40, 3))
-        assert self.one_thread(adj.nbr, adj.w, h)[1] == 1
-        adj.matmul(h)
-        adj.rmatmul(h)
-        assert submitted == []
         monkeypatch.setattr(sparse, "_BLOCK_ELEMENTS", 20 * adj.w.shape[1] * 3)
-        adj.matmul(h)
-        assert submitted == [sparse._blocks]
+        want, blocks = self.one_thread(adj.nbr, adj.w, h)
+        assert blocks == 2
+        assert adj.matmul(h).tobytes() == want.tobytes()
+        assert adj.rmatmul(h).tobytes() == want.tobytes()
 
 
 class TestBlock:

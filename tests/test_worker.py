@@ -1,14 +1,14 @@
 """The worker thread of `geomatch.worker`.
 
-Through `worker.split`, the one hand-off, the worker runs about half of
-every dense chain forward (the first row half of each large chain, whole
-chains below the size gate), the first half by multiply-adds of each dense
-layer's gradient products (its weight-gradient products come first), the
-first half of every sparse product's row blocks and half of Adam. The
-reference for every result is the same code with the executor replaced by
-one that runs each job at submission, on the calling thread, and the same
-code without a spare CPU. No other module of the package reaches the
-thread pool.
+Through `worker.split`, the one hand-off, which only `diffnet` calls, the
+worker runs about half of every dense chain forward (the first row half of
+each large chain, whole chains below the size gate), the first half by
+multiply-adds of each dense layer's gradient products (its weight-gradient
+products come first) and half of Adam; sparse products run on the calling
+thread. The reference for every result is the same code with the executor
+replaced by one that runs each job at submission, on the calling thread,
+and the same code without a spare CPU. No other module of the package
+reaches the thread pool.
 """
 
 import hashlib
@@ -37,8 +37,7 @@ SMALL = ModelConfig(gcn_hidden=(64, 64, 64), gcn_out=64, proj_dim=16,
 
 
 # every job the worker runs, by the module that hands it over
-JOBS = ((dn, "_forward_chains"), (sparse, "_blocks"), (dn, "_matmuls"),
-        (dn, "_adam_update"))
+JOBS = ((dn, "_forward_chains"), (dn, "_matmuls"), (dn, "_adam_update"))
 JOB_NAMES = {name for _, name in JOBS}
 
 
@@ -103,13 +102,6 @@ def toy_samples(toy_dataset):
     return load_records(toy_dataset, split="train")[:4]
 
 
-@pytest.fixture()
-def small_blocks(monkeypatch):
-    # 1 KB blocks: every sparse product of `big_sample` in `SMALL` has at
-    # least two of them
-    monkeypatch.setattr(sparse, "_BLOCK_ELEMENTS", 1 << 7)
-
-
 def big_sample(rng):
     return tiny_sample(rng, s_o=300, s_g=64)
 
@@ -141,26 +133,29 @@ def assert_same_bits_in_three_modes(monkeypatch, config, samples, jobs):
 
 
 def test_same_bits_as_inline(monkeypatch, toy_samples, fast_switching):
-    """The full network on the S = 64 fixture: the head chains split, and
-    the sparse products of 256 columns have several blocks."""
+    """The full network on the S = 64 fixture: the head chains split."""
     jobs = []
     record_jobs(monkeypatch, jobs)
     assert_same_bits_in_three_modes(monkeypatch, ModelConfig(), toy_samples, jobs)
 
 
-def test_same_bits_with_split_products(monkeypatch, rng_np, small_blocks,
-                                       fast_switching):
-    """Every sparse product, 3 columns wide or 64, splits its blocks."""
-    products, jobs = [], []
-    record_threads(monkeypatch, sparse, "_product", products)
+def test_same_bits_with_many_row_blocks(monkeypatch, rng_np, fast_switching):
+    """Every sparse product, 3 columns wide or 64, runs two row blocks or
+    more on the calling thread while the worker runs every kind of job."""
+    monkeypatch.setattr(sparse, "_BLOCK_ELEMENTS", 1 << 7)    # 1 KB blocks
+    product, blocks, jobs = sparse._product, [], []
+
+    def recorded(nbr, w, dense, shape):
+        step = sparse._BLOCK_ELEMENTS // (w.shape[1] * dense.shape[1])
+        blocks.append((-(-shape[0] // max(1, step)), threading.get_ident()))
+        return product(nbr, w, dense, shape)
+
+    monkeypatch.setattr(sparse, "_product", recorded)
     record_jobs(monkeypatch, jobs)
     samples = [big_sample(rng_np) for _ in range(2)]
-    step(GeoMatchModel(SMALL, seed=2), samples[0])
-    main = threading.get_ident()
-    on_worker = [t for name, t in jobs if name == "_blocks" and t != main]
-    assert len(on_worker) == len(products) > 0
-    jobs.clear()
     assert_same_bits_in_three_modes(monkeypatch, SMALL, samples, jobs)
+    assert blocks and min(n for n, _ in blocks) >= 2
+    assert {t for _, t in blocks} == {threading.get_ident()}
 
 
 def test_same_bits_in_row_halves(monkeypatch, rng_np, fast_switching):
@@ -213,12 +208,13 @@ class TestPinnedTraining:
 
 @pytest.mark.parametrize("case", ["small", "halves"])
 def test_infer_same_bytes_in_three_modes(monkeypatch, toy_dataset, tmp_path,
-                                        small_blocks, case):
+                                        case):
     """`infer` writes the same proposals with the worker, with every job
     run at submission and without a spare CPU: a small network on the
-    S = 64 fixture, and the full-size network at S_O = 256, where rows x
-    weight elements reach 2^25 and every head step of a rollout runs in
-    two row halves."""
+    S = 64 fixture, where every chain of `infer` is one item and no job
+    reaches the worker, and the full-size network at S_O = 256, where rows
+    x weight elements reach 2^25 and every head step of a rollout runs in
+    two row halves on both threads."""
     if case == "small":
         config, data = SMALL, toy_dataset
     else:
@@ -248,7 +244,8 @@ def test_infer_same_bytes_in_three_modes(monkeypatch, toy_dataset, tmp_path,
     jobs = []
     record_jobs(monkeypatch, jobs)
     threaded = infer("threaded.jsonl")
-    assert any(t != threading.get_ident() for _, t in jobs)
+    if case == "halves":
+        assert any(t != threading.get_ident() for _, t in jobs)
     monkeypatch.setattr(worker, "_POOL", InlineExecutor())
     assert infer("inline.jsonl") == threaded
     monkeypatch.setattr(worker, "SPARE_CPU", False)
@@ -380,22 +377,26 @@ class TestSplit:
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geomatch"
 HAND_OFFS = re.compile(r"\b(import threading|from threading|concurrent\.futures"
-                       r"|SPARE_CPU|_POOL|worker\.(?!split\b)\w+)\b")
+                       r"|SPARE_CPU|_POOL|import worker|worker\.\w+)\b")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_worker_reaches_the_thread(path):
-    """Every hand-off goes through `worker.split`, the one name other
-    modules use from `worker`, so a new hand-rolled one fails here first."""
-    hits = [ln for ln, line in enumerate(path.read_text().splitlines(), start=1)
-            if HAND_OFFS.search(line)]
+    """Every hand-off is a `worker.split` call in `diffnet`, the one module
+    that imports `worker` and the one name it uses from it, so a new
+    hand-rolled hand-off, or one from another module, fails here first."""
+    hits = [(ln, hit.group()) for ln, line in
+            enumerate(path.read_text().splitlines(), start=1)
+            for hit in HAND_OFFS.finditer(line)]
     if path.name == "worker.py":
         assert hits, "worker.py should hold the pool"
     else:
-        assert not hits, f"{path.name} reaches the worker thread itself at lines {hits}"
+        allowed = {"import worker", "worker.split"} if path.name == "diffnet.py" else set()
+        lines = [ln for ln, hit in hits if hit not in allowed]
+        assert not lines, f"{path.name} reaches the worker thread at lines {lines}"
 
 
-def test_no_spare_cpu_runs_every_job_inline(monkeypatch, rng_np, small_blocks):
+def test_no_spare_cpu_runs_every_job_inline(monkeypatch, rng_np):
     class NoPool:
         def submit(self, *args):
             pytest.fail("job submitted without a spare CPU")
@@ -428,7 +429,7 @@ def test_spare_cpu(monkeypatch, cpus, env, spare):
     assert worker.spare_cpu() is spare
 
 
-def test_worker_runs_no_traced_function(monkeypatch, rng_np, small_blocks):
+def test_worker_runs_no_traced_function(monkeypatch, rng_np):
     """Every traced layer and every Tensor is built on the main thread,
     while the worker runs every kind of job."""
     sample = big_sample(rng_np)
@@ -463,7 +464,7 @@ def test_worker_runs_no_traced_function(monkeypatch, rng_np, small_blocks):
 
 class TestWorkerErrors:
     @pytest.fixture()
-    def submitted(self, monkeypatch, rng_np, small_blocks):
+    def submitted(self, monkeypatch, rng_np):
         """Every future submitted to the worker, once it is running."""
         step(GeoMatchModel(SMALL, seed=1), tiny_sample(rng_np))
         futures = []
@@ -487,9 +488,8 @@ class TestWorkerErrors:
 
         monkeypatch.setattr(owner, name, failing)
 
-    @pytest.mark.parametrize("owner, name", [(dn, "_forward_chains"),
-                                             (sparse, "_blocks")],
-                             ids=["chains", "blocks"])
+    @pytest.mark.parametrize("owner, name", [(dn, "_forward_chains")],
+                             ids=["chains"])
     def test_forward_error_surfaces_from_total_loss(
             self, monkeypatch, rng_np, submitted, owner, name):
         model = GeoMatchModel(SMALL, seed=1)
@@ -498,13 +498,19 @@ class TestWorkerErrors:
             model.total_loss(big_sample(rng_np))
         assert submitted and all(f.done() for f in submitted)
 
-    def test_block_error_surfaces_from_backward(self, monkeypatch, rng_np,
-                                                submitted):
+    def test_sparse_error_surfaces_from_backward(self, monkeypatch, rng_np,
+                                                 submitted):
+        """A sparse product fails on the calling thread between two dense
+        backward hand-offs."""
         model = GeoMatchModel(SMALL, seed=1)
         total, _, _ = model.total_loss(big_sample(rng_np))
-        self.fail_on_worker(monkeypatch, sparse, "_blocks")
+
+        def failing(*args):
+            raise Boom("_product")
+
+        monkeypatch.setattr(sparse, "_product", failing)
         submitted.clear()
-        with pytest.raises(Boom):
+        with pytest.raises(Boom, match="_product"):
             dn.backward(total)
         assert submitted and all(f.done() for f in submitted)
 
@@ -530,8 +536,9 @@ class TestWorkerErrors:
         assert len(submitted) == 1 and submitted[0].done()
 
     @pytest.mark.parametrize("owner, name", [(dn, "_forward_chains"),
+                                             (dn, "_matmuls"),
                                              (dn, "_adam_update")],
-                             ids=["chains", "adam"])
+                             ids=["chains", "products", "adam"])
     def test_main_thread_error_waits_for_the_job(self, monkeypatch, rng_np,
                                                  submitted, owner, name):
         model = GeoMatchModel(SMALL, seed=1)
@@ -555,6 +562,8 @@ class TestWorkerErrors:
         with pytest.raises(Boom, match="main"):
             if name == "_adam_update":
                 dn.adam_step(model.store)
+            elif name == "_matmuls":
+                dn.backward(model.total_loss(tiny_sample(rng_np))[0])
             else:
                 model.total_loss(tiny_sample(rng_np))
         assert finished and submitted and all(f.done() for f in submitted)
